@@ -14,9 +14,8 @@ from .analysis import (
     split_interval,
     step_interval,
     step_point,
-    tree_lower_bound,
 )
-from .dynamics import ReplacementPolicy, join, leave, locate_or_nearest, replacement_decision
+from .dynamics import ReplacementPolicy, join, leave, replacement_decision
 from .harness import ExperimentConfig, TrialStats, run_experiment
 from .linkgen import (
     BernoulliOffsets,
@@ -24,10 +23,8 @@ from .linkgen import (
     InversePowerLaw,
     PowersOfB,
     deterministic_links,
-    harmonic_weights,
-    poisson_sample,
     power_links,
-    sample_long_links,
+    sample_line_links,
     sample_offsets,
 )
 from .overlay import (

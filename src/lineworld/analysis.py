@@ -109,14 +109,6 @@ def single_link_profile(n1: int, n2: int) -> DropProfile:
                        integer_valued=True)
 
 
-def tree_lower_bound(n: int, links: int) -> float:
-    """Breadth lower bound: at most links**k nodes are reachable within k
-    steps, so any routing needs log(n)/log(links) steps to reach everyone."""
-    if links < 2:
-        raise ValueError("links must be >= 2")
-    return math.log(n) / math.log(links)
-
-
 # ---------------------------------------------------------------------------
 # the interval chain
 
@@ -326,62 +318,6 @@ def mean_lower_bound(config: LowerBoundConfig) -> float:
         denom = math.log(1.0 / (1.0 - 1.0 / a)) + 2.0 * math.log(1.0 + big_l / bands)
         t_val += ln_a * bands / denom
     return t_val / (eps * t_val + 1.0 - eps)
-
-
-def drop_rate_cap(z: float, config: LowerBoundConfig) -> float:
-    """Explicit cap on the expected one-step decrease of ln|interval| at
-    ln-size z, as used inside `mean_lower_bound`.
-
-    Below ln a the cap is ln a itself; above, it is the band form
-    ln(1/(1-1/a)) + 2 ln(1 + gamma_{z'} + gamma_{z'+1} + gamma_{z'+2}) with
-    z' = floor(z/ln a) - 1.
-    """
-    ell = config.degree()
-    ln_n = math.log(config.n)
-    a = 3.0 * ell * ln_n ** 3
-    ln_a = math.log(a)
-    if z < ln_a:
-        return ln_a
-    gammas = offset_band_sums(config, a)
-    zp = int(z / ln_a) - 1
-    g = sum(gammas[i] for i in (zp, zp + 1, zp + 2) if 0 <= i < len(gammas))
-    return math.log(1.0 / (1.0 - 1.0 / a)) + 2.0 * math.log(1.0 + g)
-
-
-def offset_band_sums(config: LowerBoundConfig, a: float) -> np.ndarray:
-    """Per-band totals gamma_i = sum over positive k with
-    floor(log_a(k+1)) = i of (2 p_k + q_k).
-
-    p_k is the inclusion probability of offset k and q_k the convolution
-    bound on the chance that k appears as a midpoint of two distinct
-    offsets (zero for one-sided routing).  The band totals sum to at most
-    2*ell one-sided and 2*ell + ell^2 two-sided.
-    """
-    if config.inclusion is None:
-        raise ValueError("band sums need the inclusion map")
-    p = config.inclusion.inclusion
-    n = config.n
-    q = _midpoint_mass(p, n) if config.sidedness is Sidedness.TWO_SIDED else {}
-    n_bands = int(math.log(n + 1) / math.log(a)) + 1
-    gammas = np.zeros(n_bands + 3)
-    for k in range(1, n + 1):
-        i = int(math.log(k + 1) / math.log(a))
-        gammas[i] += 2.0 * p.get(k, 0.0) + q.get(k, 0.0)
-    return gammas
-
-
-def _midpoint_mass(p: dict, n: int) -> dict:
-    """q_k = b_{2k - 1} + b_{2k} for k > 0, where b_m convolves the
-    inclusion map with itself: the expected number of distinct offset pairs
-    summing to m, hence a bound on Pr[k is a midpoint]."""
-    b: dict[int, float] = {}
-    items = list(p.items())
-    for d1, p1 in items:
-        for d2, p2 in items:
-            if d1 == d2:
-                continue
-            b[d1 + d2] = b.get(d1 + d2, 0.0) + p1 * p2
-    return {k: b.get(2 * k - 1, 0.0) + b.get(2 * k, 0.0) for k in range(1, n + 1)}
 
 
 # ---------------------------------------------------------------------------

@@ -21,35 +21,16 @@ optionally resample every link that pointed at the leaver.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left
 
 import numpy as np
 
-from .linkgen import NodeId, harmonic_numbers, sample_line_links
+from .linkgen import NodeId, sample_line_links
 from .overlay import NO_NEIGHBOR, OverlayGraph
 
 
 class ReplacementPolicy(enum.Enum):
     INVERSE_DISTANCE = "inverse_distance"
     OLDEST = "oldest"
-
-
-def locate_or_nearest(g: OverlayGraph, target: NodeId) -> NodeId:
-    """The target if live, else the live node nearest to it (ties go to the
-    lower position)."""
-    if g.alive[target]:
-        return target
-    live = g.live_sorted()
-    if not live:
-        raise ValueError("no live nodes")
-    i = bisect_left(live, target)
-    lo = live[i - 1] if i > 0 else None
-    hi = live[i] if i < len(live) else None
-    if lo is None:
-        return hi
-    if hi is None:
-        return lo
-    return lo if target - lo <= hi - target else hi
 
 
 def replacement_decision(existing_distances, new_distance: float,
@@ -113,29 +94,13 @@ def join(g: OverlayGraph, v: NodeId, links: int, policy: ReplacementPolicy,
 
     # stitch into the live line
     i = int(np.searchsorted(live_arr, v))
-    left = int(live_arr[i - 1]) if i > 0 else None
-    right = int(live_arr[i]) if i < live_arr.size else None
-    if left is not None:
-        g.right[left] = v
-        g.left[v] = left
-        g._adj[left] = None
-        g._sym_adj[left] = None
-    else:
-        g.left[v] = NO_NEIGHBOR
-    if right is not None:
-        g.left[right] = v
-        g.right[v] = right
-        g._adj[right] = None
-        g._sym_adj[right] = None
-    else:
-        g.right[v] = NO_NEIGHBOR
-
-    h = harmonic_prefix if harmonic_prefix is not None else harmonic_numbers(g.n - 1)
+    g.stitch(int(live_arr[i - 1]) if i > 0 else NO_NEIGHBOR, v)
+    g.stitch(v, int(live_arr[i]) if i < live_arr.size else NO_NEIGHBOR)
 
     # outgoing links: grid draw, basin-mapped to live nodes other than v;
     # a second node has only its line neighbor, no meaningful long links
     if live_arr.size >= 2:
-        for sink in sample_line_links(v, g.n, links, rng, harmonic_prefix=h):
+        for sink in sample_line_links([v], g.n, links, rng, harmonic_prefix)[0].tolist():
             g.add_link(v, _nearest_excluding(live_arr, sink, v))
 
     # incoming requests: Poisson count truncated at population - 1,
@@ -171,37 +136,19 @@ def leave(g: OverlayGraph, v: NodeId, repair: bool, rng: np.random.Generator) ->
     """Take position v down, re-stitching its line neighbors across it.
 
     With repair=True every long link that pointed at v is resampled over
-    the live population (~1/distance from its holder); without repair the
-    links dangle for routing to discover.
+    the live population (~1/distance from its holder), unless its holder is
+    the last live node; without repair the links dangle for routing to
+    discover.
     """
     if not g.alive[v]:
         raise ValueError("position not live")
-    holders = sorted(g.in_index().get(v, ())) if repair else None
-    left, right = int(g.left[v]), int(g.right[v])
-    if left != NO_NEIGHBOR:
-        g.right[left] = right
-        g._adj[left] = None
-        g._sym_adj[left] = None
-    if right != NO_NEIGHBOR:
-        g.left[right] = left
-        g._adj[right] = None
-        g._sym_adj[right] = None
+    holders = sorted(g.in_index().get(v, ())) if repair else []
+    g.stitch(int(g.left[v]), int(g.right[v]))
     g.mark_dead(v)
-    if not repair:
-        return g
-    live = np.asarray(g.live_sorted(), dtype=np.int64)
-    if live.size == 0:
-        return g
-    for u in holders:
-        if not g.alive[u]:
-            continue
-        d = np.abs(live - u).astype(float)
-        d[d == 0.0] = 1.0  # placeholder; u gets weight 0 below
-        w = 1.0 / d
-        w[live == u] = 0.0
-        cum = np.cumsum(w)
-        for idx, sink in enumerate(g.links[u]):
-            if sink == v:
-                r = rng.random() * cum[-1]
-                g.replace_link(u, idx, int(live[np.searchsorted(cum, r, side="right")]))
+    # one sampler row per link at v
+    slots = [(u, i) for u in holders if g.alive[u] for i, s in enumerate(g.links[u]) if s == v]
+    if slots and np.count_nonzero(g.alive) >= 2:
+        sinks = sample_line_links([u for u, _ in slots], g.n, 1, rng, present=g.alive)
+        for (u, i), sink in zip(slots, sinks[:, 0].tolist()):
+            g.replace_link(u, i, sink)
     return g

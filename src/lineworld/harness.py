@@ -78,8 +78,9 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.experiment not in EXP_CODES:
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        for name in ("trials", "messages", "repetitions", "samples", "workers"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if any(not 0.0 <= p <= 1.0 for p in self.p_grid):
             raise ValueError("p grid entries must lie in [0,1]")
         if self.dist not in ("power1", "detbase", "powers", "bernoulli"):
@@ -402,7 +403,6 @@ def run_compare(config: ExperimentConfig) -> list[str]:
         for pi, p in enumerate(config.p_grid):
             for g, acc in ((ideal, out_ideal), (grown, out_grown)):
                 g.alive[:] = True
-                g._live_sorted = None
                 p_rng = trial_rng(config.seed, "compare", r, pi, 0 if acc is out_ideal else 1)
                 overlay.apply_node_failures(g, p, p_rng)
                 acc.append(route_batch(g, config.messages,

@@ -106,60 +106,60 @@ def harmonic_number(n: int) -> float:
     return float(np.sum(1.0 / np.arange(1, n + 1))) if n >= 1 else 0.0
 
 
-def harmonic_weights(u: NodeId, population) -> dict[NodeId, float]:
-    """Probability of each candidate sink v != u, proportional to 1/|u-v|.
-
-    `population` is any iterable of positions containing u and at least one
-    other node.  Weights are strictly positive and sum to 1.
-    """
-    candidates = np.asarray(sorted(set(int(v) for v in population) - {int(u)}), dtype=np.int64)
-    if candidates.size == 0:
-        raise ValueError("no candidate sinks")
-    w = 1.0 / np.abs(candidates - int(u))
-    w /= w.sum()
-    return {int(v): float(p) for v, p in zip(candidates, w)}
-
-
-def sample_long_links(u: NodeId, population, links: int, rng: np.random.Generator) -> list[NodeId]:
-    """Draw `links` sinks independently with replacement ~ 1/|u-v|.
-
-    Duplicates are returned as drawn; deduplication is the graph layer's
-    concern.
-    """
-    if links < 1:
-        raise ValueError("links must be >= 1")
-    candidates = np.asarray(sorted(set(int(v) for v in population) - {int(u)}), dtype=np.int64)
-    if candidates.size == 0:
-        raise ValueError("no candidate sinks")
-    w = 1.0 / np.abs(candidates - int(u))
-    cum = np.cumsum(w)
-    r = rng.random(links) * cum[-1]
-    idx = np.searchsorted(cum, r, side="right")
-    return [int(v) for v in candidates[idx]]
+def _grid_draws(us: np.ndarray, n: int, draws: int, h: np.ndarray,
+                rng: np.random.Generator) -> np.ndarray:
+    """`draws` sinks per source over the whole line, ~ 1/|u-v|, by inverse
+    CDF against the harmonic prefix h; one row per source."""
+    u = us[:, None]
+    mass_left = h[u]
+    r = rng.random((us.size, draws))
+    r *= mass_left + h[n - 1 - u]
+    on_left = r < mass_left
+    d = np.searchsorted(h, np.where(on_left, r, r - mass_left), side="left")
+    np.maximum(d, 1, out=d)
+    sinks = np.where(on_left, u - d, u + d)
+    np.clip(sinks, 0, n - 1, out=sinks)
+    return sinks
 
 
-def sample_line_links(u: NodeId, n: int, links: int, rng: np.random.Generator,
-                      harmonic_prefix: np.ndarray | None = None) -> list[NodeId]:
-    """Fast path of `sample_long_links` for the full line population 0..n-1.
+def sample_line_links(sources, n: int, links: int, rng: np.random.Generator,
+                      harmonic_prefix: np.ndarray | None = None,
+                      present: np.ndarray | None = None) -> np.ndarray:
+    """Draw `links` sinks per source ~ 1/|u-v|, one row per source.
 
-    Inverse-CDF sampling against a shared harmonic prefix table; O(log n)
-    per draw instead of O(n) set-up per node.
+    Inverse-CDF sampling against the shared harmonic prefix of the line
+    0..n-1, O(log n) per draw.  With a boolean `present` mask the law is
+    1/|u-v| restricted to present positions: each row keeps its first
+    `links` grid draws that land on a present position (rejection, exact),
+    and short rows draw again in batches that double in size.  Duplicates
+    are returned as drawn; deduplication is the graph layer's concern.
     """
     if links < 1:
         raise ValueError("links must be >= 1")
     if n < 2:
         raise ValueError("no candidate sinks")
-    h = harmonic_prefix if harmonic_prefix is not None else harmonic_numbers(n)
-    left, right = u, n - 1 - u
-    total = h[left] + h[right]
-    r = rng.random(links) * total
-    sinks = np.empty(links, dtype=np.int64)
-    on_left = r < h[left]
-    d_left = np.searchsorted(h[: left + 1], r[on_left], side="left")
-    sinks[on_left] = u - np.maximum(d_left, 1)
-    d_right = np.searchsorted(h[: right + 1], (r[~on_left] - h[left]), side="left")
-    sinks[~on_left] = u + np.maximum(d_right, 1)
-    return [int(v) for v in sinks]
+    us = np.asarray(sources, dtype=np.int64).reshape(-1)
+    h = harmonic_prefix if harmonic_prefix is not None else harmonic_numbers(n - 1)
+    if present is None:
+        return _grid_draws(us, n, links, h, rng)
+    if np.any(np.count_nonzero(present) - present[us] < 1):
+        raise ValueError("a source has no other present position")
+    out = np.empty((us.size, links), dtype=np.int64)
+    filled = np.zeros(us.size, dtype=np.int64)
+    rows = np.arange(us.size)
+    batch = links
+    while rows.size:
+        sinks = _grid_draws(us[rows], n, batch, h, rng)
+        ok = present[sinks]
+        # slot (1-based) each accepted draw would take in its row
+        slot = np.cumsum(ok, axis=1) + filled[rows, None]
+        i, j = np.nonzero(ok & (slot <= links))
+        out[rows[i], slot[i, j] - 1] = sinks[i, j]
+        filled[rows] = np.minimum(slot[:, -1], links)
+        rows = rows[filled[rows] < links]
+        # bound one batch's memory when acceptance is tiny
+        batch = min(2 * batch, max(links, (1 << 22) // max(rows.size, 1)))
+    return out
 
 
 def ceil_log(n: int, b: int) -> int:
@@ -231,13 +231,6 @@ def sample_offsets(dist: BernoulliOffsets, rng: np.random.Generator,
     keep = rng.random(len(deltas)) < probs
     out = np.sort(deltas[keep])
     return out
-
-
-def poisson_sample(rate: float, rng: np.random.Generator) -> int:
-    """One Poisson(rate) draw; Pr[k] = e^-rate * rate^k / k!."""
-    if not rate > 0:
-        raise ValueError("rate must be positive")
-    return int(rng.poisson(rate))
 
 
 def ideal_length_distribution(n: int) -> np.ndarray:

@@ -23,8 +23,8 @@ from .linkgen import (
     NodeId,
     PowersOfB,
     deterministic_links,
-    harmonic_numbers,
     power_links,
+    sample_line_links,
     sample_offsets,
 )
 
@@ -159,10 +159,19 @@ class OverlayGraph:
     def has_long_link(self, u: NodeId, v: NodeId) -> bool:
         return v in self.links[u]
 
-    # -- liveness --------------------------------------------------------
+    def stitch(self, left: NodeId, right: NodeId) -> None:
+        """Make `left` and `right` immediate neighbors on the line; either
+        may be NO_NEIGHBOR for an end of the line."""
+        if left != NO_NEIGHBOR:
+            self.right[left] = right
+            self._adj[left] = None
+            self._sym_adj[left] = None
+        if right != NO_NEIGHBOR:
+            self.left[right] = left
+            self._adj[right] = None
+            self._sym_adj[right] = None
 
-    def live_positions(self) -> np.ndarray:
-        return np.flatnonzero(self.alive)
+    # -- liveness --------------------------------------------------------
 
     def live_sorted(self) -> list[int]:
         """Sorted live positions, cached and maintained by churn operations."""
@@ -195,13 +204,6 @@ class OverlayGraph:
             self._in_index = idx
         return self._in_index
 
-    def invalidate_caches(self) -> None:
-        self._adj = [None] * self.n
-        self._sym_adj = [None] * self.n
-        self._live_sorted = None
-        self._in_index = None
-        self._in_csr = None
-
     # -- serialization ---------------------------------------------------
 
     def dump_text(self) -> str:
@@ -221,10 +223,10 @@ class OverlayGraph:
 
 
 def _stitch_line(g: OverlayGraph, positions: np.ndarray) -> None:
-    """Point immediate links of `positions` at their neighbors in sequence."""
-    for i, u in enumerate(positions):
-        g.left[u] = positions[i - 1] if i > 0 else NO_NEIGHBOR
-        g.right[u] = positions[i + 1] if i + 1 < len(positions) else NO_NEIGHBOR
+    """Point immediate links of `positions` (sorted, on a fresh graph) at
+    their neighbors in sequence."""
+    g.left[positions[1:]] = positions[:-1]
+    g.right[positions[:-1]] = positions[1:]
 
 
 def _draw_long_links(g: OverlayGraph, present: np.ndarray, dist: LinkDistribution,
@@ -232,37 +234,11 @@ def _draw_long_links(g: OverlayGraph, present: np.ndarray, dist: LinkDistributio
     """Fill long-link tables for `present` positions, candidates = present."""
     n = g.n
     if isinstance(dist, InversePowerLaw):
-        if present.size == n:
-            # full line: shared harmonic prefix, inverse-CDF per draw
-            h = harmonic_numbers(n - 1)
-            ell = dist.links
-            r = rng.random((n, ell))
-            us = np.arange(n)
-            mass_left = h[us]
-            mass_right = h[n - 1 - us]
-            r *= (mass_left + mass_right)[:, None]
-            on_left = r < mass_left[:, None]
-            d = np.searchsorted(h, np.where(on_left, r, r - mass_left[:, None]), side="left")
-            np.maximum(d, 1, out=d)
-            sinks = np.where(on_left, us[:, None] - d, us[:, None] + d)
-            np.clip(sinks, 0, n - 1, out=sinks)
-            for u in range(n):
-                g.links[u] = [int(v) for v in sinks[u]]
-                g.ages[u] = list(range(ell))
-                g._age_next[u] = ell
-        else:
-            # restricted population: per-node cumulative weights
-            for u in present:
-                d = np.abs(present - u)
-                d[d == 0] = 1  # placeholder; u gets weight 0 below
-                w = 1.0 / d
-                w[present == u] = 0.0
-                cum = np.cumsum(w)
-                r = rng.random(dist.links) * cum[-1]
-                idx = np.searchsorted(cum, r, side="right")
-                g.links[u] = [int(present[i]) for i in idx]
-                g.ages[u] = list(range(dist.links))
-                g._age_next[u] = dist.links
+        sinks = sample_line_links(present, n, dist.links, rng, present=g.alive)
+        for u, row in zip(present.tolist(), sinks.tolist()):
+            g.links[u] = row
+            g.ages[u] = list(range(dist.links))
+            g._age_next[u] = dist.links
     elif isinstance(dist, DeterministicBaseB):
         present_set = set(int(x) for x in present)
         for u in present:

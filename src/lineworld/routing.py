@@ -174,6 +174,13 @@ def greedy_step(g: OverlayGraph, cur: NodeId, dst: NodeId, sidedness: Sidedness,
     return _best_candidate(live, cur, dst, sidedness, frozenset())
 
 
+def _check_endpoints(g: OverlayGraph, src: NodeId, dst: NodeId) -> None:
+    if not (0 <= src < g.n and 0 <= dst < g.n):
+        raise ValueError(f"endpoint outside [0, {g.n})")
+    if not (g.alive[src] and g.alive[dst]):
+        raise ValueError("endpoint dead")
+
+
 def default_max_hops(n: int) -> int:
     return max(8, int(4 * math.log2(n) ** 2))
 
@@ -191,8 +198,7 @@ def route(g: OverlayGraph, src: NodeId, dst: NodeId, sidedness: Sidedness = Side
     with symmetric=True (links model connections, usable both ways);
     bound-validation runs keep the directed default.
     """
-    if not (g.alive[src] and g.alive[dst]):
-        raise ValueError("endpoint dead")
+    _check_endpoints(g, src, dst)
     if max_hops is None:
         max_hops = default_max_hops(g.n)
     if isinstance(strategy, RandomRestart) and rng is None:
@@ -277,8 +283,7 @@ def route_deterministic(g: OverlayGraph, src: NodeId, dst: NodeId, b: int,
     power of b not exceeding d; distance 1 is the immediate link and is
     always available.
     """
-    if not (g.alive[src] and g.alive[dst]):
-        raise ValueError("endpoint dead")
+    _check_endpoints(g, src, dst)
     if max_hops is None:
         max_hops = default_max_hops(g.n)
     path = [src] if record_path else None

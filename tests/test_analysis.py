@@ -11,16 +11,13 @@ from lineworld.analysis import (
     LowerBoundConfig,
     chain_equivalence_tv,
     check_boundary_points,
-    drop_rate_cap,
     karp_upper_bound,
     mean_lower_bound,
-    offset_band_sums,
     single_link_drift,
     single_link_profile,
     split_interval,
     step_interval,
     step_point,
-    tree_lower_bound,
 )
 from lineworld.linkgen import BernoulliOffsets, harmonic_number, sample_offsets
 from lineworld.routing import Sidedness
@@ -105,14 +102,6 @@ def test_single_link_profile_nondecreasing():
     prof = single_link_profile(500, 0)
     vals = [prof.drop(float(k)) for k in range(1, 501)]
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
-
-
-def test_tree_lower_bound():
-    assert tree_lower_bound(8, 2) == pytest.approx(3.0)
-    assert tree_lower_bound(2 ** 20, 2) == pytest.approx(20.0)
-    assert tree_lower_bound(81, 3) == pytest.approx(4.0)
-    with pytest.raises(ValueError):
-        tree_lower_bound(100, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +288,31 @@ def test_mean_lower_bound_denominator_shrinks():
 
 
 def test_offset_band_sums_totals():
+    # The band totals back mean_lower_bound's hit-weight cap L: all bands
+    # together hold at most 2*ell one-sided and 2*ell + ell^2 two-sided, so
+    # three consecutive bands hold at most L = 6*ell or 6*ell + 3*ell^2.
+
+    def midpoint_mass(p, n):
+        """q_k = b_{2k - 1} + b_{2k} for k > 0, where b_m convolves the
+        inclusion map with itself: the expected number of distinct offset
+        pairs summing to m, hence a bound on Pr[k is a midpoint]."""
+        b = {}
+        for d1, p1 in p.items():
+            for d2, p2 in p.items():
+                if d1 != d2:
+                    b[d1 + d2] = b.get(d1 + d2, 0.0) + p1 * p2
+        return {k: b.get(2 * k - 1, 0.0) + b.get(2 * k, 0.0) for k in range(1, n + 1)}
+
+    def offset_band_sums(config, a):
+        """gamma_i = sum over positive k with floor(log_a(k+1)) = i of
+        (2 p_k + q_k); q is zero for one-sided routing."""
+        p = config.inclusion.inclusion
+        q = midpoint_mass(p, config.n) if config.sidedness is TWO else {}
+        gammas = np.zeros(int(math.log(config.n + 1) / math.log(a)) + 4)
+        for k in range(1, config.n + 1):
+            gammas[int(math.log(k + 1) / math.log(a))] += 2.0 * p.get(k, 0.0) + q.get(k, 0.0)
+        return gammas
+
     n = 256
     law = inverse_law(n)
     ell = law.expected_size()
@@ -308,13 +322,6 @@ def test_offset_band_sums_totals():
     two = offset_band_sums(LowerBoundConfig(n=n, sidedness=TWO, inclusion=law), a)
     assert two.sum() <= 2 * ell + ell ** 2 + 1e-9
     assert two.sum() >= one.sum()
-
-
-def test_drop_rate_cap_below_cutoff():
-    cfg = LowerBoundConfig(n=2 ** 14, sidedness=ONE, inclusion=inverse_law(64),
-                           expected_degree=5.0)
-    a = 3 * 5.0 * math.log(2 ** 14) ** 3
-    assert drop_rate_cap(0.5, cfg) == pytest.approx(math.log(a))
 
 
 def _simulate_one_sided_to_zero(n, ell, graphs, routes_per_graph, seed):

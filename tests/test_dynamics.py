@@ -7,10 +7,10 @@ import pytest
 
 from lineworld.dynamics import (
     ReplacementPolicy,
+    _nearest_excluding,
     _request_redirect,
     join,
     leave,
-    locate_or_nearest,
     replacement_decision,
 )
 from lineworld.linkgen import InversePowerLaw
@@ -22,24 +22,21 @@ def small_graph(n=32, ell=3, seed=0):
     return build(n, InversePowerLaw(ell), np.random.default_rng(seed))
 
 
-def test_locate_or_nearest():
-    g = small_graph(16)
-    assert locate_or_nearest(g, 5) == 5
-    g.alive[:] = False
-    g.invalidate_caches()
-    for v in (3, 8):
-        g.alive[v] = True
-    assert locate_or_nearest(g, 5) == 3
-    g.alive[8] = False
-    g.alive[7] = True
-    g.invalidate_caches()
-    assert locate_or_nearest(g, 5) == 3  # tie resolves to the lower position
+def test_nearest_excluding_nearest_and_tie():
+    live = np.array([3, 5, 8])
+    assert _nearest_excluding(live, 5, 0) == 5
+    assert _nearest_excluding(live, 5, 5) == 3  # tie resolves to the lower position
+    assert _nearest_excluding(np.array([3, 8]), 5, 0) == 3
+    assert _nearest_excluding(np.array([3, 7]), 5, 0) == 3
+    assert _nearest_excluding(np.array([3, 6]), 5, 0) == 6
+    assert _nearest_excluding(live, 100, 8) == 5
 
 
-def test_locate_or_nearest_no_live():
-    g = OverlayGraph(4)
+def test_nearest_excluding_no_candidates():
     with pytest.raises(ValueError):
-        locate_or_nearest(g, 1)
+        _nearest_excluding(np.array([1]), 1, 1)
+    with pytest.raises(ValueError):
+        _nearest_excluding(np.array([], dtype=np.int64), 1, 0)
 
 
 def test_replacement_decision_requires_links():
@@ -190,6 +187,25 @@ def test_leave_with_repair_no_dangling():
             assert not dead.intersection(g.links[u])
     # line re-stitched across the dead run 63-64
     assert g.right[62] == 65 and g.left[65] == 62
+
+
+def test_leave_with_repair_lone_survivor_keeps_dangling_link():
+    # regression: repairing the last live node's links used to raise IndexError
+    rng = np.random.default_rng(0)
+    g = leave(build(2, InversePowerLaw(2), rng), 1, True, rng)
+    assert g.alive.tolist() == [True, False]
+    assert g.links[0] == [1, 1]
+    assert g.right[0] == NO_NEIGHBOR
+
+
+def test_leave_repair_resamples_over_live_nodes_only():
+    g = small_graph(64, 6, seed=18)
+    rng = np.random.default_rng(19)
+    for v in range(0, 64, 2):
+        leave(g, v, repair=True, rng=rng)
+    for u in range(1, 64, 2):
+        assert len(g.links[u]) == 6
+        assert all(s % 2 == 1 and s != u for s in g.links[u])
 
 
 def test_leave_then_rejoin_consistent():

@@ -220,6 +220,29 @@ def test_cli_rejects_bad_config(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("src", ["70", "-1"])
+def test_cli_route_rejects_endpoint_off_the_line(capsys, src):
+    rc = main(["route", "--n", "64", "--links", "2", "--src", src, "--dst", "3"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("lineworld: error:")
+    assert "path=" not in captured.out
+
+
+@pytest.mark.parametrize("argv", [
+    ["distribution", "--reps", "0"],
+    ["failures", "--messages", "0"],
+    ["chains", "--samples", "0"],
+    ["failures", "--workers", "0"],
+], ids=["repetitions", "messages", "samples", "workers"])
+def test_cli_rejects_counts_below_one(capsys, argv):
+    rc = main(["experiment", *argv, "--n", "64", "--links", "2", "--trials", "1"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("lineworld: error:")
+    assert captured.out == ""
+
+
 def test_cli_entrypoint_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "lineworld.cli", "experiment", "chains",

@@ -4,19 +4,29 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import chisquare
 
 from lineworld.linkgen import (
     BernoulliOffsets,
     deterministic_links,
     harmonic_numbers,
-    harmonic_weights,
     ideal_length_distribution,
-    poisson_sample,
     power_links,
     sample_line_links,
-    sample_long_links,
     sample_offsets,
 )
+
+
+def harmonic_weights(u, population) -> dict[int, float]:
+    """Enumerated reference law: probability of each candidate sink v != u,
+    proportional to 1/|u-v|.  `population` is any iterable of positions
+    containing u and at least one other node."""
+    candidates = np.asarray(sorted(set(int(v) for v in population) - {int(u)}), dtype=np.int64)
+    if candidates.size == 0:
+        raise ValueError("no candidate sinks")
+    w = 1.0 / np.abs(candidates - int(u))
+    w /= w.sum()
+    return {int(v): float(p) for v, p in zip(candidates, w)}
 
 
 def test_harmonic_weights_three_nodes():
@@ -46,37 +56,52 @@ def test_harmonic_weights_needs_candidates():
         harmonic_weights(3, {3})
 
 
-def test_sample_long_links_rejects_zero_links():
+def test_sample_line_links_rejects_zero_links():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        sample_long_links(0, {0, 1}, 0, rng)
+        sample_line_links([0], 2, 0, rng)
 
 
-def test_sample_long_links_single_candidate():
+def test_sample_line_links_single_present_candidate():
     rng = np.random.default_rng(0)
-    assert sample_long_links(0, {0, 1}, 3, rng) == [1, 1, 1]
+    present = np.zeros(8, dtype=bool)
+    present[[2, 6]] = True
+    assert sample_line_links([2, 6], 8, 3, rng, present=present).tolist() == [[6, 6, 6], [2, 2, 2]]
 
 
-def test_sample_long_links_matches_weights():
-    # empirical marginal within 3 standard errors of the harmonic law
-    rng = np.random.default_rng(7)
-    n, draws = 64, 120_000
-    counts = np.zeros(n)
-    got = sample_long_links(5, range(n), draws, rng)
-    for v in got:
-        counts[v] += 1
-    w = harmonic_weights(5, range(n))
-    for v in (4, 6, 10, 32, 63):
-        p = w[v]
-        se = math.sqrt(p * (1 - p) / draws)
-        assert abs(counts[v] / draws - p) < 3 * se + 1e-9
+def test_sample_line_links_needs_another_present_position():
+    rng = np.random.default_rng(0)
+    present = np.zeros(8, dtype=bool)
+    present[[2, 6]] = True
+    with pytest.raises(ValueError, match="no other present position"):
+        sample_line_links([2, 3, 6], 8, 1, rng, present=present & (np.arange(8) != 6))
+
+
+@pytest.mark.parametrize("p_present", [0.5, 0.05])
+def test_sample_line_links_present_matches_enumerated_law(p_present):
+    # rejection draws restricted to a present mask follow 1/|u-v| over the
+    # present positions, row by row (chi-square against the enumerated law)
+    n, draws = 512, 40_000
+    rng = np.random.default_rng(int(p_present * 100))
+    present = rng.random(n) < p_present
+    live = np.flatnonzero(present)
+    sources = [int(live[0]), int(live[len(live) // 3]), int(live[-1])]
+    sinks = sample_line_links(sources, n, draws, rng, present=present)
+    assert sinks.shape == (3, draws)
+    for u, row in zip(sources, sinks):
+        law = harmonic_weights(u, live)
+        assert set(np.unique(row).tolist()) <= set(law)
+        counts = np.bincount(row, minlength=n)
+        observed = np.array([counts[v] for v in law])
+        expected = np.array(list(law.values())) * draws
+        assert chisquare(observed, expected).pvalue > 1e-3
 
 
 def test_sample_line_links_matches_weights():
     # 10^6 draws on the full 2^14 line, checked against the analytic law
     rng = np.random.default_rng(8)
     n, draws = 2 ** 14, 1_000_000
-    got = sample_line_links(0, n, draws, rng)
+    got = sample_line_links([0], n, draws, rng)[0]
     counts = np.bincount(got, minlength=n)
     h = harmonic_numbers(n - 1)
     for v in (1, 2, 7, 100, 5000, n - 1):
@@ -88,7 +113,7 @@ def test_sample_line_links_matches_weights():
 def test_sample_line_links_off_center():
     rng = np.random.default_rng(18)
     n, draws = 2 ** 10, 200_000
-    counts = np.bincount(sample_line_links(100, n, draws, rng), minlength=n)
+    counts = np.bincount(sample_line_links([100], n, draws, rng)[0], minlength=n)
     w = harmonic_weights(100, range(n))
     for v in (99, 101, 90, 500, 1023):
         p = w[v]
@@ -168,10 +193,10 @@ def test_offsets_validation():
 
 
 def test_poisson_zero_probability():
-    # Pr[k=0] = e^-rate
+    # join draws its incoming-request count from rng.poisson: Pr[k=0] = e^-rate
     rng = np.random.default_rng(2)
     rate, samples = 2.0, 200_000
-    zeros = sum(poisson_sample(rate, rng) == 0 for _ in range(samples))
+    zeros = np.count_nonzero(rng.poisson(rate, size=samples) == 0)
     p0 = math.exp(-rate)
     se = math.sqrt(p0 * (1 - p0) / samples)
     assert abs(zeros / samples - p0) < 3 * se
@@ -181,15 +206,6 @@ def test_poisson_mean():
     rng = np.random.default_rng(3)
     vals = rng.poisson(1.0, size=1_000_000)
     assert abs(vals.mean() - 1.0) < 0.01
-
-
-def test_poisson_codomain_and_errors():
-    rng = np.random.default_rng(4)
-    assert all(poisson_sample(14.0, rng) >= 0 for _ in range(200))
-    with pytest.raises(ValueError):
-        poisson_sample(0.0, rng)
-    with pytest.raises(ValueError):
-        poisson_sample(-1.0, rng)
 
 
 def test_harmonic_numbers_prefix():
@@ -213,7 +229,7 @@ def test_ideal_length_distribution_matches_direct_build():
     counts = np.zeros(n)
     for u in range(n):
         for _ in range(5):
-            for v in sample_line_links(u, n, ell, rng):
+            for v in sample_line_links([u], n, ell, rng)[0]:
                 counts[abs(u - v)] += 1
     emp = counts / counts.sum()
     law = ideal_length_distribution(n)

@@ -109,6 +109,15 @@ def test_route_rejects_dead_endpoints():
         route(g, 0, 7)
 
 
+@pytest.mark.parametrize("src,dst", [(8, 0), (0, 8), (-1, 3), (3, -1)])
+def test_routers_reject_endpoints_off_the_line(src, dst):
+    g = line_graph(8)
+    with pytest.raises(ValueError, match=r"outside \[0, 8\)"):
+        route(g, src, dst)
+    with pytest.raises(ValueError, match=r"outside \[0, 8\)"):
+        route_deterministic(g, src, dst, 2)
+
+
 def test_route_never_fails_without_failures():
     rng = np.random.default_rng(11)
     for dist in (InversePowerLaw(4), DeterministicBaseB(3), PowersOfB(2)):
