@@ -60,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--link-mode", choices=["directed", "symmetric"], default="symmetric")
 
     e = sub.add_parser("experiment", help="batch experiments emitting CSV")
-    e.add_argument("kind", choices=sorted(harness.RUNNERS))
+    e.add_argument("kind", choices=sorted(harness.EXPERIMENTS))
     _add_graph_flags(e)
     e.add_argument("--p-grid", type=_float_list,
                    default=(0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9))
@@ -110,8 +110,7 @@ def cmd_route(args) -> int:
     g = overlay.build(args.n, harness.make_distribution(cfg), rng)
     if args.p_fail > 0:
         overlay.apply_node_failures(g, args.p_fail, rng)
-    side = routing.Sidedness.ONE_SIDED if args.sidedness == "one" else routing.Sidedness.TWO_SIDED
-    res = routing.route(g, args.src, args.dst, side,
+    res = routing.route(g, args.src, args.dst, routing.Sidedness(args.sidedness),
                         harness.make_strategy(args.strategy, cfg),
                         max_hops=args.max_hops, rng=rng,
                         probe=args.choice == "live",
@@ -127,14 +126,13 @@ def cmd_experiment(args) -> int:
         experiment=args.kind, n=args.n, links=args.links, base=args.base,
         dist=args.dist, p_grid=args.p_grid, strategies=args.strategy,
         history=args.history, trials=args.trials, messages=args.messages,
-        max_hops=args.max_hops, seed=args.seed, out=args.out,
+        max_hops=args.max_hops, seed=args.seed,
         workers=args.workers, repetitions=args.reps, n_values=args.n_grid,
         link_values=args.l_grid, samples=args.samples, t_max=args.t_max,
         sidedness=args.sidedness, probe=args.choice == "live",
         link_mode=args.link_mode, failure_model=args.failure_model,
         policy=args.policy,
     )
-    config.validate()
     harness.emit(harness.run_experiment(config), args.out)
     return 0
 

@@ -1,10 +1,14 @@
 """Experiment orchestration: seeded batch runs emitting CSV.
 
-Every trial owns an rng stream derived from (master seed, experiment code,
-configuration indices, trial index), and aggregation reduces per-trial
-integer accumulators in trial order, so output bytes are identical for any
-worker count.  Statistics (hop mean/stddev, backtrack and restart means)
-are computed over successful routes only.
+Every experiment runs through one trial loop, `_sweep`.  A runner lists its
+cells (a p value and strategy, an (n, links) pair, or a single cell) with
+their configuration indices; `_sweep` runs each cell's trials on one
+thread pool, each trial on its own rng stream derived from (master seed,
+experiment code, configuration indices, trial index), and hands back each
+cell's results in trial order.  The runner reduces them in that order and
+formats its rows, so output bytes are identical for any worker count.
+Statistics (hop mean/stddev, backtrack and restart means) are computed
+over successful routes only.
 
 CSV schemas (column order fixed):
 
@@ -22,9 +26,11 @@ CSV schemas (column order fixed):
 from __future__ import annotations
 
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import product
 
 import numpy as np
 
@@ -49,12 +55,10 @@ class ExperimentConfig:
     p_grid: tuple[float, ...] = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
     strategies: tuple[str, ...] = ("terminate", "restart", "backtrack")
     history: int = 5
-    max_restarts: int = 10
     trials: int = 100
     messages: int = 100
     max_hops: int | None = None
     seed: int = 0
-    out: str | None = None
     workers: int = 1
     repetitions: int = 10
     n_values: tuple[int, ...] = ()
@@ -81,6 +85,10 @@ class ExperimentConfig:
         for name in ("trials", "messages", "repetitions", "samples", "workers"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.t_max < 0:
+            raise ValueError("t_max must be >= 0")
+        if self.max_hops is not None and self.max_hops < 1:
+            raise ValueError("max_hops must be >= 1")
         if any(not 0.0 <= p <= 1.0 for p in self.p_grid):
             raise ValueError("p grid entries must lie in [0,1]")
         if self.dist not in ("power1", "detbase", "powers", "bernoulli"):
@@ -162,17 +170,14 @@ def trial_rng(seed: int, experiment: str, *indices: int) -> np.random.Generator:
     return np.random.default_rng([seed, EXP_CODES[experiment], *indices])
 
 
-def make_distribution(config: ExperimentConfig, links: int | None = None,
-                      base: int | None = None) -> linkgen.LinkDistribution:
-    ell = links if links is not None else config.links
-    b = base if base is not None else config.base
+def make_distribution(config: ExperimentConfig) -> linkgen.LinkDistribution:
     if config.dist == "power1":
-        return InversePowerLaw(ell)
+        return InversePowerLaw(config.links)
     if config.dist == "detbase":
-        return DeterministicBaseB(b)
+        return DeterministicBaseB(config.base)
     if config.dist == "powers":
-        return PowersOfB(b)
-    return BernoulliOffsets(power_law_inclusion(config.n, ell).inclusion)
+        return PowersOfB(config.base)
+    return BernoulliOffsets(power_law_inclusion(config.n, config.links).inclusion)
 
 
 def power_law_inclusion(n: int, links: int) -> BernoulliOffsets:
@@ -193,38 +198,65 @@ def make_strategy(name: str, config: ExperimentConfig) -> routing.RecoveryStrate
     if name == "terminate":
         return Terminate()
     if name == "restart":
-        return RandomRestart(config.max_restarts)
+        return RandomRestart()
     return Backtrack(config.history)
 
 
-def _sidedness(config: ExperimentConfig) -> Sidedness:
-    return Sidedness.ONE_SIDED if config.sidedness == "one" else Sidedness.TWO_SIDED
+def _sweep(config: ExperimentConfig, cells: list[tuple[tuple[int, ...], object]], count: int,
+           task) -> list[list]:
+    """Run `task(cell, t, rng)` for every `(indices, cell)` pair and t < count,
+    rng being the stream of trial t under the cell's indices, on one pool of
+    at most `config.workers` threads (and no more than there are CPUs).
+    Returns each cell's results in trial order."""
+    jobs = [(indices, cell, t) for indices, cell in cells for t in range(count)]
 
+    def run(job):
+        indices, cell, t = job
+        return task(cell, t, trial_rng(config.seed, config.experiment, *indices, t))
 
-def _map_ordered(fn, count: int, workers: int) -> list:
+    workers = min(config.workers, os.cpu_count() or 1)
     if workers <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
+        results = [run(job) for job in jobs]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(run, jobs))
+    return [results[i:i + count] for i in range(0, len(results), count)]
 
 
-def route_batch(g: overlay.OverlayGraph, messages: int, strategy: routing.RecoveryStrategy,
+ONE_CELL = [((), None)]
+
+
+def _total(parts) -> TrialStats:
+    total = TrialStats()
+    for st in parts:
+        total.merge(st)
+    return total
+
+
+def route_batch(g: overlay.OverlayGraph, strategy: routing.RecoveryStrategy,
                 rng: np.random.Generator, config: ExperimentConfig) -> TrialStats:
-    """Route `messages` between uniformly chosen distinct live pairs."""
+    """Route `config.messages` between uniformly chosen distinct live pairs:
+    by digits on scaling's deterministic schemes, greedily otherwise."""
     stats = TrialStats()
     live = g.live_sorted()
     if len(live) < 2:
         return stats
-    side = _sidedness(config)
+    digits = config.experiment == "scaling" and config.dist in ("detbase", "powers")
+    side = Sidedness(config.sidedness)
     symmetric = config.symmetric_links()
-    for _ in range(messages):
+    for _ in range(config.messages):
         i = int(rng.integers(len(live)))
         j = int(rng.integers(len(live) - 1))
         if j >= i:
             j += 1
-        res = routing.route(g, live[i], live[j], side, strategy,
-                            max_hops=config.max_hops, rng=rng, probe=config.probe,
-                            symmetric=symmetric)
+        if digits:
+            res = routing.route_deterministic(g, live[i], live[j], config.base,
+                                              max_hops=config.max_hops,
+                                              powers_fallback=config.dist == "powers")
+        else:
+            res = routing.route(g, live[i], live[j], side, strategy,
+                                max_hops=config.max_hops, rng=rng, probe=config.probe,
+                                symmetric=symmetric)
         stats.record(res)
     return stats
 
@@ -253,23 +285,19 @@ def _failed_graph(config: ExperimentConfig, p: float,
 def run_failures(config: ExperimentConfig) -> list[str]:
     """Failure sweep: fresh graph per trial under the configured failure
     model, routing between live pairs under each recovery strategy."""
-    config.validate()
-    rows = []
-    for pi, p in enumerate(config.p_grid):
-        for si, strat_name in enumerate(config.strategies):
-            def one_trial(t: int, _p=p, _pi=pi, _si=si, _strat=strat_name) -> TrialStats:
-                rng = trial_rng(config.seed, "failures", _pi, _si, t)
-                g = _failed_graph(config, _p, rng)
-                if g is None:
-                    return TrialStats()
-                return route_batch(g, config.messages, make_strategy(_strat, config),
-                                   rng, config)
+    cells = [((pi, si), (p, strat_name)) for pi, p in enumerate(config.p_grid)
+             for si, strat_name in enumerate(config.strategies)]
 
-            total = TrialStats()
-            for st in _map_ordered(one_trial, config.trials, config.workers):
-                total.merge(st)
-            rows.append(_failures_row(config, "failures", p, strat_name, total))
-    return rows
+    def trial(cell, t, rng) -> TrialStats:
+        p, strat_name = cell
+        g = _failed_graph(config, p, rng)
+        if g is None:
+            return TrialStats()
+        return route_batch(g, make_strategy(strat_name, config), rng, config)
+
+    return [_failures_row(config, "failures", p, strat_name, _total(stats))
+            for (_, (p, strat_name)), stats
+            in zip(cells, _sweep(config, cells, config.trials, trial))]
 
 
 def _failures_row(config: ExperimentConfig, experiment: str, p: float,
@@ -290,9 +318,7 @@ def build_by_joins(n: int, links: int, policy: dynamics.ReplacementPolicy,
     """Grow an overlay from empty by joining every position in random order."""
     g = overlay.OverlayGraph(n)
     h = linkgen.harmonic_numbers(n - 1)
-    order = rng.permutation(n)
-    dynamics.join(g, int(order[0]), links, policy, rng, harmonic_prefix=h)
-    for v in order[1:]:
+    for v in rng.permutation(n):
         dynamics.join(g, int(v), links, policy, rng, harmonic_prefix=h)
     return g
 
@@ -311,56 +337,37 @@ def link_length_histogram(g: overlay.OverlayGraph) -> np.ndarray:
 def run_distribution(config: ExperimentConfig) -> list[str]:
     """Sequential-join construction fidelity: averaged link-length law of
     heuristic builds, against the exact inverse-distance law."""
-    config.validate()
-    policy = (dynamics.ReplacementPolicy.OLDEST if config.policy == "oldest"
-              else dynamics.ReplacementPolicy.INVERSE_DISTANCE)
-
-    def one_rep(r: int) -> np.ndarray:
-        rng = trial_rng(config.seed, "distribution", r)
-        g = build_by_joins(config.n, config.links, policy, rng)
-        return link_length_histogram(g)
-
-    hists = _map_ordered(one_rep, config.repetitions, config.workers)
+    policy = dynamics.ReplacementPolicy(config.policy)
+    [hists] = _sweep(config, ONE_CELL, config.repetitions, lambda _, r, rng: link_length_histogram(
+        build_by_joins(config.n, config.links, policy, rng)))
     derived = np.mean(hists, axis=0)
     ideal = linkgen.ideal_length_distribution(config.n)
-    rows = []
-    for d in range(1, config.n):
-        rows.append(",".join([
-            "distribution", str(config.n), str(config.links), str(config.seed),
-            str(d), f"{ideal[d]:.12f}", f"{derived[d]:.12f}",
-            f"{abs(ideal[d] - derived[d]):.12f}",
-        ]))
-    return rows
+    return [",".join([
+        "distribution", str(config.n), str(config.links), str(config.seed),
+        str(d), f"{ideal[d]:.12f}", f"{derived[d]:.12f}",
+        f"{abs(ideal[d] - derived[d]):.12f}",
+    ]) for d in range(1, config.n)]
 
 
 def run_scaling(config: ExperimentConfig) -> list[str]:
     """Hop-count sweeps on ideal failure-free graphs."""
-    config.validate()
-    n_values = config.n_values or (config.n,)
-    link_values = config.link_values or (config.links,)
+    cells = [((ni, li), replace(config, n=n, links=ell))
+             for ni, n in enumerate(config.n_values or (config.n,))
+             for li, ell in enumerate(config.link_values or (config.links,))]
+
+    def trial(cfg, t, rng) -> TrialStats:
+        g = overlay.build(cfg.n, make_distribution(cfg), rng)
+        return route_batch(g, Terminate(), rng, cfg)
+
     rows = []
-    for ni, n in enumerate(n_values):
-        for li, ell in enumerate(link_values):
-            cfg = replace(config, n=n, links=ell)
-
-            def one_trial(t: int, _cfg=cfg, _ni=ni, _li=li) -> TrialStats:
-                rng = trial_rng(config.seed, "scaling", _ni, _li, t)
-                dist = make_distribution(_cfg)
-                g = overlay.build(_cfg.n, dist, rng)
-                if _cfg.dist in ("detbase", "powers"):
-                    return _deterministic_batch(g, _cfg, rng)
-                return route_batch(g, _cfg.messages, Terminate(), rng, _cfg)
-
-            total = TrialStats()
-            for st in _map_ordered(one_trial, config.trials, config.workers):
-                total.merge(st)
-            link_count = _nominal_links(cfg)
-            rows.append(",".join([
-                "scaling", str(n), str(link_count), str(config.base), config.dist,
-                str(config.trials), str(config.messages),
-                _fmt(total.mean_hops), _fmt(total.stderr_hops),
-                str(total.hop_max), str(config.seed),
-            ]))
+    for (_, cfg), stats in zip(cells, _sweep(config, cells, config.trials, trial)):
+        total = _total(stats)
+        rows.append(",".join([
+            "scaling", str(cfg.n), str(_nominal_links(cfg)), str(config.base), config.dist,
+            str(config.trials), str(config.messages),
+            _fmt(total.mean_hops), _fmt(total.stderr_hops),
+            str(total.hop_max), str(config.seed),
+        ]))
     return rows
 
 
@@ -372,87 +379,56 @@ def _nominal_links(config: ExperimentConfig) -> int:
     return config.links
 
 
-def _deterministic_batch(g: overlay.OverlayGraph, config: ExperimentConfig,
-                         rng: np.random.Generator) -> TrialStats:
-    stats = TrialStats()
-    fallback = config.dist == "powers"
-    for _ in range(config.messages):
-        i = int(rng.integers(g.n))
-        j = int(rng.integers(g.n - 1))
-        if j >= i:
-            j += 1
-        res = routing.route_deterministic(g, i, j, config.base,
-                                          max_hops=config.max_hops,
-                                          powers_fallback=fallback)
-        stats.record(res)
-    return stats
-
-
 def run_compare(config: ExperimentConfig) -> list[str]:
     """Ideal-built vs join-built overlays under node failures."""
-    config.validate()
     strat_name = config.strategies[0]
-    policy = (dynamics.ReplacementPolicy.OLDEST if config.policy == "oldest"
-              else dynamics.ReplacementPolicy.INVERSE_DISTANCE)
+    policy = dynamics.ReplacementPolicy(config.policy)
 
-    def one_rep(r: int) -> tuple[list[TrialStats], list[TrialStats]]:
-        rng = trial_rng(config.seed, "compare", r)
+    def rep(_, r, rng) -> list[TrialStats]:
+        """Per p value, the ideal graph's stats then the grown graph's."""
         ideal = overlay.build(config.n, InversePowerLaw(config.links), rng)
         grown = build_by_joins(config.n, config.links, policy, rng)
-        out_ideal, out_grown = [], []
+        out = []
         for pi, p in enumerate(config.p_grid):
-            for g, acc in ((ideal, out_ideal), (grown, out_grown)):
+            for k, g in enumerate((ideal, grown)):
                 g.alive[:] = True
-                p_rng = trial_rng(config.seed, "compare", r, pi, 0 if acc is out_ideal else 1)
+                p_rng = trial_rng(config.seed, "compare", r, pi, k)
                 overlay.apply_node_failures(g, p, p_rng)
-                acc.append(route_batch(g, config.messages,
-                                       make_strategy(strat_name, config), p_rng, config))
-        return out_ideal, out_grown
+                out.append(route_batch(g, make_strategy(strat_name, config), p_rng, config))
+        return out
 
-    reps = _map_ordered(one_rep, config.repetitions, config.workers)
-    rows = []
-    for pi, p in enumerate(config.p_grid):
-        for label, pick in (("compare_ideal", 0), ("compare_heuristic", 1)):
-            total = TrialStats()
-            for rep in reps:
-                total.merge(rep[pick][pi])
-            cfg = replace(config, trials=config.repetitions)
-            rows.append(_failures_row(cfg, label, p, strat_name, total))
-    return rows
+    [reps] = _sweep(config, ONE_CELL, config.repetitions, rep)
+    cfg = replace(config, trials=config.repetitions)
+    return [_failures_row(cfg, label, p, strat_name, _total(stats[i] for stats in reps))
+            for i, (p, label) in enumerate(
+                product(config.p_grid, ("compare_ideal", "compare_heuristic")))]
 
 
 def run_chains(config: ExperimentConfig) -> list[str]:
     """Chain-equivalence oracle: TV distance between point-chain and
     interval-chain marginals, per step."""
-    config.validate()
     inclusion = BernoulliOffsets(
         {d: 1.0 / abs(d) for d in range(-config.n, config.n + 1) if d != 0})
-    side = _sidedness(config)
-    rng = trial_rng(config.seed, "chains", 0)
-    tv = analysis.chain_equivalence_tv(config.n, inclusion, side,
-                                       config.t_max, config.samples, rng)
-    rows = []
-    for t, v in enumerate(tv):
-        rows.append(",".join([
-            "chains", str(config.n), config.sidedness, str(t), f"{v:.6f}",
-            str(config.samples), str(config.seed),
-        ]))
-    return rows
+    side = Sidedness(config.sidedness)
+    [[tv]] = _sweep(config, ONE_CELL, 1, lambda _, t, rng: analysis.chain_equivalence_tv(
+        config.n, inclusion, side, config.t_max, config.samples, rng))
+    return [",".join([
+        "chains", str(config.n), config.sidedness, str(t), f"{v:.6f}",
+        str(config.samples), str(config.seed),
+    ]) for t, v in enumerate(tv)]
 
 
 def run_bounds(config: ExperimentConfig) -> list[str]:
     """Bound sandwich: closed-form lower bound, simulated mean hops to a
     boundary target, and the drift-integral upper bound (single link)."""
-    config.validate()
-    side = _sidedness(config)
+    side = Sidedness(config.sidedness)
     lower = analysis.mean_lower_bound(analysis.LowerBoundConfig(
         n=config.n, sidedness=side,
         inclusion=power_law_inclusion(config.n, config.links)))
     upper = (analysis.karp_upper_bound(analysis.single_link_profile(config.n - 1, 0))
              if config.links == 1 else float("nan"))
 
-    def one_trial(t: int) -> TrialStats:
-        rng = trial_rng(config.seed, "bounds", t)
+    def trial(_, t, rng) -> TrialStats:
         g = overlay.build(config.n, InversePowerLaw(config.links), rng)
         stats = TrialStats()
         for _ in range(config.messages):
@@ -461,9 +437,8 @@ def run_bounds(config: ExperimentConfig) -> list[str]:
                                        max_hops=config.max_hops, probe=config.probe))
         return stats
 
-    total = TrialStats()
-    for st in _map_ordered(one_trial, config.trials, config.workers):
-        total.merge(st)
+    [stats] = _sweep(config, ONE_CELL, config.trials, trial)
+    total = _total(stats)
     return [",".join([
         "bounds", str(config.n), str(config.links), config.sidedness,
         _fmt(lower), _fmt(total.mean_hops), _fmt(upper),
@@ -471,31 +446,26 @@ def run_bounds(config: ExperimentConfig) -> list[str]:
     ])]
 
 
-HEADERS = {
-    "failures": FAILURES_HEADER,
-    "compare": FAILURES_HEADER,
-    "distribution": "experiment,n,links,seed,distance,ideal,derived,abs_error",
+# experiment -> (CSV header, runner)
+EXPERIMENTS = {
+    "failures": (FAILURES_HEADER, run_failures),
+    "compare": (FAILURES_HEADER, run_compare),
+    "distribution": ("experiment,n,links,seed,distance,ideal,derived,abs_error",
+                     run_distribution),
     "scaling": ("experiment,n,links,base,dist,trials,messages,mean_hops,"
-                "stderr_hops,max_hops_observed,seed"),
-    "chains": "experiment,n,sidedness,t,tv_distance,samples,seed",
+                "stderr_hops,max_hops_observed,seed", run_scaling),
+    "chains": ("experiment,n,sidedness,t,tv_distance,samples,seed", run_chains),
     "bounds": ("experiment,n,links,sidedness,lower_bound,sim_mean_hops,"
-               "upper_bound,trials,messages,seed"),
-}
-
-RUNNERS = {
-    "failures": run_failures,
-    "distribution": run_distribution,
-    "scaling": run_scaling,
-    "compare": run_compare,
-    "chains": run_chains,
-    "bounds": run_bounds,
+               "upper_bound,trials,messages,seed", run_bounds),
 }
 
 
 def run_experiment(config: ExperimentConfig) -> str:
-    """Run one experiment and return its CSV text (header + rows)."""
-    rows = RUNNERS[config.experiment](config)
-    return "\n".join([HEADERS[config.experiment]] + rows) + "\n"
+    """Validate `config`, run its experiment and return the CSV text
+    (header + rows)."""
+    config.validate()
+    header, runner = EXPERIMENTS[config.experiment]
+    return "\n".join([header, *runner(config)]) + "\n"
 
 
 def emit(csv_text: str, out: str | None) -> None:

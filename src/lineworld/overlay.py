@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import io
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,31 +30,6 @@ from .linkgen import (
 NO_NEIGHBOR = -1
 
 DUMP_HEADER = "lineworld-graph v1"
-
-
-@dataclass(frozen=True)
-class LinkFailure:
-    """Each long link survives independently with probability p_present."""
-
-    p_present: float
-
-
-@dataclass(frozen=True)
-class NodeBinomialPresence:
-    """Each position exists independently with probability p_present;
-    links are drawn over existing nodes only."""
-
-    p_present: float
-
-
-@dataclass(frozen=True)
-class NodeGeneralFailure:
-    """Nodes fail after linking; dead sinks are discovered while routing."""
-
-    p_fail: float
-
-
-FailureModel = LinkFailure | NodeBinomialPresence | NodeGeneralFailure | None
 
 
 class OverlayGraph:

@@ -88,43 +88,25 @@ class RouteResult:
 STUCK = None
 
 
-def _best_candidate(adj: list[int], cur: int, dst: int, sidedness: Sidedness,
-                    exclude) -> int | None:
+def _best_candidate(adj: list[int], cur: int, dst: int, sidedness: Sidedness) -> int | None:
     """Best sink by the greedy rule among `adj` (sorted), ignoring liveness.
 
     Returns None when no candidate strictly improves on cur's distance.
     """
+    i = bisect_left(adj, dst)
     if sidedness is Sidedness.ONE_SIDED:
         # never cross dst: nearest candidate on cur's side of it
         if cur > dst:
-            i = bisect_left(adj, dst)
-            while i < len(adj) and adj[i] in exclude:
-                i += 1
             if i < len(adj) and dst <= adj[i] < cur:
                 return adj[i]
             return None
-        i = bisect_left(adj, dst)
         # want largest adj <= dst
         i -= 0 if i < len(adj) and adj[i] == dst else 1
-        while i >= 0 and adj[i] in exclude:
-            i -= 1
         if i >= 0 and cur < adj[i] <= dst:
             return adj[i]
         return None
 
     # two-sided: the two sinks bracketing dst are the only argmin candidates
-    if exclude:
-        best, best_key = None, None
-        for v in adj:
-            if v in exclude:
-                continue
-            key = (abs(v - dst), 0 if (v - dst) * (cur - dst) > 0 or v == dst else 1, v)
-            if best_key is None or key < best_key:
-                best, best_key = v, key
-        if best is None or abs(best - dst) >= abs(cur - dst):
-            return None
-        return best
-    i = bisect_left(adj, dst)
     lo = adj[i - 1] if i > 0 else None
     hi = adj[i] if i < len(adj) else None
     if lo is None:
@@ -150,28 +132,27 @@ def greedy_step(g: OverlayGraph, cur: NodeId, dst: NodeId, sidedness: Sidedness,
                 symmetric: bool = False) -> NodeId | None:
     """One greedy hand-off from cur toward dst; None means stuck.
 
-    With probe=False (the default) the node commits to its single best
-    candidate and is stuck if that candidate is dead, with no second-best
-    attempt.  With probe=True dead candidates are skipped and the best
-    live improving candidate is chosen; stuck means no live candidate is
-    strictly closer to dst than cur.  symmetric=True widens the candidate
-    set to connections in either direction (in-links usable too).
+    Sinks in `exclude` are never candidates.  With probe=False (the
+    default) the node commits to its single best candidate and is stuck if
+    that candidate is dead, with no second-best attempt.  With probe=True
+    dead candidates are skipped and the best live improving candidate is
+    chosen; stuck means no live candidate is strictly closer to dst than
+    cur.  symmetric=True widens the candidate set to connections in either
+    direction (in-links usable too).
     """
     if cur == dst:
         raise ValueError("already at destination")
     if not g.alive[cur]:
         raise ValueError("current node is dead")
     adj = g.neighbors(cur, symmetric)
-    if not probe:
-        best = _best_candidate(adj, cur, dst, sidedness, exclude)
-        if best is None or not g.alive[best]:
-            return STUCK
-        return best
     if exclude:
-        live = [v for v in adj if g.alive[v] and v not in exclude]
-    else:
-        live = [v for v in adj if g.alive[v]]
-    return _best_candidate(live, cur, dst, sidedness, frozenset())
+        adj = [v for v in adj if v not in exclude]
+    if probe:
+        return _best_candidate([v for v in adj if g.alive[v]], cur, dst, sidedness)
+    best = _best_candidate(adj, cur, dst, sidedness)
+    if best is None or not g.alive[best]:
+        return STUCK
+    return best
 
 
 def _check_endpoints(g: OverlayGraph, src: NodeId, dst: NodeId) -> None:

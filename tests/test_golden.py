@@ -1,7 +1,10 @@
-"""Byte-identity of full-line builds, join-grown overlays and failure-sweep
-CSV against digests recorded before the 1/d samplers were merged into
-`linkgen.sample_line_links`.  A change to any of these digests is an RNG
-stream change and must be logged with before/after statistics."""
+"""Byte-identity of full-line builds, join-grown overlays and experiment
+CSV against recorded digests: the builds, the join growth and the first two
+failures sweeps were recorded before the 1/d samplers were merged into
+`linkgen.sample_line_links`, the rest of the experiment CSV before the
+harness runners were merged into one trial loop.  A change to any of these
+digests is an RNG stream change and must be logged with before/after
+statistics."""
 
 import hashlib
 
@@ -41,3 +44,53 @@ def test_failures_csv(model, p_grid, digest):
     cfg = ExperimentConfig("failures", n=2 ** 10, links=10, p_grid=p_grid, trials=3,
                            messages=30, seed=5, failure_model=model)
     assert sha256(run_experiment(cfg)) == digest
+
+
+FAILURES = dict(experiment="failures", n=2 ** 10, links=10, p_grid=(0.2, 0.5), trials=3,
+                messages=30)
+COMMIT = dict(FAILURES, strategies=("backtrack",), seed=6, probe=False)
+SCALING = dict(experiment="scaling", n=2 ** 10, trials=3, messages=30, seed=7)
+BOUNDS = dict(experiment="bounds", n=2 ** 10, trials=3, messages=30, seed=8)
+DISTRIBUTION = dict(experiment="distribution", n=2 ** 8, links=8, repetitions=3, seed=10)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("config,digest", [
+    (dict(FAILURES, p_grid=(0.3, 0.7), seed=5, failure_model="binomial"),
+     "1a37c58c4495ae7e9d5d3543992e5510cfa2ba5d8bccde3bc90bf451ed9ff176"),
+    (dict(COMMIT, sidedness="one", link_mode="directed"),
+     "672ec818db6e1b3beaaf4d82af0fb53db4b69bb58198af8c6b0effbf6b84a150"),
+    (dict(COMMIT, sidedness="one", link_mode="symmetric"),
+     "c8bf9bf023b1b92267ed64a37f052de4383efb46d0e2a24a4805474fe1edb06d"),
+    (dict(COMMIT, sidedness="two", link_mode="directed"),
+     "0b354493e24184962efc59340983903efd7a9bd85b176e0492d59c0f7f6f1ba1"),
+    (dict(COMMIT, sidedness="two", link_mode="symmetric"),
+     "c65ee66376c4e1e8c764edcd12f5e0328a4aa074098f233a14e05c5d1122d899"),
+    (dict(SCALING, n_values=(256, 1024), link_values=(1, 4)),
+     "b83c99f83eed2d848097d38a0259406daa0bf1ba7d2f70cb28f512668f803981"),
+    (dict(SCALING, dist="detbase", base=3),
+     "9314ae1e5f86bde067f092c240962e6cc6347e9b5242d07e35d73f9674d856a6"),
+    (dict(SCALING, dist="powers", base=2),
+     "11200cca6e06de0af5b6edcbbaef92478e18470f7c1840fbbc7762db787d6580"),
+    (dict(SCALING, n=2 ** 9, links=3, dist="bernoulli"),
+     "0d722e9cba1c858e009b7ffecc32475355c1b7346c736bc19c49609f90590f7d"),
+    (dict(BOUNDS, links=1, sidedness="one"),
+     "a30c8469a08614fe30f0ba68070e21ea60b9ab300f43b43c99a96fd14bb42b16"),
+    (dict(BOUNDS, links=3, sidedness="two"),
+     "4916ce7eb2d7937d60e82dfabc6bc2d62a4da4d85f41a32f16373031f06e897b"),
+    (dict(experiment="compare", n=2 ** 9, links=9, p_grid=(0.0, 0.5), strategies=("backtrack",),
+          repetitions=3, messages=30, seed=9),
+     "6e8d216c9ff9dab44ccd2f726d82ed277d01828f8a51275b2bbe01104b546a87"),
+    (dict(DISTRIBUTION, policy="inverse_distance"),
+     "93f4d3851a101d874d6deb07c477ce2c21d47b726eb76718a6c33b118aa5ba9d"),
+    (dict(DISTRIBUTION, policy="oldest"),
+     "6f4ba81c13f1fb925c6498039f4b8c6da3454b05527068c744e67509d68c698b"),
+    (dict(experiment="chains", n=16, samples=500, t_max=4, seed=11),
+     "6945e8352ab0c4c8f903b1aacf6aa6779d52645193722615b78a075d787205b3"),
+], ids=["failures-binomial", "commit-one-directed", "commit-one-symmetric",
+        "commit-two-directed", "commit-two-symmetric", "scaling-power1-grid",
+        "scaling-detbase", "scaling-powers", "scaling-bernoulli", "bounds-one-l1",
+        "bounds-two-l3", "compare", "distribution-inverse-distance",
+        "distribution-oldest", "chains"])
+def test_experiment_csv(config, digest, workers):
+    assert sha256(run_experiment(ExperimentConfig(**config, workers=workers))) == digest

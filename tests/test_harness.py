@@ -1,10 +1,13 @@
 """Experiment orchestration: schemas, determinism, CLI plumbing."""
 
+import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
+from lineworld import harness
 from lineworld.cli import main
 from lineworld.harness import (
     ExperimentConfig,
@@ -53,6 +56,23 @@ def test_failures_deterministic_across_workers():
     one = run_experiment(base)
     four = run_experiment(ExperimentConfig(**{**base.__dict__, "workers": 4}))
     assert one == four
+
+
+def test_worker_pool_is_one_and_capped_at_cpu_count(monkeypatch):
+    asked = []
+    pool = harness.ThreadPoolExecutor
+
+    def recording_pool(max_workers):
+        asked.append(max_workers)
+        return pool(max_workers=max_workers)
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", recording_pool)
+    cfg = tiny("failures", trials=1)  # 2 p values x 2 strategies: 4 jobs
+    serial = run_experiment(cfg)
+    assert asked == []
+    assert run_experiment(replace(cfg, workers=64)) == serial
+    cpus = os.cpu_count() or 1
+    assert asked == ([cpus] if cpus > 1 else [])
 
 
 def test_failures_backtracking_beats_terminate():
@@ -234,7 +254,9 @@ def test_cli_route_rejects_endpoint_off_the_line(capsys, src):
     ["failures", "--messages", "0"],
     ["chains", "--samples", "0"],
     ["failures", "--workers", "0"],
-], ids=["repetitions", "messages", "samples", "workers"])
+    ["chains", "--t-max", "-1"],
+    ["failures", "--max-hops", "0"],
+], ids=["repetitions", "messages", "samples", "workers", "t_max", "max_hops"])
 def test_cli_rejects_counts_below_one(capsys, argv):
     rc = main(["experiment", *argv, "--n", "64", "--links", "2", "--trials", "1"])
     captured = capsys.readouterr()
