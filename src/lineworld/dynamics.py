@@ -55,7 +55,7 @@ def replacement_decision(existing_distances, new_distance: float,
 def _request_redirect(g: OverlayGraph, u: NodeId, v: NodeId,
                       policy: ReplacementPolicy, rng: np.random.Generator) -> None:
     """Node u considers redirecting one of its long links to newcomer v."""
-    sinks = g.links[u]
+    sinks = g.long_links(u)
     if not sinks or u == v:
         return
     dists = [abs(u - s) for s in sinks]
@@ -66,7 +66,7 @@ def _request_redirect(g: OverlayGraph, u: NodeId, v: NodeId,
         p_sum = sum(1.0 / d for d in dists)
         p_new = 1.0 / abs(u - v)
         if rng.random() < p_new / (p_sum + p_new):
-            idx = min(range(len(sinks)), key=g.ages[u].__getitem__)
+            idx = int(np.argmin(g.ages[u, :len(sinks)]))
         else:
             idx = None
     if idx is not None:
@@ -86,9 +86,9 @@ def join(g: OverlayGraph, v: NodeId, links: int, policy: ReplacementPolicy,
     """
     if g.alive[v]:
         raise ValueError("position already live")
-    live_arr = np.asarray(g.live_sorted(), dtype=np.int64)  # snapshot without v
+    live_arr = g.live_sorted()  # snapshot without v
     g.clear_links(v)  # a rejoining position starts with a fresh link table
-    g.mark_alive(v)
+    g.alive[v] = True
     if live_arr.size == 0:
         return g
 
@@ -142,13 +142,16 @@ def leave(g: OverlayGraph, v: NodeId, repair: bool, rng: np.random.Generator) ->
     """
     if not g.alive[v]:
         raise ValueError("position not live")
-    holders = sorted(g.in_index().get(v, ())) if repair else []
     g.stitch(int(g.left[v]), int(g.right[v]))
-    g.mark_dead(v)
-    # one sampler row per link at v
-    slots = [(u, i) for u in holders if g.alive[u] for i, s in enumerate(g.links[u]) if s == v]
-    if slots and np.count_nonzero(g.alive) >= 2:
-        sinks = sample_line_links([u for u, _ in slots], g.n, 1, rng, present=g.alive)
-        for (u, i), sink in zip(slots, sinks[:, 0].tolist()):
+    g.alive[v] = False
+    if not repair:
+        return g
+    holders = g.in_neighbors(v)
+    holders = holders[g.alive[holders]]
+    # one sampler row per link at v, in row-major slot order
+    rows, slots = np.nonzero(g.sinks[holders] == v)
+    if rows.size and np.count_nonzero(g.alive) >= 2:
+        sinks = sample_line_links(holders[rows], g.n, 1, rng, present=g.alive)
+        for u, i, sink in zip(holders[rows].tolist(), slots.tolist(), sinks[:, 0].tolist()):
             g.replace_link(u, i, sink)
     return g

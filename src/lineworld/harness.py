@@ -80,7 +80,7 @@ class ExperimentConfig:
         return self.experiment in ("failures", "compare")
 
     def validate(self) -> None:
-        if self.experiment not in EXP_CODES:
+        if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         for name in ("trials", "messages", "repetitions", "samples", "workers"):
             if getattr(self, name) < 1:
@@ -238,7 +238,7 @@ def route_batch(g: overlay.OverlayGraph, strategy: routing.RecoveryStrategy,
     """Route `config.messages` between uniformly chosen distinct live pairs:
     by digits on scaling's deterministic schemes, greedily otherwise."""
     stats = TrialStats()
-    live = g.live_sorted()
+    live = g.live_sorted().tolist()
     if len(live) < 2:
         return stats
     digits = config.experiment == "scaling" and config.dist in ("detbase", "powers")
@@ -325,12 +325,9 @@ def build_by_joins(n: int, links: int, policy: dynamics.ReplacementPolicy,
 
 def link_length_histogram(g: overlay.OverlayGraph) -> np.ndarray:
     """Normalized distribution of long-link lengths, index = length."""
-    counts = np.zeros(g.n)
-    total = 0
-    for u in range(g.n):
-        for v in g.links[u]:
-            counts[abs(u - v)] += 1
-            total += 1
+    lengths = np.abs(g.sinks - np.arange(g.n)[:, None])[g.sinks != overlay.NO_NEIGHBOR]
+    counts = np.bincount(lengths, minlength=g.n).astype(float)
+    total = counts.sum()
     return counts / total if total else counts
 
 
@@ -380,28 +377,31 @@ def _nominal_links(config: ExperimentConfig) -> int:
 
 
 def run_compare(config: ExperimentConfig) -> list[str]:
-    """Ideal-built vs join-built overlays under node failures."""
-    strat_name = config.strategies[0]
+    """Ideal-built vs join-built overlays under node failures, each failed
+    graph routed under every listed strategy in turn."""
     policy = dynamics.ReplacementPolicy(config.policy)
+    labels = ("compare_ideal", "compare_heuristic")
 
     def rep(_, r, rng) -> list[TrialStats]:
-        """Per p value, the ideal graph's stats then the grown graph's."""
+        """Stats in row order: by p, then strategy, then graph."""
         ideal = overlay.build(config.n, InversePowerLaw(config.links), rng)
         grown = build_by_joins(config.n, config.links, policy, rng)
-        out = []
+        out = {}
         for pi, p in enumerate(config.p_grid):
             for k, g in enumerate((ideal, grown)):
                 g.alive[:] = True
                 p_rng = trial_rng(config.seed, "compare", r, pi, k)
                 overlay.apply_node_failures(g, p, p_rng)
-                out.append(route_batch(g, make_strategy(strat_name, config), p_rng, config))
-        return out
+                for si, strat_name in enumerate(config.strategies):
+                    out[pi, si, k] = route_batch(g, make_strategy(strat_name, config),
+                                                 p_rng, config)
+        return [stats for _, stats in sorted(out.items())]
 
     [reps] = _sweep(config, ONE_CELL, config.repetitions, rep)
     cfg = replace(config, trials=config.repetitions)
     return [_failures_row(cfg, label, p, strat_name, _total(stats[i] for stats in reps))
-            for i, (p, label) in enumerate(
-                product(config.p_grid, ("compare_ideal", "compare_heuristic")))]
+            for i, (p, strat_name, label) in enumerate(
+                product(config.p_grid, config.strategies, labels))]
 
 
 def run_chains(config: ExperimentConfig) -> list[str]:

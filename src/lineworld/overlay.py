@@ -1,16 +1,22 @@
 """Overlay graphs on a line: construction, failure injection, serialization.
 
-An overlay holds, per position: a liveness flag, immediate links to the
-nearest live neighbor on each side, and a table of long-distance links.
-Long links remember their creation age (a per-node counter) so churn
-policies can find the oldest link.  With-replacement sampling may store
-the same sink twice; the routing adjacency deduplicates.
+An overlay holds, per position: a liveness flag and immediate links to the
+nearest live neighbor on each side.  Long-distance links live in one
+padded table, `sinks[u]` holding u's sinks left-packed in slot order with
+NO_NEIGHBOR after the last; the table widens one column at a time, to
+exactly the widest row.  `ages` has the same shape and stamps each write
+from one graph-wide clock, so churn policies can find a row's oldest link.
+With-replacement sampling may store the same sink twice.
+
+Routing reads a sorted, deduplicated CSR adjacency per link mode (directed,
+or symmetric with in-links), rebuilt on the first read after a link or
+stitch write.  It ignores liveness, so node failures never invalidate it;
+readers filter dead sinks themselves.
 """
 
 from __future__ import annotations
 
 import io
-from bisect import bisect_left, insort
 
 import numpy as np
 
@@ -35,8 +41,7 @@ DUMP_HEADER = "lineworld-graph v1"
 class OverlayGraph:
     """Mutable overlay state; routing reads it, churn operations mutate it."""
 
-    __slots__ = ("n", "alive", "left", "right", "links", "ages", "_age_next",
-                 "_adj", "_sym_adj", "_live_sorted", "_in_index", "_in_csr")
+    __slots__ = ("n", "alive", "left", "right", "sinks", "ages", "_clock", "_adjacency")
 
     def __init__(self, n: int):
         if n < 2:
@@ -45,138 +50,101 @@ class OverlayGraph:
         self.alive = np.zeros(n, dtype=bool)
         self.left = np.full(n, NO_NEIGHBOR, dtype=np.int64)
         self.right = np.full(n, NO_NEIGHBOR, dtype=np.int64)
-        self.links: list[list[int]] = [[] for _ in range(n)]
-        self.ages: list[list[int]] = [[] for _ in range(n)]
-        self._age_next = [0] * n
-        self._adj: list[list[int] | None] = [None] * n
-        self._sym_adj: list[list[int] | None] = [None] * n
-        self._live_sorted: list[int] | None = None
-        self._in_index: dict[int, set[int]] | None = None
-        self._in_csr: tuple[np.ndarray, np.ndarray] | None = None
+        self.sinks = np.full((n, 0), NO_NEIGHBOR, dtype=np.int64)
+        self.ages = np.zeros((n, 0), dtype=np.int64)
+        self._clock = 0
+        # symmetric -> (indptr, indices); emptied by every link or stitch write
+        self._adjacency: dict[bool, tuple[np.ndarray, np.ndarray]] = {}
 
     # -- link bookkeeping ------------------------------------------------
 
+    def long_links(self, u: NodeId) -> list[int]:
+        """u's long-link sinks in slot order."""
+        row = self.sinks[u].tolist()
+        return row[:row.index(NO_NEIGHBOR)] if NO_NEIGHBOR in row else row
+
+    def _fill(self, positions: np.ndarray, rows: np.ndarray) -> None:
+        """Load a fresh table: positions[i] gets the long links rows[i]
+        (NO_NEIGHBOR-padded), all stamped older than any later write."""
+        width = rows.shape[1]
+        self.sinks = np.full((self.n, width), NO_NEIGHBOR, dtype=np.int64)
+        self.sinks[positions] = rows
+        self.ages = np.tile(np.arange(width, dtype=np.int64), (self.n, 1))
+        self._clock = width
+        self._adjacency.clear()
+
     def add_link(self, u: NodeId, v: NodeId) -> None:
-        self.links[u].append(v)
-        self.ages[u].append(self._age_next[u])
-        self._age_next[u] += 1
-        self._adj[u] = None
-        self._sym_adj[u] = None
-        self._sym_adj[v] = None
-        self._in_csr = None
-        if self._in_index is not None:
-            self._in_index.setdefault(v, set()).add(u)
+        k = len(self.long_links(u))
+        if k == self.sinks.shape[1]:
+            self.sinks = np.pad(self.sinks, ((0, 0), (0, 1)), constant_values=NO_NEIGHBOR)
+            self.ages = np.pad(self.ages, ((0, 0), (0, 1)))
+        self.replace_link(u, k, v)  # the first free slot
 
     def clear_links(self, u: NodeId) -> None:
-        for v in set(self.links[u]):
-            self._sym_adj[v] = None
-            if self._in_index is not None:
-                self._in_index.get(v, set()).discard(u)
-        self.links[u] = []
-        self.ages[u] = []
-        self._adj[u] = None
-        self._sym_adj[u] = None
-        self._in_csr = None
+        self.sinks[u] = NO_NEIGHBOR
+        self._adjacency.clear()
 
     def replace_link(self, u: NodeId, index: int, new_sink: NodeId) -> None:
-        old = self.links[u][index]
-        self.links[u][index] = new_sink
-        self.ages[u][index] = self._age_next[u]
-        self._age_next[u] += 1
-        self._adj[u] = None
-        self._sym_adj[u] = None
-        self._sym_adj[old] = None
-        self._sym_adj[new_sink] = None
-        self._in_csr = None
-        if self._in_index is not None:
-            if old not in self.links[u]:
-                self._in_index.get(old, set()).discard(u)
-            self._in_index.setdefault(new_sink, set()).add(u)
+        self.sinks[u, index] = new_sink
+        self.ages[u, index] = self._clock
+        self._clock += 1
+        self._adjacency.clear()
 
-    def neighbors(self, u: NodeId, symmetric: bool = False) -> list[int]:
-        """Sorted, deduplicated candidate sinks: immediate plus long links.
+    def retain_links(self, keep: np.ndarray) -> None:
+        """Drop every long link whose slot is False in `keep` (shaped like
+        the table); survivors stay left-packed in their old order."""
+        order = np.argsort(~keep, axis=1, kind="stable")
+        self.sinks = np.take_along_axis(np.where(keep, self.sinks, NO_NEIGHBOR), order, axis=1)
+        self.ages = np.take_along_axis(self.ages, order, axis=1)
+        self._adjacency.clear()
+
+    def neighbors(self, u: NodeId, symmetric: bool = False) -> np.ndarray:
+        """Sorted, deduplicated candidate sinks: immediate plus long links,
+        live or not.
 
         With symmetric=True, links are traversable in both directions
         (connections rather than pointers), so nodes holding a link *to* u
         are candidates as well.
         """
-        cache = self._sym_adj if symmetric else self._adj
-        adj = cache[u]
-        if adj is None:
-            sinks = set(self.links[u])
-            if symmetric:
-                sinks.update(self.in_neighbors(u))
-            if self.left[u] != NO_NEIGHBOR:
-                sinks.add(int(self.left[u]))
-            if self.right[u] != NO_NEIGHBOR:
-                sinks.add(int(self.right[u]))
-            sinks.discard(u)
-            adj = sorted(sinks)
-            cache[u] = adj
-        return adj
+        csr = self._adjacency.get(symmetric)
+        if csr is None:
+            csr = self._adjacency[symmetric] = self._build_adjacency(symmetric)
+        indptr, indices = csr
+        return indices[indptr[u]:indptr[u + 1]]
 
-    def in_neighbors(self, u: NodeId) -> list[int]:
-        """Holders of long links pointing at u."""
-        if self._in_index is not None:
-            return sorted(self._in_index.get(u, ()))
-        if self._in_csr is None:
-            holders = np.repeat(np.arange(self.n, dtype=np.int64),
-                                [len(ls) for ls in self.links])
-            sinks = np.fromiter((v for ls in self.links for v in ls),
-                                dtype=np.int64, count=len(holders))
-            order = np.argsort(sinks, kind="stable")
-            starts = np.searchsorted(sinks[order], np.arange(self.n + 1))
-            self._in_csr = (holders[order], starts)
-        holders, starts = self._in_csr
-        return [int(x) for x in holders[starts[u]:starts[u + 1]]]
+    def _build_adjacency(self, symmetric: bool) -> tuple[np.ndarray, np.ndarray]:
+        n, width = self.sinks.shape
+        positions = np.arange(n, dtype=np.int64)
+        holders = np.repeat(positions, width)
+        sinks = self.sinks.ravel()
+        src = [holders, positions, positions] + ([sinks] if symmetric else [])
+        dst = [sinks, self.left, self.right] + ([holders] if symmetric else [])
+        src, dst = np.concatenate(src), np.concatenate(dst)
+        edge = (src != NO_NEIGHBOR) & (dst != NO_NEIGHBOR) & (src != dst)
+        key = np.sort(src[edge] * n + dst[edge])
+        key = key[np.diff(key, prepend=-1) != 0]
+        return np.searchsorted(key, np.arange(n + 1) * n), key % n
+
+    def in_neighbors(self, u: NodeId) -> np.ndarray:
+        """Holders of long links pointing at u, sorted and deduplicated."""
+        holders = np.flatnonzero(self.sinks.ravel() == u) // self.sinks.shape[1]
+        return holders[np.diff(holders, prepend=-1) != 0]
 
     def has_long_link(self, u: NodeId, v: NodeId) -> bool:
-        return v in self.links[u]
+        return v in self.long_links(u)
 
     def stitch(self, left: NodeId, right: NodeId) -> None:
         """Make `left` and `right` immediate neighbors on the line; either
         may be NO_NEIGHBOR for an end of the line."""
         if left != NO_NEIGHBOR:
             self.right[left] = right
-            self._adj[left] = None
-            self._sym_adj[left] = None
         if right != NO_NEIGHBOR:
             self.left[right] = left
-            self._adj[right] = None
-            self._sym_adj[right] = None
+        self._adjacency.clear()
 
-    # -- liveness --------------------------------------------------------
-
-    def live_sorted(self) -> list[int]:
-        """Sorted live positions, cached and maintained by churn operations."""
-        if self._live_sorted is None:
-            self._live_sorted = [int(x) for x in np.flatnonzero(self.alive)]
-        return self._live_sorted
-
-    def mark_alive(self, v: NodeId) -> None:
-        if not self.alive[v]:
-            self.alive[v] = True
-            if self._live_sorted is not None:
-                insort(self._live_sorted, v)
-
-    def mark_dead(self, v: NodeId) -> None:
-        if self.alive[v]:
-            self.alive[v] = False
-            if self._live_sorted is not None:
-                ls = self._live_sorted
-                i = bisect_left(ls, v)
-                if i < len(ls) and ls[i] == v:
-                    ls.pop(i)
-
-    def in_index(self) -> dict[int, set[int]]:
-        """Reverse link index sink -> holders, built lazily on first use."""
-        if self._in_index is None:
-            idx: dict[int, set[int]] = {}
-            for u in range(self.n):
-                for v in self.links[u]:
-                    idx.setdefault(v, set()).add(u)
-            self._in_index = idx
-        return self._in_index
+    def live_sorted(self) -> np.ndarray:
+        """Sorted live positions."""
+        return np.flatnonzero(self.alive)
 
     # -- serialization ---------------------------------------------------
 
@@ -187,7 +155,7 @@ class OverlayGraph:
         out.write(f"{DUMP_HEADER}\nn={self.n}\n")
         for u in range(self.n):
             imm = ",".join(str(x) for x in (self.left[u], self.right[u]) if x != NO_NEIGHBOR)
-            longs = ",".join(str(v) for v in sorted(self.links[u]))
+            longs = ",".join(str(v) for v in sorted(self.long_links(u)))
             out.write(f"{u}\t{int(self.alive[u])}\t{imm}\t{longs}\n")
         return out.getvalue()
 
@@ -208,36 +176,20 @@ def _draw_long_links(g: OverlayGraph, present: np.ndarray, dist: LinkDistributio
     """Fill long-link tables for `present` positions, candidates = present."""
     n = g.n
     if isinstance(dist, InversePowerLaw):
-        sinks = sample_line_links(present, n, dist.links, rng, present=g.alive)
-        for u, row in zip(present.tolist(), sinks.tolist()):
-            g.links[u] = row
-            g.ages[u] = list(range(dist.links))
-            g._age_next[u] = dist.links
-    elif isinstance(dist, DeterministicBaseB):
-        present_set = set(int(x) for x in present)
-        for u in present:
-            sinks = sorted(v for v in deterministic_links(int(u), n, dist.base) if v in present_set)
-            g.links[u] = sinks
-            g.ages[u] = list(range(len(sinks)))
-            g._age_next[u] = len(sinks)
-    elif isinstance(dist, PowersOfB):
-        present_set = set(int(x) for x in present)
-        for u in present:
-            sinks = sorted(v for v in power_links(int(u), n, dist.base) if v in present_set)
-            g.links[u] = sinks
-            g.ages[u] = list(range(len(sinks)))
-            g._age_next[u] = len(sinks)
+        g._fill(present, sample_line_links(present, n, dist.links, rng, present=g.alive))
+        return
+    if isinstance(dist, (DeterministicBaseB, PowersOfB)):
+        scheme = deterministic_links if isinstance(dist, DeterministicBaseB) else power_links
+        rows = [sorted(v for v in scheme(u, n, dist.base) if g.alive[v]) for u in present.tolist()]
     elif isinstance(dist, BernoulliOffsets):
-        present_set = set(int(x) for x in present)
-        for u in present:
-            offsets = sample_offsets(dist, rng, truncate_at=n)
-            sinks = [int(u) - int(d) for d in offsets]
-            sinks = [v for v in sinks if 0 <= v < n and v != u and v in present_set]
-            g.links[u] = sinks
-            g.ages[u] = list(range(len(sinks)))
-            g._age_next[u] = len(sinks)
+        rows = [[v for v in (u - sample_offsets(dist, rng, truncate_at=n)).tolist()
+                 if 0 <= v < n and g.alive[v]] for u in present.tolist()]
     else:
         raise TypeError(f"unknown link distribution {dist!r}")
+    table = np.full((len(rows), max(map(len, rows), default=0)), NO_NEIGHBOR, dtype=np.int64)
+    for i, row in enumerate(rows):
+        table[i, :len(row)] = row
+    g._fill(present, table)
 
 
 def build(n: int, dist: LinkDistribution, rng: np.random.Generator) -> OverlayGraph:
@@ -279,17 +231,11 @@ def apply_link_failures(g: OverlayGraph, p_present: float, rng: np.random.Genera
         raise ValueError("p_present outside [0,1]")
     if p_present == 1.0:
         return g
-    for u in range(g.n):
-        ls = g.links[u]
-        if not ls:
-            continue
-        keep = rng.random(len(ls)) < p_present
-        g.links[u] = [v for v, k in zip(ls, keep) if k]
-        g.ages[u] = [a for a, k in zip(g.ages[u], keep) if k]
-    g._adj = [None] * g.n
-    g._sym_adj = [None] * g.n
-    g._in_index = None
-    g._in_csr = None
+    # one draw per present slot in row-major order: the stream of one
+    # rng.random(len(row)) call per node
+    keep = g.sinks != NO_NEIGHBOR
+    keep[keep] = rng.random(np.count_nonzero(keep)) < p_present
+    g.retain_links(keep)
     return g
 
 
@@ -300,5 +246,4 @@ def apply_node_failures(g: OverlayGraph, p_fail: float, rng: np.random.Generator
         raise ValueError("p_fail outside [0,1]")
     dead = rng.random(g.n) < p_fail
     g.alive[dead] = False
-    g._live_sorted = None
     return g

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import enum
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,27 +87,23 @@ class RouteResult:
 STUCK = None
 
 
-def _best_candidate(adj: list[int], cur: int, dst: int, sidedness: Sidedness) -> int | None:
+def _best_candidate(adj: np.ndarray, cur: int, dst: int, sidedness: Sidedness) -> int | None:
     """Best sink by the greedy rule among `adj` (sorted), ignoring liveness.
 
     Returns None when no candidate strictly improves on cur's distance.
     """
-    i = bisect_left(adj, dst)
+    i = int(adj.searchsorted(dst))
+    lo = int(adj[i - 1]) if i > 0 else None
+    hi = int(adj[i]) if i < len(adj) else None
     if sidedness is Sidedness.ONE_SIDED:
         # never cross dst: nearest candidate on cur's side of it
         if cur > dst:
-            if i < len(adj) and dst <= adj[i] < cur:
-                return adj[i]
-            return None
+            return hi if hi is not None and hi < cur else None
         # want largest adj <= dst
-        i -= 0 if i < len(adj) and adj[i] == dst else 1
-        if i >= 0 and cur < adj[i] <= dst:
-            return adj[i]
-        return None
+        best = hi if hi == dst else lo
+        return best if best is not None and best > cur else None
 
     # two-sided: the two sinks bracketing dst are the only argmin candidates
-    lo = adj[i - 1] if i > 0 else None
-    hi = adj[i] if i < len(adj) else None
     if lo is None:
         best = hi
     elif hi is None:
@@ -146,9 +141,9 @@ def greedy_step(g: OverlayGraph, cur: NodeId, dst: NodeId, sidedness: Sidedness,
         raise ValueError("current node is dead")
     adj = g.neighbors(cur, symmetric)
     if exclude:
-        adj = [v for v in adj if v not in exclude]
+        adj = adj[[v not in exclude for v in adj.tolist()]]
     if probe:
-        return _best_candidate([v for v in adj if g.alive[v]], cur, dst, sidedness)
+        return _best_candidate(adj[g.alive[adj]], cur, dst, sidedness)
     best = _best_candidate(adj, cur, dst, sidedness)
     if best is None or not g.alive[best]:
         return STUCK
@@ -220,7 +215,7 @@ def route(g: OverlayGraph, src: NodeId, dst: NodeId, sidedness: Sidedness = Side
             if restarts >= strategy.max_restarts:
                 return result(Status.FAILED)
             live = g.live_sorted()
-            cur = live[rng.integers(len(live))]
+            cur = int(live[rng.integers(len(live))])
             restarts += 1
             if record_path:
                 path.append(cur)

@@ -138,6 +138,19 @@ def test_compare_deterministic():
     assert run_experiment(cfg) == run_experiment(cfg)
 
 
+def test_compare_routes_every_strategy():
+    # regression: only the first listed strategy used to be routed
+    cfg = tiny("compare", n=128, links=4, p_grid=(0.0, 0.3), repetitions=2, messages=30)
+    both = run_experiment(replace(cfg, strategies=("terminate", "backtrack")))
+    rows = [line.split(",") for line in both.strip().split("\n")[1:]]
+    assert len(rows) == 2 * 2 * 2  # strategies x p values x graphs
+    assert [(r[4], r[5], r[0]) for r in rows] == [
+        (p, s, label) for p in ("0.000000", "0.300000") for s in ("terminate", "backtrack")
+        for label in ("compare_ideal", "compare_heuristic")]
+    alone = run_experiment(replace(cfg, strategies=("terminate",))).strip().split("\n")[1:]
+    assert [",".join(r) for r in rows if r[5] == "terminate"] == alone
+
+
 def test_compare_heuristic_tracks_ideal():
     # the join-built overlay fails a bit more often but stays comparable
     cfg = ExperimentConfig(experiment="compare", n=2 ** 13, links=13,
@@ -183,6 +196,13 @@ def test_config_validation():
         ExperimentConfig(experiment="nope").validate()
     with pytest.raises(ValueError):
         tiny("failures", trials=0).validate()
+
+
+@pytest.mark.parametrize("experiment", ["build", "route"])
+def test_run_experiment_rejects_names_without_a_runner(experiment):
+    # "build" and "route" only name the CLI's rng streams
+    with pytest.raises(ValueError, match="unknown experiment"):
+        run_experiment(ExperimentConfig(experiment, n=64))
 
 
 def test_failure_model_variants():

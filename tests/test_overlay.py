@@ -20,7 +20,7 @@ def test_build_degenerate_pair():
     g = build(2, InversePowerLaw(3), np.random.default_rng(0))
     assert g.right[0] == 1 and g.left[1] == 0
     assert g.left[0] == NO_NEIGHBOR and g.right[1] == NO_NEIGHBOR
-    assert set(g.links[0]) == {1} and set(g.links[1]) == {0}
+    assert set(g.long_links(0)) == {1} and set(g.long_links(1)) == {0}
 
 
 def test_build_rejects_tiny_line():
@@ -32,13 +32,13 @@ def test_build_link_budget_exact():
     # with-replacement draws: every node stores exactly its quota
     n, ell = 2 ** 14, 14
     g = build(n, InversePowerLaw(ell), np.random.default_rng(1))
-    assert sum(len(ls) for ls in g.links) == n * ell
-    assert all(len(ls) == ell for ls in g.links)
+    assert sum(len(g.long_links(u)) for u in range(g.n)) == n * ell
+    assert all(len(g.long_links(u)) == ell for u in range(g.n))
 
 
 def test_build_deterministic_links():
     g = build(8, DeterministicBaseB(2), np.random.default_rng(0))
-    assert set(g.links[0]) == {1, 2, 4}
+    assert set(g.long_links(0)) == {1, 2, 4}
 
 
 def test_build_immediate_links():
@@ -55,7 +55,7 @@ def test_link_failures_identity_and_wipeout():
     apply_link_failures(g, 1.0, rng)
     assert g.dump_text() == before
     apply_link_failures(g, 0.0, rng)
-    assert all(not ls for ls in g.links)
+    assert all(not g.long_links(u) for u in range(g.n))
     # immediate adjacency survives in full
     for u in range(200):
         assert g.left[u] == (u - 1 if u > 0 else NO_NEIGHBOR)
@@ -67,7 +67,7 @@ def test_link_failures_survival_rate():
     rng = np.random.default_rng(4)
     g = build(n, InversePowerLaw(ell), rng)
     apply_link_failures(g, p, rng)
-    survivors = sum(len(ls) for ls in g.links)
+    survivors = sum(len(g.long_links(u)) for u in range(g.n))
     total = n * ell
     se = math.sqrt(total * p * (1 - p))
     assert abs(survivors - p * total) < 3 * se
@@ -84,7 +84,7 @@ def test_link_failures_preserve_immediate_adjacency():
 def test_binomial_presence_full():
     g = build_binomial_presence(64, 1.0, InversePowerLaw(3), np.random.default_rng(6))
     assert g.alive.all()
-    assert all(len(ls) == 3 for ls in g.links)
+    assert all(len(g.long_links(u)) == 3 for u in range(g.n))
     for u in range(1, 63):
         assert g.left[u] == u - 1 and g.right[u] == u + 1
 
@@ -96,7 +96,7 @@ def test_binomial_presence_count_and_sinks():
     se = math.sqrt(n * p * (1 - p))
     assert abs(present - p * n) < 3 * se
     for u in range(n):
-        for v in g.links[u]:
+        for v in g.long_links(u):
             assert g.alive[v]
     # immediate links point at the nearest present neighbor
     live = np.flatnonzero(g.alive)
@@ -115,12 +115,12 @@ def test_node_failures_identity_and_rate():
     g = build(2 ** 14, InversePowerLaw(3), rng)
     apply_node_failures(g, 0.0, rng)
     assert g.alive.all()
-    links_before = [list(ls) for ls in g.links]
+    links_before = [g.long_links(u) for u in range(g.n)]
     apply_node_failures(g, 0.3, rng)
     dead = int((~g.alive).sum())
     se = math.sqrt(2 ** 14 * 0.3 * 0.7)
     assert abs(dead - 0.3 * 2 ** 14) < 3 * se
-    assert [list(ls) for ls in g.links] == links_before
+    assert [g.long_links(u) for u in range(g.n)] == links_before
 
 
 def test_build_reproducible():
@@ -160,8 +160,9 @@ def test_symmetric_neighbors_include_in_links():
 def test_ages_track_creation_order():
     g = build(32, InversePowerLaw(5), np.random.default_rng(10))
     for u in range(32):
-        assert g.ages[u] == sorted(g.ages[u])
-        assert len(set(g.ages[u])) == len(g.ages[u])
+        ages = g.ages[u, :len(g.long_links(u))].tolist()
+        assert ages == sorted(ages)
+        assert len(set(ages)) == len(ages)
 
 
 def test_build_bernoulli_offsets():
@@ -172,13 +173,13 @@ def test_build_bernoulli_offsets():
                             for d in range(-8, 9) if d != 0})
     g = build(n, law, np.random.default_rng(11))
     for u in range(n):
-        for v in g.links[u]:
+        for v in g.long_links(u):
             assert 0 <= v < n and v != u
             assert abs(u - v) <= 8
         # forced unit offsets always present away from the ends
         if 1 <= u <= n - 2:
-            assert {u - 1, u + 1} <= set(g.links[u])
-    interior = [len(g.links[u]) for u in range(8, n - 8)]
+            assert {u - 1, u + 1} <= set(g.long_links(u))
+    interior = [len(g.long_links(u)) for u in range(8, n - 8)]
     # expected size: 4 forced + 12 * 0.25 = 7
     assert abs(float(np.mean(interior)) - 7.0) < 0.5
 
@@ -186,8 +187,8 @@ def test_build_bernoulli_offsets():
 def test_symmetric_cache_invalidated_by_link_failures():
     rng = np.random.default_rng(12)
     g = build(200, InversePowerLaw(5), rng)
-    holder = next(u for u in range(200) if any(abs(u - v) > 50 for v in g.links[u]))
-    sink = next(v for v in g.links[holder] if abs(holder - v) > 50)
+    holder = next(u for u in range(200) if any(abs(u - v) > 50 for v in g.long_links(u)))
+    sink = next(v for v in g.long_links(holder) if abs(holder - v) > 50)
     assert holder in g.neighbors(sink, symmetric=True)
     apply_link_failures(g, 0.0, rng)
     assert holder not in g.neighbors(sink, symmetric=True)

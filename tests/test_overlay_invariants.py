@@ -1,0 +1,121 @@
+"""Overlay invariants after any sequence of joins, leaves, link writes and
+failures, checked against references built from the graph's text dump."""
+
+import numpy as np
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
+
+from lineworld.dynamics import ReplacementPolicy, join, leave
+from lineworld.linkgen import InversePowerLaw
+from lineworld.overlay import (
+    NO_NEIGHBOR,
+    OverlayGraph,
+    apply_link_failures,
+    apply_node_failures,
+    build,
+)
+
+N = 24
+LINKS = 3
+
+
+def parse_dump(dump: str) -> tuple[list[set[int]], list[list[int]]]:
+    """Per position: its immediate sinks and its sorted long sinks."""
+    immediate, longs = [], []
+    for line in dump.splitlines()[2:]:
+        _, _, imm, long_text = line.split("\t")
+        immediate.append({int(v) for v in imm.split(",") if v})
+        longs.append([int(v) for v in long_text.split(",") if v])
+    return immediate, longs
+
+
+def reference_neighbors(dump: str, symmetric: bool) -> list[list[int]]:
+    immediate, longs = parse_dump(dump)
+    out = []
+    for u in range(len(longs)):
+        sinks = set(longs[u]) | immediate[u]
+        if symmetric:
+            sinks |= {h for h, row in enumerate(longs) if u in row}
+        sinks.discard(u)
+        out.append(sorted(sinks))
+    return out
+
+
+class OverlayMachine(RuleBasedStateMachine):
+    @initialize(seed=st.integers(0, 2 ** 32 - 1), full=st.booleans())
+    def start(self, seed, full):
+        """A full-line build, or an empty grid grown by joins."""
+        self.rng = np.random.default_rng(seed)
+        self.churn_only = True
+        self.g = build(N, InversePowerLaw(LINKS), self.rng) if full else OverlayGraph(N)
+
+    def _pick(self, candidates: np.ndarray, i: int) -> int:
+        return int(candidates[i % candidates.size])
+
+    @precondition(lambda self: not self.g.alive.all())
+    @rule(i=st.integers(0, N - 1), policy=st.sampled_from(list(ReplacementPolicy)))
+    def join(self, i, policy):
+        join(self.g, self._pick(np.flatnonzero(~self.g.alive), i), LINKS, policy, self.rng)
+
+    @precondition(lambda self: self.g.alive.any())
+    @rule(i=st.integers(0, N - 1), repair=st.booleans())
+    def leave(self, i, repair):
+        leave(self.g, self._pick(self.g.live_sorted(), i), repair, self.rng)
+
+    @rule(u=st.integers(0, N - 1), v=st.integers(0, N - 1))
+    def add_link(self, u, v):
+        if u != v:
+            self.g.add_link(u, v)
+
+    @rule(u=st.integers(0, N - 1), i=st.integers(0, 8), v=st.integers(0, N - 1))
+    def replace_link(self, u, i, v):
+        k = len(self.g.long_links(u))
+        if k and u != v:
+            self.g.replace_link(u, i % k, v)
+
+    @rule(p=st.sampled_from([0.0, 0.5, 0.9]))
+    def link_failures(self, p):
+        apply_link_failures(self.g, p, self.rng)
+
+    @rule(p=st.sampled_from([0.1, 0.3]))
+    def node_failures(self, p):
+        apply_node_failures(self.g, p, self.rng)
+        self.churn_only = False
+
+    @invariant()
+    def adjacency_matches_dump(self):
+        dump = self.g.dump_text()
+        for symmetric in (False, True):
+            expect = reference_neighbors(dump, symmetric)
+            for u in range(N):
+                assert self.g.neighbors(u, symmetric).tolist() == expect[u]
+
+    @invariant()
+    def in_neighbors_match_scan(self):
+        for u in range(N):
+            holders = [h for h in range(N) if u in self.g.long_links(h)]
+            assert self.g.in_neighbors(u).tolist() == holders
+
+    @invariant()
+    def rows_are_packed_in_range_with_unique_ages(self):
+        for u in range(N):
+            row = self.g.long_links(u)
+            assert all(0 <= v < N for v in row)
+            assert (self.g.sinks[u, len(row):] == NO_NEIGHBOR).all()
+            ages = self.g.ages[u, :len(row)].tolist()
+            assert len(set(ages)) == len(ages)
+
+    @invariant()
+    def churn_keeps_live_line_stitched(self):
+        if not self.churn_only:
+            return
+        live = self.g.live_sorted().tolist()
+        for i, u in enumerate(live):
+            assert self.g.left[u] == (live[i - 1] if i > 0 else NO_NEIGHBOR)
+            assert self.g.right[u] == (live[i + 1] if i + 1 < len(live) else NO_NEIGHBOR)
+
+
+OverlayMachine.TestCase.settings = settings(max_examples=60, stateful_step_count=30,
+                                            deadline=None)
+TestOverlayInvariants = OverlayMachine.TestCase
