@@ -6,7 +6,6 @@ from .analysis import (
     Interval,
     LowerBoundConfig,
     chain_equivalence_tv,
-    check_boundary_points,
     karp_upper_bound,
     mean_lower_bound,
     single_link_drift,

@@ -7,14 +7,18 @@ curve for the single-long-link overlay.
 
 Lower bounds track the log-size of a start *interval* instead of a single
 start point.  For a fixed offset set the greedy successor rule splits an
-interval of starting positions into contiguous same-sign subranges, one
-per (chosen offset, successor sign); stepping to a subrange chosen with
-probability proportional to its size keeps the interval chain's uniform
-element distributed exactly like the single-point chain
-(`chain_equivalence_tv` estimates that equality).  The size of the chosen
-subrange rarely drops by a large ratio, boundary points of the split are
-constrained to a small set, and together those facts yield an explicit
-closed-form lower bound on the expected routing time (`mean_lower_bound`).
+interval of starting positions into contiguous same-sign runs, one per
+(chosen offset, successor sign); stepping to a run chosen with probability
+proportional to its size keeps the interval chain's uniform element
+distributed exactly like the single-point chain (`chain_equivalence_tv`
+estimates that equality).  A run's ends lie at the interval's ends, at an
+offset or one past it, or at a midpoint between neighbouring offsets, so
+`step_interval` finds the run of one uniform element by bisecting the
+offsets instead of enumerating the interval; `split_interval` enumerates
+the whole partition and is the reference it is tested against.  The size
+of the chosen run rarely drops by a large ratio, and that fact yields an
+explicit closed-form lower bound on the expected routing time
+(`mean_lower_bound`).
 """
 
 from __future__ import annotations
@@ -142,61 +146,64 @@ class Interval:
         return self.sign == 0
 
 
-def step_point(x: int, offsets, sidedness: Sidedness) -> int:
-    """Greedy successor of position x given the available offsets.
+def _choose(x: int, offs, sidedness: Sidedness) -> int:
+    """Index, in the sorted offsets, of the one greedy routing takes from x.
 
-    One-sided: subtract the largest offset not exceeding x (smallest
-    nonnegative successor).  Two-sided: subtract the offset nearest to x
-    (smallest |successor|), ties resolved to the nonnegative side.
-    0 is absorbing.
+    One-sided: the largest offset not exceeding x (smallest nonnegative
+    successor).  Two-sided: the offset nearest to x (smallest |successor|),
+    ties resolved to the smaller offset, whose successor is nonnegative.
+    """
+    if sidedness is Sidedness.ONE_SIDED:
+        k = bisect_right(offs, x) - 1
+    else:
+        k = bisect_left(offs, x)
+        if k == len(offs) or (k > 0 and x - offs[k - 1] <= offs[k] - x):
+            k -= 1
+    if k < 0:
+        raise ValueError(f"no usable offset at position {x}")
+    return k
+
+
+def step_point(x: int, offsets, sidedness: Sidedness) -> int:
+    """Greedy successor of position x given the sorted available offsets.
+
+    0 is absorbing.  Raises ValueError when no offset is usable from x.
     """
     if x == 0:
         return 0
-    offs = list(offsets)
-    if sidedness is Sidedness.ONE_SIDED:
-        if x < 0:
-            raise ValueError("one-sided chain positions are nonnegative")
-        return x - offs[bisect_right(offs, x) - 1]
-    i = bisect_left(offs, x)
-    lo = offs[i - 1] if i > 0 else None
-    hi = offs[i] if i < len(offs) else None
-    if lo is None:
-        return x - hi
-    if hi is None:
-        return x - lo
-    # tie (equidistant offsets): the smaller offset gives the nonnegative successor
-    return x - (lo if x - lo <= hi - x else hi)
-
-
-def _successors_vec(xs: np.ndarray, offs: np.ndarray, sidedness: Sidedness):
-    """Vectorized step_point: returns (successors, chosen offsets)."""
-    if sidedness is Sidedness.ONE_SIDED:
-        idx = np.searchsorted(offs, xs, side="right") - 1
-        chosen = offs[idx]
-    else:
-        i = np.searchsorted(offs, xs, side="left")
-        lo_idx = np.clip(i - 1, 0, len(offs) - 1)
-        hi_idx = np.clip(i, 0, len(offs) - 1)
-        lo, hi = offs[lo_idx], offs[hi_idx]
-        has_lo = i > 0
-        has_hi = i < len(offs)
-        use_lo = has_lo & (~has_hi | (xs - lo <= hi - xs))
-        chosen = np.where(use_lo, lo, hi)
-    return xs - chosen, chosen
+    if sidedness is Sidedness.ONE_SIDED and x < 0:
+        raise ValueError("one-sided chain positions are nonnegative")
+    return x - offsets[_choose(x, offsets, sidedness)]
 
 
 def split_interval(state: Interval, offsets, sidedness: Sidedness):
-    """Partition the interval by (chosen offset, successor sign).
+    """Partition the interval by (chosen offset, successor sign), by
+    enumerating every position: the reference that `step_interval` must
+    agree with.
 
     Returns a list of (sub_lo, sub_hi, offset) runs covering the state in
     order; each run's successors form one contiguous same-sign interval.
+    Raises ValueError when some position has no usable offset.
     """
     if state.absorbed:
         return [(0, 0, 0)]
     offs = np.asarray(sorted(offsets), dtype=np.int64)
     xs = np.arange(state.lo, state.hi + 1, dtype=np.int64)
-    succ, chosen = _successors_vec(xs, offs, sidedness)
-    key = chosen * 4 + np.sign(succ)
+    if offs.size == 0:
+        raise ValueError("no usable offset")
+    if sidedness is Sidedness.ONE_SIDED:
+        idx = np.searchsorted(offs, xs, side="right") - 1
+        if idx[0] < 0:
+            raise ValueError(f"no usable offset at position {state.lo}")
+    else:
+        i = np.searchsorted(offs, xs, side="left")
+        below = offs[np.maximum(i - 1, 0)]
+        above = offs[np.minimum(i, offs.size - 1)]
+        # tie (equidistant offsets): the smaller offset gives the nonnegative successor
+        use_below = (i > 0) & ((i == offs.size) | (xs - below <= above - xs))
+        idx = np.where(use_below, i - 1, i)
+    chosen = offs[idx]
+    key = chosen * 4 + np.sign(xs - chosen)
     cuts = np.flatnonzero(np.diff(key)) + 1
     starts = np.concatenate(([0], cuts))
     ends = np.concatenate((cuts, [len(xs)]))
@@ -205,54 +212,36 @@ def split_interval(state: Interval, offsets, sidedness: Sidedness):
 
 def step_interval(state: Interval, offsets, sidedness: Sidedness,
                   rng: np.random.Generator) -> Interval:
-    """One transition of the interval chain: pick a subrange of the split
-    with probability proportional to its size, then shift it by the
-    subrange's offset.  {0} is absorbing."""
-    if state.absorbed:
-        return state
-    parts = split_interval(state, offsets, sidedness)
-    sizes = np.array([hi - lo + 1 for lo, hi, _ in parts], dtype=float)
-    r = rng.random() * state.size
-    i = int(np.searchsorted(np.cumsum(sizes), r, side="right"))
-    lo, hi, delta = parts[i]
-    return Interval(lo - delta, hi - delta)
+    """One transition of the interval chain: pick a run of the split with
+    probability proportional to its size, then shift it by the run's offset.
+    {0} is absorbing.
 
-
-def check_boundary_points(state: Interval, offsets,
-                          sidedness: Sidedness = Sidedness.TWO_SIDED) -> bool:
-    """Verify the split's boundary structure for a positive interval.
-
-    Every subrange minimum must be the interval minimum, an offset, an
-    offset plus one, or (two-sided only) one of the two integers at the
-    midpoint of a consecutive positive offset pair -- and each such pair
-    may contribute at most one of its two midpoint candidates.
+    A uniform element x picks its own run with exactly that probability, so
+    one draw finds x and `bisect` over the sorted offsets finds x's run: the
+    interval clipped to the positions that choose x's offset d (up to the
+    next offset one-sided, between the midpoints to the neighbouring offsets
+    two-sided) and to x's side of d.  Raises ValueError when some position
+    has no usable offset.
     """
     if state.absorbed:
-        return True
-    if state.sign < 0:
-        mirror = Interval(-state.hi, -state.lo)
-        return check_boundary_points(mirror, [-d for d in offsets], sidedness)
-    offs = sorted(offsets)
-    minima = {lo for lo, _, _ in split_interval(state, offs, sidedness)}
-    minima.discard(state.lo)
-    pos = [d for d in offs if d > 0]
-    allowed_offsets = set(pos) | {d + 1 for d in pos}
-    midpoint_pairs = []
-    if sidedness is Sidedness.TWO_SIDED:
-        for lo_d, hi_d in zip(pos, pos[1:]):
-            beta = -((lo_d + hi_d) // -2)  # ceil
-            midpoint_pairs.append((beta, beta + 1))
-    for m in minima:
-        if m in allowed_offsets:
-            continue
-        if any(m in pair for pair in midpoint_pairs):
-            continue
-        return False
-    for pair in midpoint_pairs:
-        if pair[0] in minima and pair[1] in minima and pair[0] not in allowed_offsets \
-                and pair[1] not in allowed_offsets:
-            return False
-    return True
+        return state
+    _choose(state.lo, offsets, sidedness)  # if any position lacks an offset, the lowest does
+    x = state.lo + int(rng.random() * state.size)
+    k = _choose(x, offsets, sidedness)
+    d = offsets[k]
+    lo, hi = state.lo, state.hi
+    one_sided = sidedness is Sidedness.ONE_SIDED
+    if k + 1 < len(offsets):
+        hi = min(hi, offsets[k + 1] - 1 if one_sided else (d + offsets[k + 1]) // 2)
+    if k > 0 and not one_sided:
+        lo = max(lo, (offsets[k - 1] + d) // 2 + 1)
+    if x < d:
+        hi = min(hi, d - 1)
+    elif x > d:
+        lo = max(lo, d + 1)
+    else:
+        lo = hi = d
+    return Interval(int(lo - d), int(hi - d))  # plain ints, also for array offsets
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +352,7 @@ def chain_equivalence_tv(n: int, dist: BernoulliOffsets, sidedness: Sidedness,
             if state.absorbed:
                 interval_hist[t, n] += 1.0
                 continue
-            offs = deltas[rng.random(len(deltas)) < probs]
+            offs = deltas[rng.random(len(deltas)) < probs].tolist()
             state = step_interval(state, offs, sidedness, rng)
             interval_hist[t, state.lo + n: state.hi + n + 1] += 1.0 / state.size
     interval_hist /= samples

@@ -89,13 +89,14 @@ def join(g: OverlayGraph, v: NodeId, links: int, policy: ReplacementPolicy,
     live_arr = g.live_sorted()  # snapshot without v
     g.clear_links(v)  # a rejoining position starts with a fresh link table
     g.alive[v] = True
-    if live_arr.size == 0:
-        return g
 
-    # stitch into the live line
+    # stitch into the live line, on both sides: a rejoining position may
+    # still point at the neighbours it had when it left
     i = int(np.searchsorted(live_arr, v))
     g.stitch(int(live_arr[i - 1]) if i > 0 else NO_NEIGHBOR, v)
     g.stitch(v, int(live_arr[i]) if i < live_arr.size else NO_NEIGHBOR)
+    if live_arr.size == 0:
+        return g
 
     # outgoing links: grid draw, basin-mapped to live nodes other than v;
     # a second node has only its line neighbor, no meaningful long links

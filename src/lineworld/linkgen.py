@@ -76,6 +76,9 @@ class BernoulliOffsets:
         if p.get(1) != 1.0 or p.get(-1) != 1.0:
             raise ValueError("offsets +1 and -1 must have inclusion probability 1")
         object.__setattr__(self, "inclusion", p)
+        # the same map as arrays, in the dict's order, for `sample_offsets`
+        object.__setattr__(self, "_deltas", np.fromiter(p, dtype=np.int64, count=len(p)))
+        object.__setattr__(self, "_probs", np.fromiter(p.values(), dtype=float, count=len(p)))
 
     def validate_two_sided(self):
         p = self.inclusion
@@ -219,18 +222,12 @@ def sample_offsets(dist: BernoulliOffsets, rng: np.random.Generator,
     Offsets with |delta| > truncate_at are unusable on a line of that
     radius and are dropped before sampling.
     """
-    deltas = []
-    probs = []
-    for d, p in dist.inclusion.items():
-        if truncate_at is not None and abs(d) > truncate_at:
-            continue
-        deltas.append(d)
-        probs.append(p)
-    deltas = np.asarray(deltas, dtype=np.int64)
-    probs = np.asarray(probs)
+    deltas, probs = dist._deltas, dist._probs
+    if truncate_at is not None:
+        usable = np.abs(deltas) <= truncate_at
+        deltas, probs = deltas[usable], probs[usable]
     keep = rng.random(len(deltas)) < probs
-    out = np.sort(deltas[keep])
-    return out
+    return np.sort(deltas[keep])
 
 
 def ideal_length_distribution(n: int) -> np.ndarray:

@@ -10,7 +10,6 @@ from lineworld.analysis import (
     Interval,
     LowerBoundConfig,
     chain_equivalence_tv,
-    check_boundary_points,
     karp_upper_bound,
     mean_lower_bound,
     single_link_drift,
@@ -150,6 +149,108 @@ def test_step_interval_unit_and_absorbing():
     assert step_interval(Interval(0, 0), [-1, 1], TWO, rng).absorbed
 
 
+def enumerating_step(state, offsets, sidedness, rng):
+    """The interval step by enumeration: split the whole interval, then pick
+    a run by searchsorted over the cumulative run sizes.  `step_interval`
+    must make the same draw and land on the same run."""
+    if state.absorbed:
+        return state
+    parts = split_interval(state, offsets, sidedness)
+    sizes = np.array([hi - lo + 1 for lo, hi, _ in parts], dtype=float)
+    r = rng.random() * state.size
+    i = int(np.searchsorted(np.cumsum(sizes), r, side="right"))
+    lo, hi, delta = parts[i]
+    return Interval(lo - delta, hi - delta)
+
+
+class FixedDraw:
+    """Stands in for a Generator whose every uniform draw is `u`."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def random_case(rng):
+    """An interval of either sign, a sorted offset set of random density
+    (usually holding +-1), and a sidedness."""
+    side = ONE if rng.random() < 0.5 else TWO
+    reach = int(rng.integers(2, 40))
+    deltas = np.array([d for d in range(-reach, reach + 1) if abs(d) > 1])
+    offs = deltas[rng.random(deltas.size) < rng.random()].tolist()
+    if rng.random() < 0.9:
+        offs = sorted(offs + [-1, 1])
+    lo = int(rng.integers(1, 50))
+    hi = lo + int(rng.integers(0, 60))
+    state = Interval(lo, hi) if rng.random() < 0.5 else Interval(-hi, -lo)
+    return state, offs, side
+
+
+def test_step_interval_takes_the_split_run_of_every_position():
+    # a draw landing on x must return x's run of the enumerated split
+    rng = np.random.default_rng(8)
+    checked = {1: 0, -1: 0}  # cases split without rejection, by interval sign
+    for _ in range(10_000):
+        state, offs, side = random_case(rng)
+        try:
+            parts = split_interval(state, offs, side)
+        except ValueError:
+            with pytest.raises(ValueError):
+                step_interval(state, offs, side, FixedDraw(0.5))
+            continue
+        for lo, hi, delta in parts:
+            for x in range(lo, hi + 1):
+                draw = FixedDraw((x - state.lo + 0.5) / state.size)
+                got = step_interval(state, offs, side, draw)
+                assert got == Interval(lo - delta, hi - delta), (state, offs, side, x)
+        checked[state.sign] += 1
+    assert min(checked.values()) >= 2_000
+
+
+def test_step_interval_matches_enumerating_step_on_one_stream():
+    n = 64
+    law = inverse_law(n)
+    for side in (ONE, TWO):
+        offset_rng = np.random.default_rng(9)
+        fast, slow = np.random.default_rng(10), np.random.default_rng(10)
+        state = Interval(1, n)
+        for _ in range(5_000):
+            offs = sample_offsets(law, offset_rng, truncate_at=n).tolist()
+            nxt = step_interval(state, offs, side, fast)
+            assert nxt == enumerating_step(state, offs, side, slow), (state, offs)
+            state = Interval(1, n) if nxt.absorbed else nxt
+        assert fast.random() == slow.random()
+
+
+def test_step_point_rejects_no_usable_offset():
+    with pytest.raises(ValueError):
+        step_point(2, [5], ONE)  # would wrap to offset 5 and return -3
+    with pytest.raises(ValueError):
+        step_point(2, [], TWO)
+
+
+def test_split_interval_rejects_no_usable_offset():
+    with pytest.raises(ValueError):
+        split_interval(Interval(1, 3), [5], ONE)
+    with pytest.raises(ValueError):
+        split_interval(Interval(1, 6), [5], ONE)  # 1..4 cannot take 5
+    with pytest.raises(ValueError):
+        split_interval(Interval(1, 3), [], TWO)
+
+
+def test_step_interval_rejects_no_usable_offset():
+    with pytest.raises(ValueError):
+        step_interval(Interval(1, 3), [5], ONE, np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        step_interval(Interval(-3, -1), [], TWO, np.random.default_rng(0))
+    # 5 and 6 can take offset 5 but 1..4 cannot: rejected whatever the draw
+    for u in (0.0, 0.99):
+        with pytest.raises(ValueError):
+            step_interval(Interval(1, 6), [5], ONE, FixedDraw(u))
+
+
 def test_interval_single_sign_invariant():
     with pytest.raises(ValueError):
         Interval(-1, 1)
@@ -191,6 +292,44 @@ def test_one_sided_states_are_prefix_intervals():
             state = Interval(1, n)
         else:
             assert state.lo == 1
+
+
+def check_boundary_points(state: Interval, offsets,
+                          sidedness: Sidedness = Sidedness.TWO_SIDED) -> bool:
+    """Verify the split's boundary structure for a positive interval.
+
+    Every run minimum must be the interval minimum, an offset, an offset
+    plus one, or (two-sided only) one of the two integers at the midpoint of
+    a consecutive positive offset pair -- and each such pair may contribute
+    at most one of its two midpoint candidates.  These are the breakpoints
+    `step_interval` clips to.
+    """
+    if state.absorbed:
+        return True
+    if state.sign < 0:
+        mirror = Interval(-state.hi, -state.lo)
+        return check_boundary_points(mirror, [-d for d in offsets], sidedness)
+    offs = sorted(offsets)
+    minima = {lo for lo, _, _ in split_interval(state, offs, sidedness)}
+    minima.discard(state.lo)
+    pos = [d for d in offs if d > 0]
+    allowed_offsets = set(pos) | {d + 1 for d in pos}
+    midpoint_pairs = []
+    if sidedness is Sidedness.TWO_SIDED:
+        for lo_d, hi_d in zip(pos, pos[1:]):
+            beta = -((lo_d + hi_d) // -2)  # ceil
+            midpoint_pairs.append((beta, beta + 1))
+    for m in minima:
+        if m in allowed_offsets:
+            continue
+        if any(m in pair for pair in midpoint_pairs):
+            continue
+        return False
+    for pair in midpoint_pairs:
+        if pair[0] in minima and pair[1] in minima and pair[0] not in allowed_offsets \
+                and pair[1] not in allowed_offsets:
+            return False
+    return True
 
 
 def test_boundary_points_exhaustive():

@@ -145,16 +145,35 @@ def test_oldest_policy_replaces_minimum_age():
     redirected = False
     for _ in range(200):
         before = g.long_links(5)
+        ages = g.ages[5, :3].copy()
         _request_redirect(g, 5, 40, ReplacementPolicy.OLDEST, rng)
         after = g.long_links(5)
         if after != before:
             redirected = True
             changed = [i for i in range(3) if after[i] != before[i]]
-            oldest = min(range(3), key=g.ages[5, :3].__getitem__)
-            # the newly written link now carries the freshest age
-            assert changed == [g.long_links(5).index(40)]
+            assert changed == [after.index(40)]
+            # the evicted slot held the row's oldest link and now the freshest
+            assert ages[changed[0]] == ages.min()
+            assert g.ages[5, changed[0]] > ages.max()
             break
     assert redirected
+
+
+def test_rejoin_into_empty_grid_drops_stale_line_links():
+    # a position that left while it had neighbours and rejoins an empty grid
+    # must not keep pointing at them
+    rng = np.random.default_rng(0)
+    g = OverlayGraph(24)
+    for v in (0, 1, 2, 3):
+        join(g, v, 3, ReplacementPolicy.INVERSE_DISTANCE, rng)
+    for v in (0, 3):
+        leave(g, v, True, rng)
+    join(g, 0, 3, ReplacementPolicy.INVERSE_DISTANCE, rng)
+    for v in (0, 1, 2):
+        leave(g, v, True, rng)
+    join(g, 3, 3, ReplacementPolicy.INVERSE_DISTANCE, rng)
+    assert g.live_sorted().tolist() == [3]
+    assert (g.left[3], g.right[3]) == (NO_NEIGHBOR, NO_NEIGHBOR)
 
 
 def test_leave_without_repair_leaves_dangling():

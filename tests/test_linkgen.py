@@ -179,6 +179,27 @@ def test_offsets_inclusion_rate():
     assert abs(hits / samples - 0.25) < 3 * se
 
 
+def test_offsets_match_per_call_dict_scan():
+    # the cached arrays keep the dict's order, so each draw lands on the same offset
+    def dict_scan(dist, rng, truncate_at):
+        kept = [(d, p) for d, p in dist.inclusion.items()
+                if truncate_at is None or abs(d) <= truncate_at]
+        deltas = np.array([d for d, _ in kept], dtype=np.int64)
+        keep = rng.random(len(kept)) < np.array([p for _, p in kept])
+        return np.sort(deltas[keep])
+
+    n = 256
+    unordered = {d: 1.0 / abs(d) for d in range(n, -n - 1, -1) if d != 0}
+    laws = [BernoulliOffsets(unordered),
+            BernoulliOffsets({d: min(1.0, 4.0 / d ** 2) for d in range(-n, n + 1) if d})]
+    for law in laws:
+        for truncate_at in (None, n // 2, 3):
+            fast, slow = np.random.default_rng(14), np.random.default_rng(14)
+            for _ in range(100):
+                assert sample_offsets(law, fast, truncate_at).tolist() == \
+                    dict_scan(law, slow, truncate_at).tolist()
+
+
 def test_offsets_validation():
     with pytest.raises(ValueError):
         BernoulliOffsets({1: 1.0, -1: 1.0, 3: 1.4})
