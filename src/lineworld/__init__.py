@@ -2,14 +2,11 @@
 churn, plus the hitting-time bound machinery behind them."""
 
 from .analysis import (
-    DropProfile,
     Interval,
     LowerBoundConfig,
     chain_equivalence_tv,
-    karp_upper_bound,
     mean_lower_bound,
-    single_link_drift,
-    single_link_profile,
+    single_link_upper_bound,
     split_interval,
     step_interval,
     step_point,

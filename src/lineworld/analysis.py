@@ -1,9 +1,10 @@
 """Hitting-time bound evaluators and the interval abstraction of greedy routing.
 
 Upper bounds come from the Karp probabilistic-recurrence bound: a
-nonincreasing chain with nondecreasing expected one-step drop mu(z) hits 1
-within integral(1/mu) time.  `single_link_drift` supplies the exact drop
-curve for the single-long-link overlay.
+nonincreasing integer chain with nondecreasing expected one-step drop mu(k)
+hits 0 from x0 within sum_{k=1..x0} 1/mu(k) expected steps.
+`single_link_upper_bound` evaluates that sum over the exact drop curve of
+the single-long-link overlay.
 
 Lower bounds track the log-size of a start *interval* instead of a single
 start point.  For a fixed offset set the greedy successor rule splits an
@@ -26,10 +27,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .linkgen import BernoulliOffsets, harmonic_numbers
 from .routing import Sidedness
@@ -39,78 +38,29 @@ from .routing import Sidedness
 # upper bounds
 
 
-@dataclass(frozen=True)
-class DropProfile:
-    """Expected one-step drop of a nonincreasing chain, as a function of
-    position; `integer_valued` selects exact summation over positions
-    1..x0 instead of quadrature over [1, x0]."""
-
-    drop: Callable[[float], float]
-    x0: float
-    integer_valued: bool = False
-
-    def __post_init__(self):
-        if not self.x0 > 1:
-            raise ValueError("x0 must exceed 1")
-
-
-def karp_upper_bound(profile: DropProfile) -> float:
-    """Expected hitting time bound: sum or integral of 1/drop.
-
-    The caller asserts the drop is nondecreasing in position.  Quadrature
-    runs at relative tolerance 1e-6; a nonpositive drop anywhere sampled
-    is an error.
-    """
-    if profile.integer_valued:
-        ks = np.arange(1, int(profile.x0) + 1)
-        vals = np.array([profile.drop(float(k)) for k in ks])
-        if np.any(vals <= 0):
-            raise ValueError("drop must be positive")
-        return float(np.sum(1.0 / vals))
-
-    def integrand(z: float) -> float:
-        v = profile.drop(z)
-        if v <= 0:
-            raise ValueError("drop must be positive")
-        return 1.0 / v
-
-    value, _ = quad(integrand, 1.0, profile.x0, epsrel=1e-6, limit=200)
-    return float(value)
-
-
-def single_link_drift(k: int, n1: int, n2: int,
-                      harmonic_prefix: np.ndarray | None = None) -> float:
-    """Exact expected distance covered per step at distance k from the
-    target, single long link drawn ~ 1/distance.
+def single_link_upper_bound(n1: int, n2: int) -> float:
+    """Karp's bound on the expected greedy hops to the target, single long
+    link drawn ~ 1/distance: the sum over distances k = 1..n1 of 1/mu(k).
 
     The target splits the line into n1 positions on the current node's
-    side and n2 on the far side (so 1 <= k <= n1).  Contributions: links
-    landing between here and the target advance their full length; links
-    overshooting by less than k advance to the overshoot point; everything
-    else falls back to the immediate-neighbor step of 1.  Always at least
-    k / (2 H_{n1+n2}).
+    side and n2 on the far side.  mu(k) is the exact expected distance
+    covered by one step from distance k: links landing between here and
+    the target advance their full length; links overshooting by less than
+    k advance to the overshoot point; everything else falls back to the
+    immediate-neighbor step of 1.  mu is nondecreasing in k, as Karp's
+    bound needs, and always at least k / (2 H_{n1+n2}).
     """
-    if not 1 <= k <= n1:
-        raise ValueError("k out of range")
+    if n1 < 1:
+        raise ValueError("n1 must be at least 1")
     if n2 < 0:
         raise ValueError("n2 must be nonnegative")
-    h = harmonic_prefix if harmonic_prefix is not None else harmonic_numbers(max(n1, n2 + k, 2 * k))
-    total_mass = h[n1 - k] + h[n2 + k]
-    toward = float(k)
-    m = min(2 * k - 1, k + n2)
-    overshoot = 2 * k * (h[m] - h[k]) - (m - k) if m > k else 0.0
-    away = h[n1 - k]
-    far = h[n2 + k] - h[2 * k - 1] if n2 + k >= 2 * k else 0.0
-    return float((toward + overshoot + away + far) / total_mass)
-
-
-def single_link_profile(n1: int, n2: int) -> DropProfile:
-    """Drop profile over distances 1..n1 for the single-link overlay."""
     h = harmonic_numbers(n1 + n2 + 1)
-    curve = np.array([single_link_drift(k, n1, n2, harmonic_prefix=h)
-                      for k in range(1, n1 + 1)])
-    return DropProfile(drop=lambda z: float(curve[int(z) - 1]), x0=float(n1),
-                       integer_valued=True)
+    k = np.arange(1, n1 + 1)
+    m = np.minimum(2 * k - 1, k + n2)
+    overshoot = np.where(m > k, 2 * k * (h[m] - h[k]) - (m - k), 0.0)
+    far = np.where(k <= n2, h[n2 + k] - h[m], 0.0)
+    drift = (k + overshoot + h[n1 - k] + far) / (h[n1 - k] + h[n2 + k])
+    return float(np.sum(1.0 / drift))
 
 
 # ---------------------------------------------------------------------------

@@ -93,12 +93,7 @@ def cmd_build(args) -> int:
                            base=args.base, dist=args.dist, seed=args.seed)
     rng = harness.trial_rng(args.seed, "build", 0)
     g = overlay.build(args.n, harness.make_distribution(cfg), rng)
-    text = g.dump_text()
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w") as f:
-            f.write(text)
+    harness.emit(g.dump_text(), args.out)
     return 0
 
 
@@ -108,7 +103,7 @@ def cmd_route(args) -> int:
                            history=args.history)
     rng = harness.trial_rng(args.seed, "route", 0)
     g = overlay.build(args.n, harness.make_distribution(cfg), rng)
-    if args.p_fail > 0:
+    if args.p_fail:
         overlay.apply_node_failures(g, args.p_fail, rng)
     res = routing.route(g, args.src, args.dst, routing.Sidedness(args.sidedness),
                         harness.make_strategy(args.strategy, cfg),

@@ -420,12 +420,12 @@ def run_chains(config: ExperimentConfig) -> list[str]:
 
 def run_bounds(config: ExperimentConfig) -> list[str]:
     """Bound sandwich: closed-form lower bound, simulated mean hops to a
-    boundary target, and the drift-integral upper bound (single link)."""
+    boundary target, and the drift-sum upper bound (single link)."""
     side = Sidedness(config.sidedness)
     lower = analysis.mean_lower_bound(analysis.LowerBoundConfig(
         n=config.n, sidedness=side,
         inclusion=power_law_inclusion(config.n, config.links)))
-    upper = (analysis.karp_upper_bound(analysis.single_link_profile(config.n - 1, 0))
+    upper = (analysis.single_link_upper_bound(config.n - 1, 0)
              if config.links == 1 else float("nan"))
 
     def trial(_, t, rng) -> TrialStats:
@@ -468,9 +468,9 @@ def run_experiment(config: ExperimentConfig) -> str:
     return "\n".join([header, *runner(config)]) + "\n"
 
 
-def emit(csv_text: str, out: str | None) -> None:
+def emit(text: str, out: str | None) -> None:
     if out is None or out == "-":
-        sys.stdout.write(csv_text)
+        sys.stdout.write(text)
     else:
         with open(out, "w") as f:
-            f.write(csv_text)
+            f.write(text)

@@ -159,10 +159,6 @@ class OverlayGraph:
             out.write(f"{u}\t{int(self.alive[u])}\t{imm}\t{longs}\n")
         return out.getvalue()
 
-    def dump(self, path) -> None:
-        with open(path, "w") as f:
-            f.write(self.dump_text())
-
 
 def _stitch_line(g: OverlayGraph, positions: np.ndarray) -> None:
     """Point immediate links of `positions` (sorted, on a fresh graph) at

@@ -161,6 +161,14 @@ def default_max_hops(n: int) -> int:
     return max(8, int(4 * math.log2(n) ** 2))
 
 
+def _check_max_hops(g: OverlayGraph, max_hops: int | None) -> int:
+    if max_hops is None:
+        return default_max_hops(g.n)
+    if max_hops < 1:
+        raise ValueError("max_hops must be >= 1")
+    return max_hops
+
+
 def route(g: OverlayGraph, src: NodeId, dst: NodeId, sidedness: Sidedness = Sidedness.TWO_SIDED,
           strategy: RecoveryStrategy = Terminate(), max_hops: int | None = None,
           rng: np.random.Generator | None = None, probe: bool = True,
@@ -175,8 +183,7 @@ def route(g: OverlayGraph, src: NodeId, dst: NodeId, sidedness: Sidedness = Side
     bound-validation runs keep the directed default.
     """
     _check_endpoints(g, src, dst)
-    if max_hops is None:
-        max_hops = default_max_hops(g.n)
+    max_hops = _check_max_hops(g, max_hops)
     if isinstance(strategy, RandomRestart) and rng is None:
         raise ValueError("RandomRestart needs an rng")
 
@@ -235,16 +242,6 @@ def route(g: OverlayGraph, src: NodeId, dst: NodeId, sidedness: Sidedness = Side
     return result(Status.DELIVERED)
 
 
-def base_digits_nonzero(distance: int, b: int) -> int:
-    """Number of nonzero base-b digits of `distance`."""
-    count = 0
-    while distance:
-        if distance % b:
-            count += 1
-        distance //= b
-    return count
-
-
 def route_deterministic(g: OverlayGraph, src: NodeId, dst: NodeId, b: int,
                         max_hops: int | None = None,
                         powers_fallback: bool = False,
@@ -260,8 +257,7 @@ def route_deterministic(g: OverlayGraph, src: NodeId, dst: NodeId, b: int,
     always available.
     """
     _check_endpoints(g, src, dst)
-    if max_hops is None:
-        max_hops = default_max_hops(g.n)
+    max_hops = _check_max_hops(g, max_hops)
     path = [src] if record_path else None
     cur = src
     hops = 0

@@ -38,9 +38,8 @@ from lineworld.analysis import (
     Interval,
     LowerBoundConfig,
     chain_equivalence_tv,
-    karp_upper_bound,
     mean_lower_bound,
-    single_link_profile,
+    single_link_upper_bound,
     step_interval,
 )
 from lineworld.harness import (
@@ -58,7 +57,8 @@ from lineworld.linkgen import (
     ideal_length_distribution,
     sample_offsets,
 )
-from lineworld.routing import Backtrack, Sidedness, Terminate, base_digits_nonzero
+from lineworld.routing import Backtrack, Sidedness, Terminate
+from oracles import base_digits_nonzero
 
 ONE = Sidedness.ONE_SIDED
 TWO = Sidedness.TWO_SIDED
@@ -306,7 +306,7 @@ def test_criterion_12_bound_sandwich():
     n = 2 ** 12
     lower = mean_lower_bound(LowerBoundConfig(
         n=n, sidedness=ONE, inclusion=power_law_inclusion(n, 1)))
-    upper = karp_upper_bound(single_link_profile(n - 1, 0))
+    upper = single_link_upper_bound(n - 1, 0)
     rng = np.random.default_rng([1201])
     total = cnt = 0
     cap = 8 * int(math.log2(n)) ** 2

@@ -6,19 +6,16 @@ import numpy as np
 import pytest
 
 from lineworld.analysis import (
-    DropProfile,
     Interval,
     LowerBoundConfig,
     chain_equivalence_tv,
-    karp_upper_bound,
     mean_lower_bound,
-    single_link_drift,
-    single_link_profile,
+    single_link_upper_bound,
     split_interval,
     step_interval,
     step_point,
 )
-from lineworld.linkgen import BernoulliOffsets, harmonic_number, sample_offsets
+from lineworld.linkgen import BernoulliOffsets, harmonic_number, harmonic_numbers, sample_offsets
 from lineworld.routing import Sidedness
 
 ONE = Sidedness.ONE_SIDED
@@ -33,29 +30,26 @@ def inverse_law(n):
 # upper bounds
 
 
-def test_karp_constant_drop():
-    prof = DropProfile(drop=lambda z: 2.5, x0=11.0)
-    assert karp_upper_bound(prof) == pytest.approx(10.0 / 2.5, rel=1e-6)
+def single_link_drift(k, n1, n2, h=None):
+    """Exact expected distance covered per step at distance k from the
+    target, single long link drawn ~ 1/distance, with n1 positions on the
+    current node's side of the target and n2 beyond it: the scalar oracle
+    for `single_link_upper_bound`."""
+    assert 1 <= k <= n1 and n2 >= 0
+    h = harmonic_numbers(n1 + n2 + 1) if h is None else h
+    total_mass = h[n1 - k] + h[n2 + k]
+    toward = float(k)
+    m = min(2 * k - 1, k + n2)
+    overshoot = 2 * k * (h[m] - h[k]) - (m - k) if m > k else 0.0
+    away = h[n1 - k]
+    far = h[n2 + k] - h[2 * k - 1] if n2 + k >= 2 * k else 0.0
+    return float((toward + overshoot + away + far) / total_mass)
 
 
-def test_karp_logarithmic():
-    prof = DropProfile(drop=lambda z: z, x0=100.0)
-    assert karp_upper_bound(prof) == pytest.approx(math.log(100.0), rel=1e-6)
-
-
-def test_karp_integer_harmonic_sum():
-    # drop k/(2 H_10) summed over k=1..10 gives 2 H_10^2
-    h10 = sum(1.0 / i for i in range(1, 11))
-    prof = DropProfile(drop=lambda k: k / (2 * h10), x0=10, integer_valued=True)
-    assert karp_upper_bound(prof) == pytest.approx(2 * h10 * h10, abs=1e-9)
-    assert karp_upper_bound(prof) == pytest.approx(17.1577, abs=1e-3)
-
-
-def test_karp_rejects_nonpositive_drop():
-    with pytest.raises(ValueError):
-        karp_upper_bound(DropProfile(drop=lambda z: 0.0, x0=5, integer_valued=True))
-    with pytest.raises(ValueError):
-        karp_upper_bound(DropProfile(drop=lambda z: -1.0, x0=5.0))
+def single_link_profile(n1, n2):
+    """The oracle's drift curve over distances k = 1..n1."""
+    h = harmonic_numbers(n1 + n2 + 1)
+    return [single_link_drift(k, n1, n2, h) for k in range(1, n1 + 1)]
 
 
 def brute_force_drift(k, n1, n2):
@@ -90,17 +84,24 @@ def test_single_link_drift_exceeds_harmonic_floor():
     assert single_link_drift(1, 1000, 0) >= 1.0 / (2 * harmonic_number(1000))
 
 
+def test_single_link_upper_bound_sums_the_oracle_curve():
+    for n1, n2 in [(1, 0), (1, 5), (2, 0), (7, 7), (10, 3), (3, 20), (500, 37), (1023, 0)]:
+        want = sum(1.0 / mu for mu in single_link_profile(n1, n2))
+        assert single_link_upper_bound(n1, n2) == pytest.approx(want, rel=1e-12), (n1, n2)
+
+
 def test_single_link_drift_validates_range():
-    with pytest.raises(ValueError):
-        single_link_drift(0, 5, 5)
-    with pytest.raises(ValueError):
-        single_link_drift(6, 5, 5)
+    with pytest.raises(ValueError, match="n1"):
+        single_link_upper_bound(0, 5)
+    with pytest.raises(ValueError, match="n2"):
+        single_link_upper_bound(5, -1)
 
 
 def test_single_link_profile_nondecreasing():
-    prof = single_link_profile(500, 0)
-    vals = [prof.drop(float(k)) for k in range(1, 501)]
-    assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
+    # Karp's bound needs the drop curve nondecreasing in the distance.
+    for n1, n2 in [(500, 0), (300, 200)]:
+        vals = single_link_profile(n1, n2)
+        assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:])), (n1, n2)
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +483,7 @@ def _simulate_one_sided_to_zero(n, ell, graphs, routes_per_graph, seed):
 
 def test_karp_bound_dominates_simulation():
     for n in (2 ** 8, 2 ** 10):
-        upper = karp_upper_bound(single_link_profile(n - 1, 0))
+        upper = single_link_upper_bound(n - 1, 0)
         sim = _simulate_one_sided_to_zero(n, 1, graphs=5, routes_per_graph=400,
                                           seed=n + 3)
         assert sim <= upper

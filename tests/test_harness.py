@@ -260,9 +260,15 @@ def test_cli_rejects_bad_config(capsys):
     assert "error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("src", ["70", "-1"])
-def test_cli_route_rejects_endpoint_off_the_line(capsys, src):
-    rc = main(["route", "--n", "64", "--links", "2", "--src", src, "--dst", "3"])
+@pytest.mark.parametrize("argv", [
+    ["--src", "70"],
+    ["--src", "-1"],
+    ["--src", "5", "--p-fail", "-0.5"],
+    ["--src", "5", "--p-fail", "1.5"],
+    ["--src", "5", "--max-hops", "0"],
+], ids=["70", "-1", "p_fail_negative", "p_fail_above_one", "max_hops_zero"])
+def test_cli_route_rejects_endpoint_off_the_line(capsys, argv):
+    rc = main(["route", "--n", "64", "--links", "2", *argv, "--dst", "3"])
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.err.startswith("lineworld: error:")
@@ -292,3 +298,13 @@ def test_cli_entrypoint_subprocess():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert proc.stdout.startswith("experiment,n,sidedness,t,tv_distance")
+
+
+def test_import_leaves_scipy_out():
+    # A fresh interpreter: this one has already imported scipy.stats.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import lineworld, sys; print(sorted("
+         "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

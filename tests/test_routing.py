@@ -13,11 +13,11 @@ from lineworld.routing import (
     Sidedness,
     Status,
     Terminate,
-    base_digits_nonzero,
     greedy_step,
     route,
     route_deterministic,
 )
+from oracles import base_digits_nonzero
 
 ONE = Sidedness.ONE_SIDED
 TWO = Sidedness.TWO_SIDED
@@ -116,6 +116,15 @@ def test_routers_reject_endpoints_off_the_line(src, dst):
         route(g, src, dst)
     with pytest.raises(ValueError, match=r"outside \[0, 8\)"):
         route_deterministic(g, src, dst, 2)
+
+
+@pytest.mark.parametrize("max_hops", [0, -1])
+def test_routers_reject_max_hops_below_one(max_hops):
+    g = line_graph(8)
+    with pytest.raises(ValueError, match="max_hops must be >= 1"):
+        route(g, 0, 7, max_hops=max_hops)
+    with pytest.raises(ValueError, match="max_hops must be >= 1"):
+        route_deterministic(g, 0, 7, 2, max_hops=max_hops)
 
 
 def test_route_never_fails_without_failures():
