@@ -18,10 +18,9 @@ from .linkgen import (
     DeterministicBaseB,
     InversePowerLaw,
     PowersOfB,
-    deterministic_links,
-    power_links,
     sample_line_links,
     sample_offsets,
+    scheme_distances,
 )
 from .overlay import (
     OverlayGraph,
@@ -39,7 +38,6 @@ from .routing import (
     Terminate,
     greedy_step,
     route,
-    route_deterministic,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

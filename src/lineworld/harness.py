@@ -82,9 +82,11 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        for name in ("trials", "messages", "repetitions", "samples", "workers"):
+        for name in ("n", "links", "trials", "messages", "repetitions", "samples", "workers"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if any(ell < 1 for ell in self.link_values):
+            raise ValueError("link grid entries must be >= 1")
         if self.t_max < 0:
             raise ValueError("t_max must be >= 0")
         if self.max_hops is not None and self.max_hops < 1:
@@ -235,29 +237,25 @@ def _total(parts) -> TrialStats:
 
 def route_batch(g: overlay.OverlayGraph, strategy: routing.RecoveryStrategy,
                 rng: np.random.Generator, config: ExperimentConfig) -> TrialStats:
-    """Route `config.messages` between uniformly chosen distinct live pairs:
-    by digits on scaling's deterministic schemes, greedily otherwise."""
+    """Route `config.messages` between uniformly chosen distinct live pairs.
+    Scaling's deterministic schemes measure digit routing, which is
+    one-sided greedy on them, so those cells route one-sided whatever
+    `config.sidedness` says."""
     stats = TrialStats()
     live = g.live_sorted().tolist()
     if len(live) < 2:
         return stats
     digits = config.experiment == "scaling" and config.dist in ("detbase", "powers")
-    side = Sidedness(config.sidedness)
+    side = Sidedness.ONE_SIDED if digits else Sidedness(config.sidedness)
     symmetric = config.symmetric_links()
     for _ in range(config.messages):
         i = int(rng.integers(len(live)))
         j = int(rng.integers(len(live) - 1))
         if j >= i:
             j += 1
-        if digits:
-            res = routing.route_deterministic(g, live[i], live[j], config.base,
-                                              max_hops=config.max_hops,
-                                              powers_fallback=config.dist == "powers")
-        else:
-            res = routing.route(g, live[i], live[j], side, strategy,
-                                max_hops=config.max_hops, rng=rng, probe=config.probe,
-                                symmetric=symmetric)
-        stats.record(res)
+        stats.record(routing.route(g, live[i], live[j], side, strategy,
+                                   max_hops=config.max_hops, rng=rng, probe=config.probe,
+                                   symmetric=symmetric))
     return stats
 
 
@@ -369,10 +367,8 @@ def run_scaling(config: ExperimentConfig) -> list[str]:
 
 
 def _nominal_links(config: ExperimentConfig) -> int:
-    if config.dist == "detbase":
-        return (config.base - 1) * linkgen.ceil_log(config.n, config.base)
-    if config.dist == "powers":
-        return linkgen.floor_log(config.n, config.base) + 1
+    if config.dist in ("detbase", "powers"):
+        return len(linkgen.scheme_distances(make_distribution(config), config.n))
     return config.links
 
 

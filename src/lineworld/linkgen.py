@@ -183,35 +183,17 @@ def floor_log(n: int, b: int) -> int:
     return k
 
 
-def deterministic_links(u: NodeId, n: int, b: int) -> set[NodeId]:
-    """Sinks at u +/- j*b^i for j in [1, b-1], i in [0, ceil(log_b n) - 1].
-
-    Out-of-line sinks are clipped away; the distance-1 sink duplicates the
-    immediate neighbor and is kept here (the graph layer deduplicates).
-    """
-    if b < 2:
-        raise ValueError("base must be >= 2")
-    sinks: set[NodeId] = set()
-    for i in range(ceil_log(n, b)):
-        step = b ** i
-        for j in range(1, b):
-            for v in (u - j * step, u + j * step):
-                if 0 <= v < n and v != u:
-                    sinks.add(v)
-    return sinks
-
-
-def power_links(u: NodeId, n: int, b: int) -> set[NodeId]:
-    """Sinks at u +/- b^i for i in [0, floor(log_b n)], clipped to the line."""
-    if b < 2:
-        raise ValueError("base must be >= 2")
-    sinks: set[NodeId] = set()
-    for i in range(floor_log(n, b) + 1):
-        step = b ** i
-        for v in (u - step, u + step):
-            if 0 <= v < n and v != u:
-                sinks.add(v)
-    return sinks
+def scheme_distances(dist: DeterministicBaseB | PowersOfB, n: int) -> np.ndarray:
+    """Sorted positive link distances of a deterministic scheme on a line of
+    n positions: j*b^i for 1 <= j < b and i < ceil(log_b n) (base-b), or b^i
+    for i <= floor(log_b n) (powers of b).  Every node links at each distance
+    in both directions, where the line allows."""
+    b = dist.base
+    if isinstance(dist, PowersOfB):
+        return b ** np.arange(floor_log(n, b) + 1)
+    # row i holds b^i, ..., (b-1)*b^i: row-major order is already ascending
+    powers = b ** np.arange(ceil_log(n, b))
+    return (powers[:, None] * np.arange(1, b)).ravel()
 
 
 def sample_offsets(dist: BernoulliOffsets, rng: np.random.Generator,

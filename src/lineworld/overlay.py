@@ -27,10 +27,9 @@ from .linkgen import (
     LinkDistribution,
     NodeId,
     PowersOfB,
-    deterministic_links,
-    power_links,
     sample_line_links,
     sample_offsets,
+    scheme_distances,
 )
 
 NO_NEIGHBOR = -1
@@ -130,9 +129,6 @@ class OverlayGraph:
         holders = np.flatnonzero(self.sinks.ravel() == u) // self.sinks.shape[1]
         return holders[np.diff(holders, prepend=-1) != 0]
 
-    def has_long_link(self, u: NodeId, v: NodeId) -> bool:
-        return v in self.long_links(u)
-
     def stitch(self, left: NodeId, right: NodeId) -> None:
         """Make `left` and `right` immediate neighbors on the line; either
         may be NO_NEIGHBOR for an end of the line."""
@@ -175,13 +171,19 @@ def _draw_long_links(g: OverlayGraph, present: np.ndarray, dist: LinkDistributio
         g._fill(present, sample_line_links(present, n, dist.links, rng, present=g.alive))
         return
     if isinstance(dist, (DeterministicBaseB, PowersOfB)):
-        scheme = deterministic_links if isinstance(dist, DeterministicBaseB) else power_links
-        rows = [sorted(v for v in scheme(u, n, dist.base) if g.alive[v]) for u in present.tolist()]
-    elif isinstance(dist, BernoulliOffsets):
-        rows = [[v for v in (u - sample_offsets(dist, rng, truncate_at=n)).tolist()
-                 if 0 <= v < n and g.alive[v]] for u in present.tolist()]
-    else:
+        d = scheme_distances(dist, n)
+        d = d[d < n]  # longer links leave the line from every node
+        rows = present[:, None] + np.concatenate((-d[::-1], d))  # ascending per row
+        keep = (rows >= 0) & (rows < n)
+        keep[keep] = g.alive[rows[keep]]
+        # left-pack the kept sinks, in order, into the widest row's width
+        order = np.argsort(~keep, axis=1, kind="stable")[:, :keep.sum(axis=1).max()]
+        g._fill(present, np.take_along_axis(np.where(keep, rows, NO_NEIGHBOR), order, axis=1))
+        return
+    if not isinstance(dist, BernoulliOffsets):
         raise TypeError(f"unknown link distribution {dist!r}")
+    rows = [[v for v in (u - sample_offsets(dist, rng, truncate_at=n)).tolist()
+             if 0 <= v < n and g.alive[v]] for u in present.tolist()]
     table = np.full((len(rows), max(map(len, rows), default=0)), NO_NEIGHBOR, dtype=np.int64)
     for i, row in enumerate(rows):
         table[i, :len(row)] = row

@@ -19,6 +19,12 @@ Two choice rules control what happens around dead nodes:
 Recovery strategies on a stuck search: terminate, restart at a random
 live node, or backtrack through recently visited nodes, excluding the
 choice that led into the dead end and taking the next-best link.
+
+`route` is the one router.  Digit routing needs no router of its own: on
+the deterministic base-b and powers-of-b schemes one-sided greedy takes
+the longest link that does not cross the target, which strips the leading
+base-b digit of the distance (base-b) or the largest power of b in it
+(powers of b, where link failures leave it the largest surviving one).
 """
 
 from __future__ import annotations
@@ -150,23 +156,8 @@ def greedy_step(g: OverlayGraph, cur: NodeId, dst: NodeId, sidedness: Sidedness,
     return best
 
 
-def _check_endpoints(g: OverlayGraph, src: NodeId, dst: NodeId) -> None:
-    if not (0 <= src < g.n and 0 <= dst < g.n):
-        raise ValueError(f"endpoint outside [0, {g.n})")
-    if not (g.alive[src] and g.alive[dst]):
-        raise ValueError("endpoint dead")
-
-
 def default_max_hops(n: int) -> int:
     return max(8, int(4 * math.log2(n) ** 2))
-
-
-def _check_max_hops(g: OverlayGraph, max_hops: int | None) -> int:
-    if max_hops is None:
-        return default_max_hops(g.n)
-    if max_hops < 1:
-        raise ValueError("max_hops must be >= 1")
-    return max_hops
 
 
 def route(g: OverlayGraph, src: NodeId, dst: NodeId, sidedness: Sidedness = Sidedness.TWO_SIDED,
@@ -182,8 +173,14 @@ def route(g: OverlayGraph, src: NodeId, dst: NodeId, sidedness: Sidedness = Side
     with symmetric=True (links model connections, usable both ways);
     bound-validation runs keep the directed default.
     """
-    _check_endpoints(g, src, dst)
-    max_hops = _check_max_hops(g, max_hops)
+    if not (0 <= src < g.n and 0 <= dst < g.n):
+        raise ValueError(f"endpoint outside [0, {g.n})")
+    if not (g.alive[src] and g.alive[dst]):
+        raise ValueError("endpoint dead")
+    if max_hops is None:
+        max_hops = default_max_hops(g.n)
+    elif max_hops < 1:
+        raise ValueError("max_hops must be >= 1")
     if isinstance(strategy, RandomRestart) and rng is None:
         raise ValueError("RandomRestart needs an rng")
 
@@ -240,43 +237,3 @@ def route(g: OverlayGraph, src: NodeId, dst: NodeId, sidedness: Sidedness = Side
         if record_path:
             path.append(cur)
     return result(Status.DELIVERED)
-
-
-def route_deterministic(g: OverlayGraph, src: NodeId, dst: NodeId, b: int,
-                        max_hops: int | None = None,
-                        powers_fallback: bool = False,
-                        record_path: bool = False) -> RouteResult:
-    """Digit routing on deterministic link sets.
-
-    On the base-b scheme, a node at distance d with b^k <= d < b^{k+1}
-    jumps the link spanning floor(d / b^k) * b^k, eliminating the most
-    significant digit of the distance; hop count equals the number of
-    nonzero base-b digits.  With powers_fallback=True (powers-of-b graphs
-    under link failures) the node instead takes the largest surviving
-    power of b not exceeding d; distance 1 is the immediate link and is
-    always available.
-    """
-    _check_endpoints(g, src, dst)
-    max_hops = _check_max_hops(g, max_hops)
-    path = [src] if record_path else None
-    cur = src
-    hops = 0
-    while cur != dst:
-        if hops + 1 > max_hops:
-            return RouteResult(Status.FAILED, hops, capped=True, path=path)
-        d = abs(dst - cur)
-        sign = 1 if dst > cur else -1
-        power = 1
-        while power * b <= d:
-            power *= b
-        if powers_fallback:
-            step = power
-            while step > 1 and not g.has_long_link(cur, cur + sign * step):
-                step //= b
-        else:
-            step = (d // power) * power
-        cur += sign * step
-        hops += 1
-        if record_path:
-            path.append(cur)
-    return RouteResult(Status.DELIVERED, hops, path=path)

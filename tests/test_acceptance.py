@@ -157,7 +157,7 @@ def test_criterion_4_deterministic_digit_exactness():
         for d in range(n):
             if s == d:
                 continue
-            res = lw.route_deterministic(g, s, d, b)
+            res = lw.route(g, s, d, ONE)
             if not res.delivered or res.hops != base_digits_nonzero(abs(s - d), b):
                 verdict(4, False, f"pair {s}->{d}: hops {res.hops}")
             worst = max(worst, res.hops)

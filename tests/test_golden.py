@@ -13,8 +13,8 @@ import pytest
 
 from lineworld.dynamics import ReplacementPolicy
 from lineworld.harness import ExperimentConfig, build_by_joins, run_experiment
-from lineworld.linkgen import InversePowerLaw
-from lineworld.overlay import build
+from lineworld.linkgen import DeterministicBaseB, InversePowerLaw, PowersOfB
+from lineworld.overlay import apply_link_failures, build, build_binomial_presence
 
 
 def sha256(text: str) -> str:
@@ -29,6 +29,24 @@ def sha256(text: str) -> str:
 def test_full_line_build_dump(seed, digest):
     g = build(2 ** 10, InversePowerLaw(10), np.random.default_rng(seed))
     assert sha256(g.dump_text()) == digest
+
+
+def _link_failed_powers(rng):
+    return apply_link_failures(build(2 ** 10, PowersOfB(2), rng), 0.5, rng)
+
+
+# recorded from the per-node set builders; the link failures pin slot order,
+# since they draw one keep flag per slot in row-major order
+@pytest.mark.parametrize("make,seed,digest", [
+    (lambda rng: build(2 ** 10, DeterministicBaseB(3), rng), 12,
+     "b8d90dcdd05c0128a0c19757d7ef7a9dd2da7e0601662af2796a0f1283d7d7fd"),
+    (_link_failed_powers, 13,
+     "e99d3b971aa4d253f1e1c9d2c3f49a25a28cdc4885567960b626eb270f321d40"),
+    (lambda rng: build_binomial_presence(2 ** 10, 0.5, DeterministicBaseB(2), rng), 14,
+     "270a8d61a6e5822919a13ce315c14cc3fcca451f6ccc33e6273c034e7f5c9299"),
+], ids=["detbase3", "powers2-link-failures", "detbase2-binomial"])
+def test_deterministic_build_dump(make, seed, digest):
+    assert sha256(make(np.random.default_rng(seed)).dump_text()) == digest
 
 
 def test_build_by_joins_dump():

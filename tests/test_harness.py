@@ -282,9 +282,16 @@ def test_cli_route_rejects_endpoint_off_the_line(capsys, argv):
     ["failures", "--workers", "0"],
     ["chains", "--t-max", "-1"],
     ["failures", "--max-hops", "0"],
-], ids=["repetitions", "messages", "samples", "workers", "t_max", "max_hops"])
+    ["distribution", "--links", "0", "--reps", "1"],
+    ["scaling", "--n", "16", "--dist", "bernoulli", "--links", "0", "--messages", "2"],
+    ["scaling", "--dist", "bernoulli", "--l-grid", "2,0", "--messages", "2"],
+    ["chains", "--n", "0"],
+], ids=["repetitions", "messages", "samples", "workers", "t_max", "max_hops", "links",
+        "links_scaling", "link_grid", "n"])
 def test_cli_rejects_counts_below_one(capsys, argv):
-    rc = main(["experiment", *argv, "--n", "64", "--links", "2", "--trials", "1"])
+    # the case's own flags come last, so they override the fixed ones
+    kind, *flags = argv
+    rc = main(["experiment", kind, "--n", "64", "--links", "2", "--trials", "1", *flags])
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.err.startswith("lineworld: error:")

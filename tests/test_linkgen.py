@@ -8,13 +8,14 @@ from scipy.stats import chisquare
 
 from lineworld.linkgen import (
     BernoulliOffsets,
-    deterministic_links,
+    DeterministicBaseB,
+    PowersOfB,
     harmonic_numbers,
     ideal_length_distribution,
-    power_links,
     sample_line_links,
     sample_offsets,
 )
+from lineworld.overlay import build
 
 
 def harmonic_weights(u, population) -> dict[int, float]:
@@ -121,19 +122,23 @@ def test_sample_line_links_off_center():
         assert abs(counts[v] / draws - p) < 3 * se + 1e-9
 
 
+def long_links(n, dist, u):
+    return build(n, dist, np.random.default_rng(0)).long_links(u)
+
+
 def test_deterministic_links_examples():
-    assert deterministic_links(0, 8, 2) == {1, 2, 4}
-    assert deterministic_links(4, 9, 3) == {1, 2, 3, 5, 6, 7}
+    assert long_links(8, DeterministicBaseB(2), 0) == [1, 2, 4]
+    assert long_links(9, DeterministicBaseB(3), 4) == [1, 2, 3, 5, 6, 7]
     # degenerate line: only the immediate neighbor remains
     for b in (2, 3, 7):
-        assert deterministic_links(0, 2, b) == {1}
-        assert deterministic_links(1, 2, b) == {0}
+        assert long_links(2, DeterministicBaseB(b), 0) == [1]
+        assert long_links(2, DeterministicBaseB(b), 1) == [0]
 
 
 def test_power_links_examples():
-    assert power_links(0, 9, 2) == {1, 2, 4, 8}
-    assert power_links(8, 9, 2) == {0, 4, 6, 7}
-    assert power_links(4, 9, 3) == {1, 3, 5, 7}
+    assert long_links(9, PowersOfB(2), 0) == [1, 2, 4, 8]
+    assert long_links(9, PowersOfB(2), 8) == [0, 4, 6, 7]
+    assert long_links(9, PowersOfB(3), 4) == [1, 3, 5, 7]
 
 
 def test_link_sets_stay_on_line():
@@ -142,15 +147,15 @@ def test_link_sets_stay_on_line():
         n = int(rng.integers(2, 300))
         u = int(rng.integers(n))
         b = int(rng.integers(2, 6))
-        for sinks in (deterministic_links(u, n, b), power_links(u, n, b)):
-            assert all(0 <= v < n and v != u for v in sinks)
+        for dist in (DeterministicBaseB(b), PowersOfB(b)):
+            assert all(0 <= v < n and v != u for v in long_links(n, dist, u))
 
 
 def test_base_must_exceed_one():
     with pytest.raises(ValueError):
-        deterministic_links(0, 8, 1)
+        DeterministicBaseB(1)
     with pytest.raises(ValueError):
-        power_links(0, 8, 1)
+        PowersOfB(1)
 
 
 def test_offsets_unit_always_present():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from lineworld.linkgen import DeterministicBaseB, InversePowerLaw
+from lineworld.linkgen import DeterministicBaseB, InversePowerLaw, PowersOfB
 from lineworld.overlay import (
     NO_NEIGHBOR,
     OverlayGraph,
@@ -14,6 +14,7 @@ from lineworld.overlay import (
     build,
     build_binomial_presence,
 )
+from oracles import deterministic_links, power_links
 
 
 def test_build_degenerate_pair():
@@ -39,6 +40,26 @@ def test_build_link_budget_exact():
 def test_build_deterministic_links():
     g = build(8, DeterministicBaseB(2), np.random.default_rng(0))
     assert set(g.long_links(0)) == {1, 2, 4}
+
+
+@pytest.mark.parametrize("b", [2, 3, 5])
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 64, 81, 100, 1000, 1024])
+def test_deterministic_tables_match_per_node_sets(n, b):
+    # each row holds the node's scheme sinks on present positions, ascending,
+    # in a table exactly as wide as its widest row
+    for dist, oracle in ((DeterministicBaseB(b), deterministic_links), (PowersOfB(b), power_links)):
+        graphs = [build(n, dist, np.random.default_rng(0))]
+        for seed, p in enumerate((0.3, 0.7)):
+            try:
+                graphs.append(build_binomial_presence(n, p, dist, np.random.default_rng(seed)))
+            except ValueError:  # fewer than two positions drawn present
+                assert np.count_nonzero(np.random.default_rng(seed).random(n) < p) < 2
+        for g in graphs:
+            present = set(np.flatnonzero(g.alive).tolist())
+            rows = [g.long_links(u) for u in range(n)]
+            for u, row in enumerate(rows):
+                assert row == (sorted(oracle(u, n, b) & present) if u in present else [])
+            assert g.sinks.shape[1] == max(map(len, rows))
 
 
 def test_build_immediate_links():

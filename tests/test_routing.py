@@ -1,6 +1,5 @@
-"""Greedy stepping, recovery strategies, and deterministic digit routing."""
-
-import math
+"""Greedy stepping, recovery strategies, and digit routing as one-sided
+greedy on the deterministic schemes."""
 
 import numpy as np
 import pytest
@@ -15,9 +14,8 @@ from lineworld.routing import (
     Terminate,
     greedy_step,
     route,
-    route_deterministic,
 )
-from oracles import base_digits_nonzero
+from oracles import base_digit_sum, base_digits_nonzero
 
 ONE = Sidedness.ONE_SIDED
 TWO = Sidedness.TWO_SIDED
@@ -114,8 +112,6 @@ def test_routers_reject_endpoints_off_the_line(src, dst):
     g = line_graph(8)
     with pytest.raises(ValueError, match=r"outside \[0, 8\)"):
         route(g, src, dst)
-    with pytest.raises(ValueError, match=r"outside \[0, 8\)"):
-        route_deterministic(g, src, dst, 2)
 
 
 @pytest.mark.parametrize("max_hops", [0, -1])
@@ -123,8 +119,6 @@ def test_routers_reject_max_hops_below_one(max_hops):
     g = line_graph(8)
     with pytest.raises(ValueError, match="max_hops must be >= 1"):
         route(g, 0, 7, max_hops=max_hops)
-    with pytest.raises(ValueError, match="max_hops must be >= 1"):
-        route_deterministic(g, 0, 7, 2, max_hops=max_hops)
 
 
 def test_route_never_fails_without_failures():
@@ -254,11 +248,18 @@ def test_base_digits_nonzero():
     assert base_digits_nonzero(27, 3) == 1
 
 
+def test_base_digit_sum():
+    assert base_digit_sum(5, 2) == 2
+    assert base_digit_sum(26, 3) == 6  # 222 in base 3
+    assert base_digit_sum(27, 3) == 1
+    assert base_digit_sum(49, 5) == 9  # 144 in base 5
+
+
 def test_route_deterministic_examples():
     g = build(64, DeterministicBaseB(2), np.random.default_rng(0))
-    assert route_deterministic(g, 5, 0, 2).hops == 2  # distance 101b
-    assert route_deterministic(g, 48, 16, 2).hops == 1  # distance 2^5
-    assert route_deterministic(g, 0, 63, 2).hops == base_digits_nonzero(63, 2)
+    assert route(g, 5, 0, ONE).hops == 2  # distance 101b
+    assert route(g, 48, 16, ONE).hops == 1  # distance 2^5
+    assert route(g, 0, 63, ONE).hops == base_digits_nonzero(63, 2)
 
 
 def test_route_deterministic_digit_oracle_exhaustive():
@@ -268,7 +269,7 @@ def test_route_deterministic_digit_oracle_exhaustive():
         for d in range(n):
             if s == d:
                 continue
-            res = route_deterministic(g, s, d, b)
+            res = route(g, s, d, ONE)
             assert res.status is Status.DELIVERED
             assert res.hops == base_digits_nonzero(abs(s - d), b)
 
@@ -281,7 +282,7 @@ def test_route_deterministic_base3():
         s, d = rng.integers(n, size=2)
         if s == d:
             continue
-        assert route_deterministic(g, int(s), int(d), b).hops == \
+        assert route(g, int(s), int(d), ONE).hops == \
             base_digits_nonzero(abs(int(s) - int(d)), b)
 
 
@@ -294,9 +295,9 @@ def test_powers_routing_no_failures():
         dist = abs(int(s) - int(d))
         if dist < 2:
             continue
-        res = route_deterministic(g, int(s), int(d), b, powers_fallback=True)
+        res = route(g, int(s), int(d), ONE)
         assert res.status is Status.DELIVERED
-        assert res.hops <= 2 * math.ceil(math.log2(dist))
+        assert res.hops == base_digit_sum(dist, b)  # one largest power of b per hop
 
 
 def test_powers_routing_with_link_failures():
@@ -308,8 +309,7 @@ def test_powers_routing_with_link_failures():
         s, d = rng.integers(n, size=2)
         if s == d:
             continue
-        res = route_deterministic(g, int(s), int(d), b, powers_fallback=True,
-                                  max_hops=4 * n)
+        res = route(g, int(s), int(d), ONE, max_hops=4 * n)
         assert res.status is Status.DELIVERED  # immediate fallback always exists
 
 
