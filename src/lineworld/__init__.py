@@ -9,7 +9,6 @@ from .analysis import (
     single_link_upper_bound,
     split_interval,
     step_interval,
-    step_point,
 )
 from .dynamics import ReplacementPolicy, join, leave, replacement_decision
 from .harness import ExperimentConfig, TrialStats, run_experiment

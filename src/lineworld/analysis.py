@@ -114,18 +114,6 @@ def _choose(x: int, offs, sidedness: Sidedness) -> int:
     return k
 
 
-def step_point(x: int, offsets, sidedness: Sidedness) -> int:
-    """Greedy successor of position x given the sorted available offsets.
-
-    0 is absorbing.  Raises ValueError when no offset is usable from x.
-    """
-    if x == 0:
-        return 0
-    if sidedness is Sidedness.ONE_SIDED and x < 0:
-        raise ValueError("one-sided chain positions are nonnegative")
-    return x - offsets[_choose(x, offsets, sidedness)]
-
-
 def split_interval(state: Interval, offsets, sidedness: Sidedness):
     """Partition the interval by (chosen offset, successor sign), by
     enumerating every position: the reference that `step_interval` must

@@ -15,7 +15,9 @@ which telescopes exactly to the stationary inverse-distance law:
 
 The oldest-link variant keeps the same accept step but always evicts the
 link with the smallest age.  Departures re-stitch the line and can
-optionally resample every link that pointed at the leaver.
+optionally resample every link that pointed at the leaver.  Every write
+is a whole row (the joiner's) or one array write (accepted redirects in
+requester order, repairs in row-major slot order).
 """
 
 from __future__ import annotations
@@ -34,11 +36,13 @@ class ReplacementPolicy(enum.Enum):
 
 
 def replacement_decision(existing_distances, new_distance: float,
-                         rng: np.random.Generator) -> int | None:
+                         rng: np.random.Generator, ages=None) -> int | None:
     """Index of the link to replace with the newcomer, or None to keep all.
 
-    Pr[replace i] = (p_i / sum_{j<=k} p_j) * (p_new / sum_{j<=k+1} p_j),
-    with p = 1/distance; Pr[None] = 1 - p_new / sum_{j<=k+1} p_j.
+    Pr[accept] = p_new / sum_{j<=k+1} p_j with p = 1/distance.  The victim
+    is link i w.p. p_i / sum_{j<=k} p_j, so that
+    Pr[replace i] = (p_i / sum_{j<=k} p_j) * (p_new / sum_{j<=k+1} p_j);
+    given the links' `ages`, it is the oldest link instead (no second draw).
     """
     dists = np.asarray(existing_distances, dtype=float)
     if dists.size == 0:
@@ -47,47 +51,58 @@ def replacement_decision(existing_distances, new_distance: float,
     p_new = 1.0 / float(new_distance)
     if rng.random() >= p_new / (p.sum() + p_new):
         return None
+    if ages is not None:
+        return int(np.argmin(ages))
     cum = np.cumsum(p)
     r = rng.random() * cum[-1]
     return int(np.searchsorted(cum, r, side="right"))
 
 
-def _request_redirect(g: OverlayGraph, u: NodeId, v: NodeId,
-                      policy: ReplacementPolicy, rng: np.random.Generator) -> None:
-    """Node u considers redirecting one of its long links to newcomer v."""
-    sinks = g.long_links(u)
-    if not sinks or u == v:
-        return
-    dists = [abs(u - s) for s in sinks]
-    if policy is ReplacementPolicy.INVERSE_DISTANCE:
-        idx = replacement_decision(dists, abs(u - v), rng)
-    else:
-        # same accept probability, victim = oldest link
-        p_sum = sum(1.0 / d for d in dists)
-        p_new = 1.0 / abs(u - v)
-        if rng.random() < p_new / (p_sum + p_new):
-            idx = int(np.argmin(g.ages[u, :len(sinks)]))
-        else:
-            idx = None
-    if idx is not None:
-        g.replace_link(u, idx, v)
+def _request_redirects(g: OverlayGraph, requesters: np.ndarray, v: NodeId,
+                       policy: ReplacementPolicy, rng: np.random.Generator) -> None:
+    """Each requester, in order, considers redirecting one of its long links
+    to newcomer v; the accepted redirects are written at once."""
+    rows = g.sinks[requesters]
+    ages = g.ages[requesters] if policy is ReplacementPolicy.OLDEST else None
+    widths = np.count_nonzero(rows != NO_NEIGHBOR, axis=1).tolist()
+    dists = np.abs(rows - requesters[:, None])
+    new_dists = np.abs(requesters - v).tolist()
+    hits, slots = [], []
+    for i, k in enumerate(widths):
+        if k:
+            idx = replacement_decision(dists[i, :k], new_dists[i], rng,
+                                       None if ages is None else ages[i, :k])
+            if idx is not None:
+                hits.append(i)
+                slots.append(idx)
+    if hits:
+        g.replace_link(requesters[hits], slots, v)
+
+
+def _basin_owners(live: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Nearest element of the sorted, non-empty `live` to each target; ties
+    go to the lower position."""
+    i = np.searchsorted(live, targets)
+    lower = live[np.maximum(i - 1, 0)]
+    upper = live[np.minimum(i, live.size - 1)]
+    return np.where((i == live.size) | ((i > 0) & (targets - lower <= upper - targets)),
+                    lower, upper)
 
 
 def join(g: OverlayGraph, v: NodeId, links: int, policy: ReplacementPolicy,
-         rng: np.random.Generator,
-         harmonic_prefix: np.ndarray | None = None) -> OverlayGraph:
+         rng: np.random.Generator) -> OverlayGraph:
     """Bring position v live and wire it into the overlay.
 
     The node draws `links` outgoing sinks over the whole grid (~1/distance)
-    and maps absent ones to their basin owner; then K ~ Poisson(links)
-    distinct existing nodes, chosen ~1/distance from v (K capped one below
-    the pre-join live count), are asked to redirect one link to v.  A join
-    into an empty grid just seeds the line.
+    and maps each to its basin owner, the nearest node live before the
+    join; then K ~ Poisson(links) distinct existing nodes, chosen
+    ~1/distance from v (K capped one below the pre-join live count), are
+    asked to redirect one link to v.  A join into an empty grid just seeds
+    the line.
     """
     if g.alive[v]:
         raise ValueError("position already live")
     live_arr = g.live_sorted()  # snapshot without v
-    g.clear_links(v)  # a rejoining position starts with a fresh link table
     g.alive[v] = True
 
     # stitch into the live line, on both sides: a rejoining position may
@@ -95,14 +110,15 @@ def join(g: OverlayGraph, v: NodeId, links: int, policy: ReplacementPolicy,
     i = int(np.searchsorted(live_arr, v))
     g.stitch(int(live_arr[i - 1]) if i > 0 else NO_NEIGHBOR, v)
     g.stitch(v, int(live_arr[i]) if i < live_arr.size else NO_NEIGHBOR)
+
+    # a rejoining position starts with a fresh row; a first or second node
+    # has at most its line neighbor, no meaningful long links
+    row = ()
+    if live_arr.size >= 2:
+        row = _basin_owners(live_arr, sample_line_links([v], g.n, links, rng)[0])
+    g.set_links(v, row)
     if live_arr.size == 0:
         return g
-
-    # outgoing links: grid draw, basin-mapped to live nodes other than v;
-    # a second node has only its line neighbor, no meaningful long links
-    if live_arr.size >= 2:
-        for sink in sample_line_links([v], g.n, links, rng, harmonic_prefix)[0].tolist():
-            g.add_link(v, _nearest_excluding(live_arr, sink, v))
 
     # incoming requests: Poisson count truncated at population - 1,
     # distinct requesters ~ 1/distance
@@ -110,27 +126,8 @@ def join(g: OverlayGraph, v: NodeId, links: int, policy: ReplacementPolicy,
     if k > 0:
         w = 1.0 / np.abs(live_arr - v).astype(float)
         requesters = rng.choice(live_arr, size=k, replace=False, p=w / w.sum())
-        for u in requesters:
-            _request_redirect(g, int(u), v, policy, rng)
+        _request_redirects(g, requesters, v, policy, rng)
     return g
-
-
-def _nearest_excluding(live_sorted_arr: np.ndarray, target: int, excluded: int) -> int:
-    """Nearest element of the sorted array to `target`, never `excluded`;
-    ties go to the lower position."""
-    i = int(np.searchsorted(live_sorted_arr, target))
-    best, best_key = None, None
-    for j in (i - 2, i - 1, i, i + 1):
-        if 0 <= j < len(live_sorted_arr):
-            c = int(live_sorted_arr[j])
-            if c == excluded:
-                continue
-            key = (abs(c - target), c)
-            if best_key is None or key < best_key:
-                best, best_key = c, key
-    if best is None:
-        raise ValueError("no live nodes besides the joiner")
-    return best
 
 
 def leave(g: OverlayGraph, v: NodeId, repair: bool, rng: np.random.Generator) -> OverlayGraph:
@@ -153,6 +150,5 @@ def leave(g: OverlayGraph, v: NodeId, repair: bool, rng: np.random.Generator) ->
     rows, slots = np.nonzero(g.sinks[holders] == v)
     if rows.size and np.count_nonzero(g.alive) >= 2:
         sinks = sample_line_links(holders[rows], g.n, 1, rng, present=g.alive)
-        for u, i, sink in zip(holders[rows].tolist(), slots.tolist(), sinks[:, 0].tolist()):
-            g.replace_link(u, i, sink)
+        g.replace_link(holders[rows], slots, sinks[:, 0])
     return g

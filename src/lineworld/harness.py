@@ -91,6 +91,8 @@ class ExperimentConfig:
             raise ValueError("t_max must be >= 0")
         if self.max_hops is not None and self.max_hops < 1:
             raise ValueError("max_hops must be >= 1")
+        if not self.p_grid or not self.strategies:
+            raise ValueError("p grid and strategy list must not be empty")
         if any(not 0.0 <= p <= 1.0 for p in self.p_grid):
             raise ValueError("p grid entries must lie in [0,1]")
         if self.dist not in ("power1", "detbase", "powers", "bernoulli"):
@@ -315,9 +317,8 @@ def build_by_joins(n: int, links: int, policy: dynamics.ReplacementPolicy,
                    rng: np.random.Generator) -> overlay.OverlayGraph:
     """Grow an overlay from empty by joining every position in random order."""
     g = overlay.OverlayGraph(n)
-    h = linkgen.harmonic_numbers(n - 1)
     for v in rng.permutation(n):
-        dynamics.join(g, int(v), links, policy, rng, harmonic_prefix=h)
+        dynamics.join(g, int(v), links, policy, rng)
     return g
 
 

@@ -15,6 +15,7 @@ neighbors; the schemes here generate the *long-distance* links:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -105,6 +106,13 @@ def harmonic_numbers(n: int) -> np.ndarray:
     return h
 
 
+@lru_cache(maxsize=4)
+def _line_prefix(n: int) -> np.ndarray:
+    """Harmonic prefix of the line 0..n-1, shared by every draw on it; no
+    caller writes to it."""
+    return harmonic_numbers(n - 1)
+
+
 def harmonic_number(n: int) -> float:
     return float(np.sum(1.0 / np.arange(1, n + 1))) if n >= 1 else 0.0
 
@@ -126,7 +134,6 @@ def _grid_draws(us: np.ndarray, n: int, draws: int, h: np.ndarray,
 
 
 def sample_line_links(sources, n: int, links: int, rng: np.random.Generator,
-                      harmonic_prefix: np.ndarray | None = None,
                       present: np.ndarray | None = None) -> np.ndarray:
     """Draw `links` sinks per source ~ 1/|u-v|, one row per source.
 
@@ -142,7 +149,7 @@ def sample_line_links(sources, n: int, links: int, rng: np.random.Generator,
     if n < 2:
         raise ValueError("no candidate sinks")
     us = np.asarray(sources, dtype=np.int64).reshape(-1)
-    h = harmonic_prefix if harmonic_prefix is not None else harmonic_numbers(n - 1)
+    h = _line_prefix(n)
     if present is None:
         return _grid_draws(us, n, links, h, rng)
     if np.any(np.count_nonzero(present) - present[us] < 1):

@@ -3,10 +3,11 @@
 An overlay holds, per position: a liveness flag and immediate links to the
 nearest live neighbor on each side.  Long-distance links live in one
 padded table, `sinks[u]` holding u's sinks left-packed in slot order with
-NO_NEIGHBOR after the last; the table widens one column at a time, to
-exactly the widest row.  `ages` has the same shape and stamps each write
-from one graph-wide clock, so churn policies can find a row's oldest link.
-With-replacement sampling may store the same sink twice.
+NO_NEIGHBOR after the last; the table is exactly as wide as the widest row
+ever written.  `ages` has the same shape and stamps each write from one
+graph-wide clock, so churn policies can find a row's oldest link.  Writes
+take whole rows (`set_links`) or arrays of slots (`replace_link`), stamped
+in order.  With-replacement sampling may store the same sink twice.
 
 Routing reads a sorted, deduplicated CSR adjacency per link mode (directed,
 or symmetric with in-links), rebuilt on the first read after a link or
@@ -72,21 +73,28 @@ class OverlayGraph:
         self._clock = width
         self._adjacency.clear()
 
-    def add_link(self, u: NodeId, v: NodeId) -> None:
-        k = len(self.long_links(u))
-        if k == self.sinks.shape[1]:
-            self.sinks = np.pad(self.sinks, ((0, 0), (0, 1)), constant_values=NO_NEIGHBOR)
-            self.ages = np.pad(self.ages, ((0, 0), (0, 1)))
-        self.replace_link(u, k, v)  # the first free slot
-
-    def clear_links(self, u: NodeId) -> None:
+    def set_links(self, u: NodeId, sinks) -> None:
+        """Make `sinks` u's whole row, in slot order, stamped with the next
+        clock values; the table widens to fit the row if it must."""
+        sinks = np.asarray(sinks, dtype=np.int64)
+        k, width = sinks.size, self.sinks.shape[1]
+        if k > width:
+            pad = ((0, 0), (0, k - width))
+            self.sinks = np.pad(self.sinks, pad, constant_values=NO_NEIGHBOR)
+            self.ages = np.pad(self.ages, pad)
         self.sinks[u] = NO_NEIGHBOR
+        self.sinks[u, :k] = sinks
+        self.ages[u, :k] = self._clock + np.arange(k)
+        self._clock += k
         self._adjacency.clear()
 
-    def replace_link(self, u: NodeId, index: int, new_sink: NodeId) -> None:
+    def replace_link(self, u, index, new_sink) -> None:
+        """Point slot `index` of u's row at `new_sink`.  Array arguments
+        broadcast to one write per element, stamped in element order."""
+        u, index, new_sink = np.broadcast_arrays(u, index, new_sink)
         self.sinks[u, index] = new_sink
-        self.ages[u, index] = self._clock
-        self._clock += 1
+        self.ages[u, index] = self._clock + np.arange(u.size).reshape(u.shape)
+        self._clock += u.size
         self._adjacency.clear()
 
     def retain_links(self, keep: np.ndarray) -> None:

@@ -1,5 +1,8 @@
 """Reference functions shared by several test modules."""
 
+from lineworld.analysis import _choose
+from lineworld.routing import Sidedness
+
 
 def base_digits_nonzero(distance: int, b: int) -> int:
     """Number of nonzero base-b digits of `distance`: the hop count of
@@ -43,3 +46,27 @@ def power_links(u: int, n: int, b: int) -> set[int]:
         sinks.update((u - step, u + step))
         step *= b
     return {v for v in sinks if 0 <= v < n}
+
+
+def step_point(x: int, offsets, sidedness: Sidedness) -> int:
+    """Greedy successor of position x given the sorted available offsets.
+
+    0 is absorbing.  Raises ValueError when no offset is usable from x.
+    """
+    if x == 0:
+        return 0
+    if sidedness is Sidedness.ONE_SIDED and x < 0:
+        raise ValueError("one-sided chain positions are nonnegative")
+    return x - offsets[_choose(x, offsets, sidedness)]
+
+
+def nearest_live(live, target: int) -> int:
+    """Nearest element of the sorted `live` positions to `target`, one
+    candidate at a time; ties go to the lower position."""
+    best = None
+    for c in live:
+        if best is None or abs(c - target) < abs(best - target):
+            best = c
+    if best is None:
+        raise ValueError("no live positions")
+    return int(best)

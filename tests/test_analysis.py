@@ -13,10 +13,10 @@ from lineworld.analysis import (
     single_link_upper_bound,
     split_interval,
     step_interval,
-    step_point,
 )
 from lineworld.linkgen import BernoulliOffsets, harmonic_number, harmonic_numbers, sample_offsets
 from lineworld.routing import Sidedness
+from oracles import step_point
 
 ONE = Sidedness.ONE_SIDED
 TWO = Sidedness.TWO_SIDED

@@ -7,8 +7,8 @@ import pytest
 
 from lineworld.dynamics import (
     ReplacementPolicy,
-    _nearest_excluding,
-    _request_redirect,
+    _basin_owners,
+    _request_redirects,
     join,
     leave,
     replacement_decision,
@@ -16,27 +16,35 @@ from lineworld.dynamics import (
 from lineworld.linkgen import InversePowerLaw
 from lineworld.overlay import NO_NEIGHBOR, OverlayGraph, build
 from lineworld.routing import Sidedness, greedy_step
+from oracles import nearest_live
 
 
 def small_graph(n=32, ell=3, seed=0):
     return build(n, InversePowerLaw(ell), np.random.default_rng(seed))
 
 
-def test_nearest_excluding_nearest_and_tie():
+def test_basin_owners_matches_scalar_nearest_live():
+    rng = np.random.default_rng(0)
+    ties = 0
+    for _ in range(300):
+        n = int(rng.integers(2, 80))
+        live = np.flatnonzero(rng.random(n) < rng.uniform(0.02, 0.9))
+        if live.size == 0:
+            continue
+        # every grid position: both line ends, the live nodes themselves and
+        # every midpoint between live neighbours, the exact ties
+        got = _basin_owners(live, np.arange(n)).tolist()
+        assert got == [nearest_live(live.tolist(), t) for t in range(n)]
+        ties += np.count_nonzero(np.diff(live) % 2 == 0)
+    assert ties > 100
+
+
+def test_basin_owners_examples():
     live = np.array([3, 5, 8])
-    assert _nearest_excluding(live, 5, 0) == 5
-    assert _nearest_excluding(live, 5, 5) == 3  # tie resolves to the lower position
-    assert _nearest_excluding(np.array([3, 8]), 5, 0) == 3
-    assert _nearest_excluding(np.array([3, 7]), 5, 0) == 3
-    assert _nearest_excluding(np.array([3, 6]), 5, 0) == 6
-    assert _nearest_excluding(live, 100, 8) == 5
-
-
-def test_nearest_excluding_no_candidates():
-    with pytest.raises(ValueError):
-        _nearest_excluding(np.array([1]), 1, 1)
-    with pytest.raises(ValueError):
-        _nearest_excluding(np.array([], dtype=np.int64), 1, 0)
+    assert _basin_owners(live, np.array([5, 4, 0, 100, 6, 7])).tolist() == [5, 3, 3, 8, 5, 8]
+    assert _basin_owners(np.array([3, 7]), np.array([5])).tolist() == [3]  # tie goes lower
+    assert _basin_owners(np.array([3, 6]), np.array([5])).tolist() == [6]
+    assert _basin_owners(np.array([4]), np.array([0, 4, 9])).tolist() == [4, 4, 4]
 
 
 def test_replacement_decision_requires_links():
@@ -139,14 +147,13 @@ def test_join_replacements_redirect_to_newcomer():
 def test_oldest_policy_replaces_minimum_age():
     g = OverlayGraph(64)
     g.alive[:] = True
-    for sink in (10, 20, 30):
-        g.add_link(5, sink)
+    g.set_links(5, [10, 20, 30])
     rng = np.random.default_rng(10)
     redirected = False
     for _ in range(200):
         before = g.long_links(5)
         ages = g.ages[5, :3].copy()
-        _request_redirect(g, 5, 40, ReplacementPolicy.OLDEST, rng)
+        _request_redirects(g, np.array([5]), 40, ReplacementPolicy.OLDEST, rng)
         after = g.long_links(5)
         if after != before:
             redirected = True
@@ -190,7 +197,7 @@ def test_leave_without_repair_leaves_dangling():
     for u in range(32):
         g2.left[u] = u - 1 if u > 0 else NO_NEIGHBOR
         g2.right[u] = u + 1 if u < 31 else NO_NEIGHBOR
-    g2.add_link(20, 4)
+    g2.set_links(20, [4])
     leave(g2, 4, repair=False, rng=rng)
     assert greedy_step(g2, 20, 0, Sidedness.TWO_SIDED) is None
 

@@ -11,7 +11,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from lineworld.dynamics import ReplacementPolicy
+from lineworld.dynamics import ReplacementPolicy, join, leave
 from lineworld.harness import ExperimentConfig, build_by_joins, run_experiment
 from lineworld.linkgen import DeterministicBaseB, InversePowerLaw, PowersOfB
 from lineworld.overlay import apply_link_failures, build, build_binomial_presence
@@ -52,6 +52,43 @@ def test_deterministic_build_dump(make, seed, digest):
 def test_build_by_joins_dump():
     g = build_by_joins(2 ** 9, 9, ReplacementPolicy.INVERSE_DISTANCE, np.random.default_rng(4))
     assert sha256(g.dump_text()) == "6628bfd67cfb8b9a22e5d61dd98dd9a3d8b05b4e4d9117c24f71b8f01b974c42"
+
+
+def table_sha256(g) -> str:
+    """Digest of the long-link table's shape, sinks and ages: slot order
+    decides a redirect's victim index, ages decide the oldest link."""
+    return hashlib.sha256(repr(g.sinks.shape).encode() + g.sinks.tobytes()
+                          + g.ages.tobytes()).hexdigest()
+
+
+# recorded before the churn layer wrote whole rows
+@pytest.mark.parametrize("policy,digest", [
+    (ReplacementPolicy.INVERSE_DISTANCE,
+     "38718e2e34f7cbf4433aaaf041857736ed7ae5c67ad3504d77f9ca380c648ea3"),
+    (ReplacementPolicy.OLDEST,
+     "9d7a4840822bca11285d1eab1751bfc86a4fbf537e47043b23fa8b17635fe272"),
+], ids=["inverse-distance", "oldest"])
+def test_build_by_joins_table(policy, digest):
+    g = build_by_joins(2 ** 9, 9, policy, np.random.default_rng(4))
+    assert table_sha256(g) == digest
+
+
+@pytest.mark.parametrize("policy,digest", [
+    (ReplacementPolicy.INVERSE_DISTANCE,
+     "e3a43948e79552cc94768a96f0978b81db16b312b79ff7d18ffb21739640657e"),
+    (ReplacementPolicy.OLDEST,
+     "a5bb92c7898e5eabca5217b778f14f09b014fc51447dee679a7fd3c4eb4e2547"),
+], ids=["inverse-distance", "oldest"])
+def test_churn_schedule(policy, digest):
+    # leaves with and without repair on a join-grown graph, then rejoins
+    rng = np.random.default_rng(20)
+    g = build_by_joins(2 ** 8, 8, policy, rng)
+    leavers = rng.choice(2 ** 8, size=64, replace=False).tolist()
+    for i, v in enumerate(leavers):
+        leave(g, v, i % 3 != 0, rng)
+    for v in leavers[::2]:
+        join(g, v, 8, policy, rng)
+    assert sha256(g.dump_text() + table_sha256(g)) == digest
 
 
 @pytest.mark.parametrize("model,p_grid,digest", [

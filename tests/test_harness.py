@@ -286,8 +286,10 @@ def test_cli_route_rejects_endpoint_off_the_line(capsys, argv):
     ["scaling", "--n", "16", "--dist", "bernoulli", "--links", "0", "--messages", "2"],
     ["scaling", "--dist", "bernoulli", "--l-grid", "2,0", "--messages", "2"],
     ["chains", "--n", "0"],
+    ["failures", "--links", "3", "--messages", "2", "--p-grid", ","],
+    ["failures", "--links", "3", "--messages", "2", "--strategy", ","],
 ], ids=["repetitions", "messages", "samples", "workers", "t_max", "max_hops", "links",
-        "links_scaling", "link_grid", "n"])
+        "links_scaling", "link_grid", "n", "p_grid_empty", "strategy_empty"])
 def test_cli_rejects_counts_below_one(capsys, argv):
     # the case's own flags come last, so they override the fixed ones
     kind, *flags = argv

@@ -168,7 +168,7 @@ def test_symmetric_neighbors_include_in_links():
     for u in range(10):
         g.left[u] = u - 1 if u > 0 else NO_NEIGHBOR
         g.right[u] = u + 1 if u < 9 else NO_NEIGHBOR
-    g.add_link(2, 9)
+    g.set_links(2, [9])
     assert 9 in g.neighbors(2)
     assert 2 not in g.neighbors(9)
     assert 2 in g.neighbors(9, symmetric=True)
@@ -184,6 +184,18 @@ def test_ages_track_creation_order():
         ages = g.ages[u, :len(g.long_links(u))].tolist()
         assert ages == sorted(ages)
         assert len(set(ages)) == len(ages)
+
+
+def test_row_writes_stamp_ages_in_order():
+    g = OverlayGraph(8)
+    g.set_links(1, [5, 3])
+    g.set_links(2, [6, 0, 4])  # widens the table to three slots
+    assert g.sinks[:3].tolist() == [[-1, -1, -1], [5, 3, -1], [6, 0, 4]]
+    assert g.ages[1, :2].tolist() == [0, 1] and g.ages[2].tolist() == [2, 3, 4]
+    g.replace_link(np.array([2, 1]), np.array([0, 1]), np.array([7, 7]))
+    assert (g.sinks[2, 0], g.ages[2, 0], g.sinks[1, 1], g.ages[1, 1]) == (7, 5, 7, 6)
+    g.set_links(2, [1])  # a shorter row clears the slots after it
+    assert g.long_links(2) == [1] and g.ages[2, 0] == 7
 
 
 def test_build_bernoulli_offsets():

@@ -63,10 +63,9 @@ class OverlayMachine(RuleBasedStateMachine):
     def leave(self, i, repair):
         leave(self.g, self._pick(self.g.live_sorted(), i), repair, self.rng)
 
-    @rule(u=st.integers(0, N - 1), v=st.integers(0, N - 1))
-    def add_link(self, u, v):
-        if u != v:
-            self.g.add_link(u, v)
+    @rule(u=st.integers(0, N - 1), sinks=st.lists(st.integers(0, N - 1), max_size=LINKS + 2))
+    def set_links(self, u, sinks):
+        self.g.set_links(u, [v for v in sinks if v != u])
 
     @rule(u=st.integers(0, N - 1), i=st.integers(0, 8), v=st.integers(0, N - 1))
     def replace_link(self, u, i, v):

@@ -28,8 +28,8 @@ def line_graph(n, extra_links=()):
     for u in range(n):
         g.left[u] = u - 1 if u > 0 else NO_NEIGHBOR
         g.right[u] = u + 1 if u < n - 1 else NO_NEIGHBOR
-    for u, v in extra_links:
-        g.add_link(u, v)
+    for u in {u for u, _ in extra_links}:
+        g.set_links(u, [v for w, v in extra_links if w == u])
     return g
 
 
