@@ -3,7 +3,9 @@
 Subcommands: `build` (construct and dump a graph), `route` (build, route
 one message, print the result), and `experiment {failures|distribution|
 scaling|compare|chains|bounds}` (batch runs emitting CSV to --out or
-stdout).  Exit status 0 on success, 1 on configuration or I/O errors.
+stdout).  Exit status 0 on success (and for --help), 1 with one
+`lineworld: error: ...` line on a bad command line, a configuration or I/O
+error, or a graph too large to allocate.
 """
 
 from __future__ import annotations
@@ -36,9 +38,16 @@ def _add_graph_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="master seed")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line like any other configuration error
+    (`main` prints it and exits 1); subcommand parsers inherit this."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="lineworld",
-                                  description="Line-embedded small-world overlay simulator")
+    top = _Parser(prog="lineworld", description="Line-embedded small-world overlay simulator")
     sub = top.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build", help="construct a graph and dump it")
@@ -109,7 +118,7 @@ def cmd_route(args) -> int:
                         harness.make_strategy(args.strategy, cfg),
                         max_hops=args.max_hops, rng=rng,
                         probe=args.choice == "live",
-                        symmetric=args.link_mode == "symmetric", record_path=True)
+                        symmetric=args.link_mode == "symmetric")
     print(f"status={res.status.value} hops={res.hops} backtracks={res.backtracks} "
           f"restarts={res.restarts} capped={res.capped}")
     print("path=" + ">".join(str(v) for v in res.path))
@@ -133,14 +142,14 @@ def cmd_experiment(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "build":
             return cmd_build(args)
         if args.command == "route":
             return cmd_route(args)
         return cmd_experiment(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"lineworld: error: {exc}", file=sys.stderr)
         return 1
 

@@ -242,11 +242,12 @@ def route_batch(g: overlay.OverlayGraph, strategy: routing.RecoveryStrategy,
     """Route `config.messages` between uniformly chosen distinct live pairs.
     Scaling's deterministic schemes measure digit routing, which is
     one-sided greedy on them, so those cells route one-sided whatever
-    `config.sidedness` says."""
-    stats = TrialStats()
+    `config.sidedness` says.  With fewer than two live nodes every message
+    fails, and nothing is drawn."""
     live = g.live_sorted().tolist()
     if len(live) < 2:
-        return stats
+        return TrialStats(failed=config.messages)
+    stats = TrialStats()
     digits = config.experiment == "scaling" and config.dist in ("detbase", "powers")
     side = Sidedness.ONE_SIDED if digits else Sidedness(config.sidedness)
     symmetric = config.symmetric_links()
@@ -292,7 +293,7 @@ def run_failures(config: ExperimentConfig) -> list[str]:
         p, strat_name = cell
         g = _failed_graph(config, p, rng)
         if g is None:
-            return TrialStats()
+            return TrialStats(failed=config.messages)
         return route_batch(g, make_strategy(strat_name, config), rng, config)
 
     return [_failures_row(config, "failures", p, strat_name, _total(stats))

@@ -31,7 +31,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -83,14 +84,11 @@ class RouteResult:
     backtracks: int = 0
     restarts: int = 0
     capped: bool = False
-    path: list[int] | None = None
+    path: list[int] = field(default_factory=list)
 
     @property
     def delivered(self) -> bool:
         return self.status is Status.DELIVERED
-
-
-STUCK = None
 
 
 def _best_candidate(adj: np.ndarray, cur: int, dst: int, sidedness: Sidedness) -> int | None:
@@ -151,9 +149,7 @@ def greedy_step(g: OverlayGraph, cur: NodeId, dst: NodeId, sidedness: Sidedness,
     if probe:
         return _best_candidate(adj[g.alive[adj]], cur, dst, sidedness)
     best = _best_candidate(adj, cur, dst, sidedness)
-    if best is None or not g.alive[best]:
-        return STUCK
-    return best
+    return best if best is not None and g.alive[best] else None
 
 
 def default_max_hops(n: int) -> int:
@@ -163,13 +159,17 @@ def default_max_hops(n: int) -> int:
 def route(g: OverlayGraph, src: NodeId, dst: NodeId, sidedness: Sidedness = Sidedness.TWO_SIDED,
           strategy: RecoveryStrategy = Terminate(), max_hops: int | None = None,
           rng: np.random.Generator | None = None, probe: bool = True,
-          symmetric: bool = False, record_path: bool = False) -> RouteResult:
+          symmetric: bool = False) -> RouteResult:
     """Route a message greedily from src to dst, recovering per `strategy`.
 
+    A stuck search restarts while the restart budget lasts, else backs up
+    along its trail of the `history` most recent moves, else fails.
     Backtrack moves count toward hops (restart jumps do not; hops from the
     new start accumulate); `backtracks` and `restarts` are also tallied
-    separately so either accounting can be recovered.  Routes that exceed
-    max_hops are Failed with capped=True.  Failure-sweep experiments run
+    separately so either accounting can be recovered.  A move that would
+    pass max_hops ends the route Failed with capped=True and counts as
+    neither a hop nor a backtrack.  `path` lists every node the message
+    visits, restart landings included.  Failure-sweep experiments run
     with symmetric=True (links model connections, usable both ways);
     bound-validation runs keep the directed default.
     """
@@ -184,56 +184,32 @@ def route(g: OverlayGraph, src: NodeId, dst: NodeId, sidedness: Sidedness = Side
     if isinstance(strategy, RandomRestart) and rng is None:
         raise ValueError("RandomRestart needs an rng")
 
-    path = [src] if record_path else None
-    cur = src
-    hops = 0
-    backtracks = 0
-    restarts = 0
-    # trail of (node, chosen sink) pairs, most recent last, for backtracking
-    trail: list[tuple[int, int]] = []
+    max_restarts = getattr(strategy, "max_restarts", 0)
+    # (node, chosen sink) moves, most recent last; empty unless backtracking
+    trail: deque[tuple[int, int]] = deque(maxlen=getattr(strategy, "history", 0))
     excluded: dict[int, set[int]] = {}
-
-    def result(status, capped=False):
-        return RouteResult(status, hops, backtracks, restarts, capped, path)
-
+    cur, path, hops, backtracks, restarts = src, [src], 0, 0, 0
     while cur != dst:
         nxt = greedy_step(g, cur, dst, sidedness,
                           exclude=excluded.get(cur, frozenset()), probe=probe,
                           symmetric=symmetric)
-        if nxt is not None:
-            if hops + 1 > max_hops:
-                return result(Status.FAILED, capped=True)
-            if isinstance(strategy, Backtrack):
-                trail.append((cur, nxt))
-                if len(trail) > strategy.history:
-                    trail.pop(0)
-            cur = nxt
-            hops += 1
-            if record_path:
-                path.append(cur)
-            continue
-        # stuck: recover
-        if isinstance(strategy, Terminate):
-            return result(Status.FAILED)
-        if isinstance(strategy, RandomRestart):
-            if restarts >= strategy.max_restarts:
-                return result(Status.FAILED)
+        if nxt is None and restarts < max_restarts:
             live = g.live_sorted()
             cur = int(live[rng.integers(len(live))])
             restarts += 1
-            if record_path:
-                path.append(cur)
-            continue
-        # Backtrack
-        if not trail:
-            return result(Status.FAILED)
-        prev, choice = trail.pop()
-        excluded.setdefault(prev, set()).add(choice)
-        if hops + 1 > max_hops:
-            return result(Status.FAILED, capped=True)
-        cur = prev
-        hops += 1
-        backtracks += 1
-        if record_path:
             path.append(cur)
-    return result(Status.DELIVERED)
+            continue
+        if nxt is None and not trail:
+            return RouteResult(Status.FAILED, hops, backtracks, restarts, path=path)
+        if hops >= max_hops:
+            return RouteResult(Status.FAILED, hops, backtracks, restarts, True, path)
+        if nxt is None:
+            cur, choice = trail.pop()
+            excluded.setdefault(cur, set()).add(choice)
+            backtracks += 1
+        else:
+            trail.append((cur, nxt))
+            cur = nxt
+        hops += 1
+        path.append(cur)
+    return RouteResult(Status.DELIVERED, hops, backtracks, restarts, path=path)

@@ -1,7 +1,7 @@
 """Reference functions shared by several test modules."""
 
 from lineworld.analysis import _choose
-from lineworld.routing import Sidedness
+from lineworld.routing import Backtrack, RandomRestart, Sidedness
 
 
 def base_digits_nonzero(distance: int, b: int) -> int:
@@ -70,3 +70,92 @@ def nearest_live(live, target: int) -> int:
     if best is None:
         raise ValueError("no live positions")
     return int(best)
+
+
+
+def parse_dump(dump: str) -> tuple[list[bool], list[set[int]], list[list[int]]]:
+    """Per position of `OverlayGraph.dump_text()`: liveness, immediate
+    sinks and sorted long sinks."""
+    alive, immediate, longs = [], [], []
+    for line in dump.splitlines()[2:]:
+        _, flag, imm, long_text = line.split("\t")
+        alive.append(flag == "1")
+        immediate.append({int(v) for v in imm.split(",") if v})
+        longs.append([int(v) for v in long_text.split(",") if v])
+    return alive, immediate, longs
+
+
+def reference_neighbors(dump: str, symmetric: bool) -> list[list[int]]:
+    """Greedy candidates of every position, read from the dump: immediate
+    and long sinks, plus, with symmetric links, every holder of a long link
+    to the position (immediate links are two-way already).  A position is
+    never its own candidate."""
+    _, immediate, longs = parse_dump(dump)
+    out = []
+    for u in range(len(longs)):
+        sinks = set(longs[u]) | immediate[u]
+        if symmetric:
+            sinks |= {h for h, row in enumerate(longs) if u in row}
+        sinks.discard(u)
+        out.append(sorted(sinks))
+    return out
+
+
+def reference_step(alive, cands, cur: int, dst: int, sidedness: Sidedness, excluded,
+                   probe: bool):
+    """Greedy hand-off by scanning every candidate; None means stuck.
+
+    Two-sided: nearest to dst, ties to the side that does not overshoot,
+    and only if strictly closer than cur.  One-sided: nearest to dst among
+    candidates strictly between cur and dst or on it.  The probe rule
+    drops dead candidates first; the commit rule is stuck when its best
+    candidate is dead."""
+    pool = [c for c in cands[cur] if c not in excluded and (alive[c] or not probe)]
+    side = 1 if cur > dst else -1
+    if sidedness is Sidedness.ONE_SIDED:
+        pool = [c for c in pool if 0 <= side * (c - dst) < side * (cur - dst)]
+    else:
+        pool = [c for c in pool if abs(c - dst) < abs(cur - dst)]
+    if not pool:
+        return None
+    best = min(pool, key=lambda c: (abs(c - dst), side * (c - dst) < 0, c))
+    return best if alive[best] else None
+
+
+def reference_route(alive, cands, src: int, dst: int, sidedness: Sidedness, strategy,
+                    max_hops: int, rng, probe: bool):
+    """`routing.route` written out from its documentation, over liveness and
+    candidates read from the dump (`parse_dump`, `reference_neighbors`):
+    returns (status, hops, backtracks, restarts, capped, path).
+
+    A stuck search restarts at `live[rng.integers(len(live))]` while the
+    restart budget lasts (the jump is not a hop), else backs up to the last
+    entry of a trail of its `history` most recent (node, choice) moves and
+    excludes that choice there, else fails.  A forward or backtrack move
+    that would make hop max_hops + 1 ends the route capped, uncounted."""
+    live = [u for u, a in enumerate(alive) if a]
+    history = strategy.history if isinstance(strategy, Backtrack) else 0
+    budget = strategy.max_restarts if isinstance(strategy, RandomRestart) else 0
+    trail, excluded = [], {}
+    cur, path, hops, backtracks, restarts = src, [src], 0, 0, 0
+    while cur != dst:
+        nxt = reference_step(alive, cands, cur, dst, sidedness, excluded.get(cur, ()), probe)
+        if nxt is None and restarts < budget:
+            restarts += 1
+            cur = int(live[rng.integers(len(live))])
+            path.append(cur)
+            continue
+        if nxt is None and not trail:
+            return "failed", hops, backtracks, restarts, False, path
+        if hops == max_hops:
+            return "failed", hops, backtracks, restarts, True, path
+        if nxt is None:
+            cur, choice = trail.pop()
+            excluded.setdefault(cur, set()).add(choice)
+            backtracks += 1
+        else:
+            trail = (trail + [(cur, nxt)])[-history:] if history else []
+            cur = nxt
+        hops += 1
+        path.append(cur)
+    return "delivered", hops, backtracks, restarts, False, path

@@ -7,6 +7,7 @@ digests is an RNG stream change and must be logged with before/after
 statistics."""
 
 import hashlib
+from itertools import product
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ import pytest
 from lineworld.dynamics import ReplacementPolicy, join, leave
 from lineworld.harness import ExperimentConfig, build_by_joins, run_experiment
 from lineworld.linkgen import DeterministicBaseB, InversePowerLaw, PowersOfB
-from lineworld.overlay import apply_link_failures, build, build_binomial_presence
+from lineworld.overlay import apply_link_failures, apply_node_failures, build, build_binomial_presence
+from lineworld.routing import Backtrack, RandomRestart, Sidedness, Terminate, route
 
 
 def sha256(text: str) -> str:
@@ -149,3 +151,59 @@ DISTRIBUTION = dict(experiment="distribution", n=2 ** 8, links=8, repetitions=3,
         "distribution-oldest", "chains"])
 def test_experiment_csv(config, digest, workers):
     assert sha256(run_experiment(ExperimentConfig(**config, workers=workers))) == digest
+
+
+
+def _node_failed(rng):
+    return apply_node_failures(build(2 ** 8, InversePowerLaw(8), rng), 0.5, rng)
+
+
+def _link_and_node_failed(rng):
+    g = apply_link_failures(build(2 ** 8, InversePowerLaw(8), rng), 0.3, rng)
+    return apply_node_failures(g, 0.3, rng)
+
+
+GRAPHS = {"node-failed": (_node_failed, 21), "link-and-node-failed": (_link_and_node_failed, 22)}
+STRATEGIES = {"terminate": Terminate(), "restart": RandomRestart(),
+              "backtrack1": Backtrack(1), "backtrack5": Backtrack(5)}
+
+# recorded before `route` became one recovery loop
+ROUTE_DIGESTS = {
+    ("node-failed", "terminate"):
+        "34075f65f6c8e4614d27de77f11b61c17c8ba83536cfc842ab252268bb9ca969",
+    ("node-failed", "restart"):
+        "5e369d2a33df9a6f85bc57db8651308de1a727ba98431a24b9f7e7a3e57de8e9",
+    ("node-failed", "backtrack1"):
+        "2c8c96ae6d1a51456f5097efb8ef1de9e9021e389cd369b1aaa16e9d90606fa0",
+    ("node-failed", "backtrack5"):
+        "50f2a94a49d123c931763eda93a841baa338ca8ce1b27d4c18a55816ac720190",
+    ("link-and-node-failed", "terminate"):
+        "323011d298e74e654cad04b32e8fa3d64181273cce18d69f2174c34bc9463d33",
+    ("link-and-node-failed", "restart"):
+        "6aaef1d25092a12d4bb006c6e096030587ca856d36118fe23fc146baf81678f5",
+    ("link-and-node-failed", "backtrack1"):
+        "ff42aba3228454395aeea0792f6ab2d4689355e56bdce8beeffe4b7d5a9ff6ea",
+    ("link-and-node-failed", "backtrack5"):
+        "d6c7ca212875d399b1e1d84f06dd25e1b6dfe0cd94331f7682773aad0a4dc7a9",
+}
+
+
+@pytest.mark.parametrize("graph", GRAPHS)
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_route_results(graph, strategy):
+    """Every field of every RouteResult, path included, for 40 seeded pairs
+    under every sidedness x choice rule x link mode x max_hops in
+    {None, 3}; each mode's restart routes draw from one fresh rng."""
+    make, seed = GRAPHS[graph]
+    rng = np.random.default_rng(seed)
+    g = make(rng)
+    live = g.live_sorted()
+    pairs = [tuple(int(v) for v in rng.choice(live, 2, replace=False)) for _ in range(40)]
+    results = []
+    for side, probe, symmetric, max_hops in product(Sidedness, (True, False), (False, True),
+                                                    (None, 3)):
+        route_rng = np.random.default_rng(seed)
+        results += [route(g, s, d, side, STRATEGIES[strategy], max_hops=max_hops,
+                          rng=route_rng, probe=probe, symmetric=symmetric)
+                    for s, d in pairs]
+    assert sha256(repr(results)) == ROUTE_DIGESTS[graph, strategy]

@@ -218,11 +218,25 @@ def test_failure_model_variants():
                    strategies=("terminate",))
     lines = run_experiment(bin_cfg).strip().split("\n")
     empt = lines[1].split(",")
-    assert empt[8] == "0" and empt[9] == "0"
+    assert empt[8] == "0" and empt[9] == str(3 * 40)  # every message fails
     half = lines[2].split(",")
     assert int(half[8]) + int(half[9]) == 3 * 40
     with pytest.raises(ValueError):
         tiny("failures", failure_model="cascade").validate()
+
+
+@pytest.mark.parametrize("config", [
+    dict(experiment="failures", n=64, links=3, trials=2, messages=5, p_grid=(0.99,)),
+    dict(experiment="failures", n=64, links=3, trials=2, messages=5, p_grid=(0.01,),
+         failure_model="binomial"),
+    dict(experiment="compare", n=4, links=1, repetitions=1, messages=2, p_grid=(0.9,)),
+], ids=["node-failures", "binomial", "compare"])
+def test_trials_without_two_live_nodes_fail_every_message(config):
+    # these trials leave fewer than two live nodes, so no pair can be drawn
+    for line in run_experiment(ExperimentConfig(**config, strategies=("terminate",))).split()[1:]:
+        cells = line.split(",")
+        trials, messages, delivered, failed = map(int, cells[6:10])
+        assert delivered + failed == trials * messages
 
 
 def test_link_mode_defaults():
@@ -298,6 +312,28 @@ def test_cli_rejects_counts_below_one(capsys, argv):
     assert rc == 1
     assert captured.err.startswith("lineworld: error:")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["experiment", "failures", "--n", "abc"],
+    ["route", "--n", "64", "--dst", "3"],
+    ["frobnicate"],
+    ["experiment"],
+    ["build", "--n", str(2 ** 62)],
+], ids=["bad_int", "missing_src", "unknown_command", "missing_kind", "unallocatable_n"])
+def test_cli_errors_exit_1_with_one_line(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("lineworld: error:")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def test_cli_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: lineworld experiment")
 
 
 def test_cli_entrypoint_subprocess():

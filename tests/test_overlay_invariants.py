@@ -15,31 +15,10 @@ from lineworld.overlay import (
     apply_node_failures,
     build,
 )
+from oracles import reference_neighbors
 
 N = 24
 LINKS = 3
-
-
-def parse_dump(dump: str) -> tuple[list[set[int]], list[list[int]]]:
-    """Per position: its immediate sinks and its sorted long sinks."""
-    immediate, longs = [], []
-    for line in dump.splitlines()[2:]:
-        _, _, imm, long_text = line.split("\t")
-        immediate.append({int(v) for v in imm.split(",") if v})
-        longs.append([int(v) for v in long_text.split(",") if v])
-    return immediate, longs
-
-
-def reference_neighbors(dump: str, symmetric: bool) -> list[list[int]]:
-    immediate, longs = parse_dump(dump)
-    out = []
-    for u in range(len(longs)):
-        sinks = set(longs[u]) | immediate[u]
-        if symmetric:
-            sinks |= {h for h, row in enumerate(longs) if u in row}
-        sinks.discard(u)
-        out.append(sorted(sinks))
-    return out
 
 
 class OverlayMachine(RuleBasedStateMachine):

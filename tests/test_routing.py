@@ -1,8 +1,12 @@
 """Greedy stepping, recovery strategies, and digit routing as one-sided
 greedy on the deterministic schemes."""
 
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lineworld.linkgen import DeterministicBaseB, InversePowerLaw, PowersOfB
 from lineworld.overlay import NO_NEIGHBOR, OverlayGraph, apply_link_failures, apply_node_failures, build
@@ -12,10 +16,17 @@ from lineworld.routing import (
     Sidedness,
     Status,
     Terminate,
+    default_max_hops,
     greedy_step,
     route,
 )
-from oracles import base_digit_sum, base_digits_nonzero
+from oracles import (
+    base_digit_sum,
+    base_digits_nonzero,
+    parse_dump,
+    reference_neighbors,
+    reference_route,
+)
 
 ONE = Sidedness.ONE_SIDED
 TWO = Sidedness.TWO_SIDED
@@ -136,10 +147,10 @@ def test_route_monotone_progress():
     g = build(512, InversePowerLaw(3), rng)
     for _ in range(100):
         s, d = rng.integers(512, size=2)
-        res = route(g, int(s), int(d), TWO, record_path=True)
+        res = route(g, int(s), int(d), TWO)
         gaps = [abs(x - int(d)) for x in res.path]
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
-        res = route(g, int(s), int(d), ONE, record_path=True)
+        res = route(g, int(s), int(d), ONE)
         side = 1 if int(s) >= int(d) else -1
         signed = [side * (x - int(d)) for x in res.path]
         assert all(a > b >= 0 for a, b in zip(signed, signed[1:]))
@@ -174,7 +185,7 @@ def test_backtrack_takes_next_best():
     # dead end behind 8; recovery re-chooses from the predecessor
     g = line_graph(32, [(20, 8), (20, 12), (12, 2)])
     g.alive[7] = False
-    res = route(g, 20, 0, TWO, Backtrack(history=5), probe=True, record_path=True)
+    res = route(g, 20, 0, TWO, Backtrack(history=5), probe=True)
     assert res.status is Status.DELIVERED
     assert res.backtracks == 1
     assert res.path == [20, 8, 20, 12, 2, 1, 0]
@@ -199,7 +210,7 @@ def test_backtrack_history_counts_trail_nodes(h):
     # up exactly h visited nodes: the h - 1 run nodes above the bottom and 30
     g = line_graph(32, [(30, 10), (30, 20), (20, 0)])
     g.alive[10 - h] = False
-    res = route(g, 30, 0, TWO, Backtrack(history=h), probe=True, record_path=True)
+    res = route(g, 30, 0, TWO, Backtrack(history=h), probe=True)
     trap = list(range(10, 10 - h, -1))
     assert res.status is Status.DELIVERED
     assert res.backtracks == h
@@ -318,8 +329,37 @@ def test_restart_leg_hops_accumulate():
     g.alive[8] = False
     g.alive[19] = False
     rng = np.random.default_rng(4)
-    res = route(g, 20, 0, TWO, RandomRestart(max_restarts=50), rng=rng,
-                probe=True, record_path=True)
+    res = route(g, 20, 0, TWO, RandomRestart(max_restarts=50), rng=rng, probe=True)
     if res.delivered:
         # hops counts legs only, not the random jumps themselves
         assert res.hops == len(res.path) - 1 - res.restarts
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(8, 48), links=st.integers(1, 4), p_link=st.sampled_from([1.0, 0.4]),
+       p_node=st.sampled_from([0.0, 0.3, 0.6]), cap=st.integers(1, 6),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_route_matches_reference(n, links, p_link, p_node, cap, seed):
+    """`route` returns what the brute-force router over the dump returns, in
+    every mode, with the default hop cap and a small one."""
+    rng = np.random.default_rng(seed)
+    g = apply_link_failures(build(n, InversePowerLaw(links), rng), p_link, rng)
+    apply_node_failures(g, p_node, rng)
+    live = g.live_sorted()
+    if live.size < 2:
+        return
+    pairs = [rng.choice(live, 2, replace=False).tolist() for _ in range(8)]
+    dump = g.dump_text()
+    alive, _, _ = parse_dump(dump)
+    cands = {symmetric: reference_neighbors(dump, symmetric) for symmetric in (False, True)}
+    strategies = [Terminate(), RandomRestart(2), RandomRestart(), Backtrack(1), Backtrack(5)]
+    for side, probe, symmetric, strategy, max_hops in product(
+            Sidedness, (True, False), (False, True), strategies, (None, cap)):
+        for s, d in pairs:
+            res = route(g, s, d, side, strategy, max_hops=max_hops,
+                        rng=np.random.default_rng(seed), probe=probe, symmetric=symmetric)
+            expect = reference_route(alive, cands[symmetric], s, d, side, strategy,
+                                     max_hops or default_max_hops(n),
+                                     np.random.default_rng(seed), probe)
+            assert (res.status.value, res.hops, res.backtracks, res.restarts, res.capped,
+                    res.path) == expect
