@@ -3,7 +3,6 @@ churn, plus the hitting-time bound machinery behind them."""
 
 from .analysis import (
     Interval,
-    LowerBoundConfig,
     chain_equivalence_tv,
     mean_lower_bound,
     single_link_upper_bound,

@@ -186,32 +186,15 @@ def step_interval(state: Interval, offsets, sidedness: Sidedness,
 # the closed-form mean lower bound
 
 
-@dataclass(frozen=True)
-class LowerBoundConfig:
-    """Inputs for the greedy-routing mean lower bound.
+def mean_lower_bound(n: int, sidedness: Sidedness, inclusion: BernoulliOffsets | None = None,
+                     expected_degree: float | None = None) -> float:
+    """Closed-form lower bound on expected greedy hops to reach the target
+    from a uniform start on 1..n.
 
     `inclusion` maps signed offsets to independent inclusion probabilities
     (both unit offsets present with probability 1); `expected_degree`
     defaults to the sum of inclusion probabilities.  Two-sided use requires
     a symmetric unimodal map.
-    """
-
-    n: int
-    sidedness: Sidedness
-    inclusion: BernoulliOffsets | None = None
-    expected_degree: float | None = None
-
-    def degree(self) -> float:
-        if self.expected_degree is not None:
-            return float(self.expected_degree)
-        if self.inclusion is None:
-            raise ValueError("need inclusion map or expected_degree")
-        return self.inclusion.expected_size()
-
-
-def mean_lower_bound(config: LowerBoundConfig) -> float:
-    """Closed-form lower bound on expected greedy hops to reach the target
-    from a uniform start on 1..n.
 
     With ell the expected offset-set size, the large-drop cutoff is
     a = 3 * ell * ln^3 n (drops of ratio a happen with probability at most
@@ -227,18 +210,20 @@ def mean_lower_bound(config: LowerBoundConfig) -> float:
     The returned value is deliberately the explicit-constant form, so it is
     directly comparable against simulated hop counts.
     """
-    if config.n < 3:
+    if n < 3:
         raise ValueError("n too small")
-    if config.sidedness is Sidedness.TWO_SIDED:
-        if config.inclusion is None:
+    if sidedness is Sidedness.TWO_SIDED:
+        if inclusion is None:
             raise ValueError("two-sided bound needs the inclusion map")
-        config.inclusion.validate_two_sided()
-    ell = config.degree()
-    ln_n = math.log(config.n)
+        inclusion.validate_two_sided()
+    if inclusion is None and expected_degree is None:
+        raise ValueError("need inclusion map or expected_degree")
+    ell = inclusion.expected_size() if expected_degree is None else float(expected_degree)
+    ln_n = math.log(n)
     a = 3.0 * ell * ln_n ** 3
     eps = ln_n ** -3
     ln_a = math.log(a)
-    big_l = 6.0 * ell if config.sidedness is Sidedness.ONE_SIDED else 6.0 * ell + 3.0 * ell ** 2
+    big_l = 6.0 * ell if sidedness is Sidedness.ONE_SIDED else 6.0 * ell + 3.0 * ell ** 2
     t_val = min(ln_n, ln_a) / ln_a
     bands = int(ln_n / ln_a)
     if bands >= 1:

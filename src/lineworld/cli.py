@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from . import harness, overlay, routing
-from .harness import ExperimentConfig
+from .harness import CHOICES, ExperimentConfig
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -29,13 +30,27 @@ def _str_list(text: str) -> tuple[str, ...]:
     return tuple(x for x in text.split(",") if x)
 
 
-def _add_graph_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, default=2 ** 14, help="line size")
-    p.add_argument("--links", type=int, default=14, help="long links per node")
-    p.add_argument("--base", type=int, default=2, help="base b for deterministic schemes")
-    p.add_argument("--dist", choices=["power1", "detbase", "powers", "bernoulli"],
-                   default="power1", help="link distribution")
-    p.add_argument("--seed", type=int, default=0, help="master seed")
+def _add_subcommand(sub, name: str, help: str) -> argparse.ArgumentParser:
+    """A subcommand parser with the graph flags.  A flag the user leaves out
+    is absent from the namespace, so `config_from_args` keeps the field's
+    `ExperimentConfig` default."""
+    p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+    p.add_argument("--n", type=int, help="line size")
+    p.add_argument("--links", type=int, help="long links per node")
+    p.add_argument("--base", type=int, help="base b for deterministic schemes")
+    p.add_argument("--dist", choices=CHOICES["dist"], help="link distribution")
+    p.add_argument("--seed", type=int, help="master seed")
+    return p
+
+
+def _add_routing_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--history", type=int)
+    p.add_argument("--max-hops", type=int)
+    p.add_argument("--sidedness", choices=CHOICES["sidedness"])
+    p.add_argument("--choice", dest="probe", choices=["live", "commit"],
+                   help="pick the best live candidate, or commit blindly to the best")
+    p.add_argument("--link-mode", choices=CHOICES["link_mode"],
+                   help="follow links one way or both; the default depends on the command")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,75 +65,70 @@ def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="lineworld", description="Line-embedded small-world overlay simulator")
     sub = top.add_subparsers(dest="command", required=True)
 
-    b = sub.add_parser("build", help="construct a graph and dump it")
-    _add_graph_flags(b)
+    b = _add_subcommand(sub, "build", "construct a graph and dump it")
     b.add_argument("--out", default="-", help="dump path, - for stdout")
 
-    r = sub.add_parser("route", help="route one message on a fresh graph")
-    _add_graph_flags(r)
+    r = _add_subcommand(sub, "route", "route one message on a fresh graph")
     r.add_argument("--src", type=int, required=True)
     r.add_argument("--dst", type=int, required=True)
     r.add_argument("--p-fail", type=float, default=0.0, help="node failure fraction")
-    r.add_argument("--strategy", choices=["terminate", "restart", "backtrack"],
-                   default="terminate")
-    r.add_argument("--history", type=int, default=5)
-    r.add_argument("--max-hops", type=int, default=None)
-    r.add_argument("--sidedness", choices=["one", "two"], default="two")
-    r.add_argument("--choice", choices=["live", "commit"], default="live",
-                   help="pick the best live candidate, or commit blindly to the best")
-    r.add_argument("--link-mode", choices=["directed", "symmetric"], default="symmetric")
+    r.add_argument("--strategy", choices=CHOICES["strategies"], default="terminate")
+    _add_routing_flags(r)
+    r.set_defaults(link_mode="symmetric")
 
-    e = sub.add_parser("experiment", help="batch experiments emitting CSV")
+    e = _add_subcommand(sub, "experiment", "batch experiments emitting CSV")
     e.add_argument("kind", choices=sorted(harness.EXPERIMENTS))
-    _add_graph_flags(e)
-    e.add_argument("--p-grid", type=_float_list,
-                   default=(0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9))
-    e.add_argument("--strategy", type=_str_list, default=("terminate", "restart", "backtrack"),
+    _add_routing_flags(e)
+    e.add_argument("--p-grid", type=_float_list)
+    e.add_argument("--strategy", dest="strategies", type=_str_list, metavar="STRATEGY",
                    help="comma-separated recovery strategies")
-    e.add_argument("--history", type=int, default=5)
-    e.add_argument("--trials", type=int, default=100)
-    e.add_argument("--messages", type=int, default=100)
-    e.add_argument("--max-hops", type=int, default=None)
+    e.add_argument("--trials", type=int)
+    e.add_argument("--messages", type=int)
     e.add_argument("--out", default="-", help="CSV path, - for stdout")
-    e.add_argument("--workers", type=int, default=1)
-    e.add_argument("--reps", type=int, default=10, help="repetitions (distribution/compare)")
-    e.add_argument("--n-grid", type=_int_list, default=(), help="n sweep for scaling")
-    e.add_argument("--l-grid", type=_int_list, default=(), help="links sweep for scaling")
-    e.add_argument("--samples", type=int, default=10 ** 5, help="samples for chains")
-    e.add_argument("--t-max", type=int, default=8, help="steps for chains")
-    e.add_argument("--sidedness", choices=["one", "two"], default="two")
-    e.add_argument("--choice", choices=["live", "commit"], default="live")
-    e.add_argument("--link-mode", choices=["directed", "symmetric"], default=None,
-                   help="override per-experiment default link traversal")
-    e.add_argument("--failure-model", choices=["node", "link", "binomial"],
-                   default="node", help="what the p grid degrades (failures runs)")
-    e.add_argument("--policy", choices=["inverse_distance", "oldest"],
-                   default="inverse_distance", help="churn replacement policy")
+    e.add_argument("--workers", type=int)
+    e.add_argument("--reps", dest="repetitions", type=int, metavar="REPS",
+                   help="repetitions (distribution/compare)")
+    e.add_argument("--n-grid", dest="n_values", type=_int_list, metavar="N_GRID",
+                   help="n sweep for scaling")
+    e.add_argument("--l-grid", dest="link_values", type=_int_list, metavar="L_GRID",
+                   help="links sweep for scaling")
+    e.add_argument("--samples", type=int, help="samples for chains")
+    e.add_argument("--t-max", type=int, help="steps for chains")
+    e.add_argument("--failure-model", choices=CHOICES["failure_model"],
+                   help="what the p grid degrades (failures runs)")
+    e.add_argument("--policy", choices=CHOICES["policy"], help="churn replacement policy")
     return top
 
 
+def config_from_args(args: argparse.Namespace, experiment: str) -> ExperimentConfig:
+    """The config of `experiment` that the parsed command line asks for:
+    each flag given, or defaulted by its subcommand, sets the field of its
+    name, and every other field keeps its dataclass default."""
+    given = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
+             if hasattr(args, f.name)}
+    if "probe" in given:
+        given["probe"] = given["probe"] == "live"
+    return ExperimentConfig(experiment, **given)
+
+
 def cmd_build(args) -> int:
-    cfg = ExperimentConfig(experiment="build", n=args.n, links=args.links,
-                           base=args.base, dist=args.dist, seed=args.seed)
-    rng = harness.trial_rng(args.seed, "build", 0)
-    g = overlay.build(args.n, harness.make_distribution(cfg), rng)
+    cfg = config_from_args(args, "build")
+    rng = harness.trial_rng(cfg.seed, "build", 0)
+    g = overlay.build(cfg.n, harness.make_distribution(cfg), rng)
     harness.emit(g.dump_text(), args.out)
     return 0
 
 
 def cmd_route(args) -> int:
-    cfg = ExperimentConfig(experiment="route", n=args.n, links=args.links,
-                           base=args.base, dist=args.dist, seed=args.seed,
-                           history=args.history)
-    rng = harness.trial_rng(args.seed, "route", 0)
-    g = overlay.build(args.n, harness.make_distribution(cfg), rng)
+    cfg = config_from_args(args, "route")
+    rng = harness.trial_rng(cfg.seed, "route", 0)
+    g = overlay.build(cfg.n, harness.make_distribution(cfg), rng)
     if args.p_fail:
         overlay.apply_node_failures(g, args.p_fail, rng)
-    res = routing.route(g, args.src, args.dst, routing.Sidedness(args.sidedness),
+    res = routing.route(g, args.src, args.dst, routing.Sidedness(cfg.sidedness),
                         harness.make_strategy(args.strategy, cfg),
-                        max_hops=args.max_hops, rng=rng,
-                        probe=args.choice == "live",
-                        symmetric=args.link_mode == "symmetric")
+                        max_hops=cfg.max_hops, rng=rng, probe=cfg.probe,
+                        symmetric=cfg.symmetric_links())
     print(f"status={res.status.value} hops={res.hops} backtracks={res.backtracks} "
           f"restarts={res.restarts} capped={res.capped}")
     print("path=" + ">".join(str(v) for v in res.path))
@@ -126,29 +136,15 @@ def cmd_route(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    config = ExperimentConfig(
-        experiment=args.kind, n=args.n, links=args.links, base=args.base,
-        dist=args.dist, p_grid=args.p_grid, strategies=args.strategy,
-        history=args.history, trials=args.trials, messages=args.messages,
-        max_hops=args.max_hops, seed=args.seed,
-        workers=args.workers, repetitions=args.reps, n_values=args.n_grid,
-        link_values=args.l_grid, samples=args.samples, t_max=args.t_max,
-        sidedness=args.sidedness, probe=args.choice == "live",
-        link_mode=args.link_mode, failure_model=args.failure_model,
-        policy=args.policy,
-    )
-    harness.emit(harness.run_experiment(config), args.out)
+    harness.emit(harness.run_experiment(config_from_args(args, args.kind)), args.out)
     return 0
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.command == "build":
-            return cmd_build(args)
-        if args.command == "route":
-            return cmd_route(args)
-        return cmd_experiment(args)
+        commands = {"build": cmd_build, "route": cmd_route, "experiment": cmd_experiment}
+        return commands[args.command](args)
     except (ValueError, OSError, MemoryError) as exc:
         print(f"lineworld: error: {exc}", file=sys.stderr)
         return 1

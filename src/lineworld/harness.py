@@ -8,19 +8,7 @@ experiment code, configuration indices, trial index), and hands back each
 cell's results in trial order.  The runner reduces them in that order and
 formats its rows, so output bytes are identical for any worker count.
 Statistics (hop mean/stddev, backtrack and restart means) are computed
-over successful routes only.
-
-CSV schemas (column order fixed):
-
-* failures / compare rows:
-  experiment,n,links,base,p,strategy,trials,messages,delivered,failed,
-  capped,mean_hops,std_hops,mean_backtracks,mean_restarts,seed
-* distribution rows: experiment,n,links,seed,distance,ideal,derived,abs_error
-* scaling rows: experiment,n,links,base,dist,trials,messages,mean_hops,
-  stderr_hops,max_hops_observed,seed
-* chains rows: experiment,n,sidedness,t,tv_distance,samples,seed
-* bounds rows: experiment,n,links,sidedness,lower_bound,sim_mean_hops,
-  upper_bound,trials,messages,seed
+over successful routes only.  README.md lists each experiment's CSV columns.
 """
 
 from __future__ import annotations
@@ -41,6 +29,29 @@ from .routing import Backtrack, RandomRestart, Sidedness, Terminate
 EXP_CODES = {"failures": 1, "distribution": 2, "scaling": 3, "compare": 4,
              "chains": 5, "bounds": 6, "build": 7, "route": 8}
 
+# name -> constructor from the config, for `dist` and each of `strategies`
+DISTRIBUTIONS = {
+    "power1": lambda c: InversePowerLaw(c.links),
+    "detbase": lambda c: DeterministicBaseB(c.base),
+    "powers": lambda c: PowersOfB(c.base),
+    "bernoulli": lambda c: power_law_inclusion(c.n, c.links),
+}
+STRATEGIES = {
+    "terminate": lambda c: Terminate(),
+    "restart": lambda c: RandomRestart(),
+    "backtrack": lambda c: Backtrack(c.history),
+}
+
+# field -> allowed values; `validate` and the CLI's `choices=` both read it
+CHOICES = {
+    "dist": tuple(DISTRIBUTIONS),
+    "strategies": tuple(STRATEGIES),
+    "sidedness": tuple(s.value for s in Sidedness),
+    "link_mode": ("directed", "symmetric"),
+    "failure_model": ("node", "link", "binomial"),
+    "policy": tuple(p.value for p in dynamics.ReplacementPolicy),
+}
+
 FAILURES_HEADER = ("experiment,n,links,base,p,strategy,trials,messages,delivered,"
                    "failed,capped,mean_hops,std_hops,mean_backtracks,mean_restarts,seed")
 
@@ -51,7 +62,7 @@ class ExperimentConfig:
     n: int = 2 ** 14
     links: int = 14
     base: int = 2
-    dist: str = "power1"  # power1 | detbase | powers | bernoulli
+    dist: str = "power1"
     p_grid: tuple[float, ...] = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
     strategies: tuple[str, ...] = ("terminate", "restart", "backtrack")
     history: int = 5
@@ -65,11 +76,11 @@ class ExperimentConfig:
     link_values: tuple[int, ...] = ()
     samples: int = 10 ** 5
     t_max: int = 8
-    sidedness: str = "two"  # one | two
+    sidedness: str = "two"
     probe: bool = True
-    link_mode: str | None = None  # directed | symmetric; default per experiment
-    failure_model: str = "node"  # node | link | binomial
-    policy: str = "inverse_distance"  # inverse_distance | oldest
+    link_mode: str | None = None  # None: the per-experiment default
+    failure_model: str = "node"
+    policy: str = "inverse_distance"
 
     def symmetric_links(self) -> bool:
         """Failure experiments treat links as connections (usable both
@@ -95,15 +106,13 @@ class ExperimentConfig:
             raise ValueError("p grid and strategy list must not be empty")
         if any(not 0.0 <= p <= 1.0 for p in self.p_grid):
             raise ValueError("p grid entries must lie in [0,1]")
-        if self.dist not in ("power1", "detbase", "powers", "bernoulli"):
-            raise ValueError(f"unknown distribution {self.dist!r}")
-        if self.link_mode not in (None, "directed", "symmetric"):
-            raise ValueError(f"unknown link mode {self.link_mode!r}")
-        if self.failure_model not in ("node", "link", "binomial"):
-            raise ValueError(f"unknown failure model {self.failure_model!r}")
-        for s in self.strategies:
-            if s not in ("terminate", "restart", "backtrack"):
-                raise ValueError(f"unknown strategy {s!r}")
+        for name, allowed in CHOICES.items():
+            given = getattr(self, name)
+            if name == "link_mode" and given is None:
+                continue
+            for value in given if name == "strategies" else (given,):
+                if value not in allowed:
+                    raise ValueError(f"{name} must be one of {', '.join(allowed)}, not {value!r}")
 
 
 @dataclass
@@ -161,10 +170,6 @@ class TrialStats:
     def stderr_hops(self) -> float:
         return self.std_hops / math.sqrt(self.delivered) if self.delivered else float("nan")
 
-    @property
-    def failed_fraction(self) -> float:
-        return self.failed / self.attempted if self.attempted else float("nan")
-
 
 def _fmt(x: float) -> str:
     return "nan" if math.isnan(x) else f"{x:.6f}"
@@ -175,13 +180,7 @@ def trial_rng(seed: int, experiment: str, *indices: int) -> np.random.Generator:
 
 
 def make_distribution(config: ExperimentConfig) -> linkgen.LinkDistribution:
-    if config.dist == "power1":
-        return InversePowerLaw(config.links)
-    if config.dist == "detbase":
-        return DeterministicBaseB(config.base)
-    if config.dist == "powers":
-        return PowersOfB(config.base)
-    return BernoulliOffsets(power_law_inclusion(config.n, config.links).inclusion)
+    return DISTRIBUTIONS[config.dist](config)
 
 
 def power_law_inclusion(n: int, links: int) -> BernoulliOffsets:
@@ -199,11 +198,7 @@ def power_law_inclusion(n: int, links: int) -> BernoulliOffsets:
 
 
 def make_strategy(name: str, config: ExperimentConfig) -> routing.RecoveryStrategy:
-    if name == "terminate":
-        return Terminate()
-    if name == "restart":
-        return RandomRestart()
-    return Backtrack(config.history)
+    return STRATEGIES[name](config)
 
 
 def _sweep(config: ExperimentConfig, cells: list[tuple[tuple[int, ...], object]], count: int,
@@ -420,9 +415,8 @@ def run_bounds(config: ExperimentConfig) -> list[str]:
     """Bound sandwich: closed-form lower bound, simulated mean hops to a
     boundary target, and the drift-sum upper bound (single link)."""
     side = Sidedness(config.sidedness)
-    lower = analysis.mean_lower_bound(analysis.LowerBoundConfig(
-        n=config.n, sidedness=side,
-        inclusion=power_law_inclusion(config.n, config.links)))
+    lower = analysis.mean_lower_bound(config.n, side,
+                                      power_law_inclusion(config.n, config.links))
     upper = (analysis.single_link_upper_bound(config.n - 1, 0)
              if config.links == 1 else float("nan"))
 

@@ -36,7 +36,6 @@ import pytest
 import lineworld as lw
 from lineworld.analysis import (
     Interval,
-    LowerBoundConfig,
     chain_equivalence_tv,
     mean_lower_bound,
     single_link_upper_bound,
@@ -304,8 +303,7 @@ def test_criterion_11_interval_max_drop():
 
 def test_criterion_12_bound_sandwich():
     n = 2 ** 12
-    lower = mean_lower_bound(LowerBoundConfig(
-        n=n, sidedness=ONE, inclusion=power_law_inclusion(n, 1)))
+    lower = mean_lower_bound(n, ONE, power_law_inclusion(n, 1))
     upper = single_link_upper_bound(n - 1, 0)
     rng = np.random.default_rng([1201])
     total = cnt = 0

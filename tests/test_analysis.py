@@ -7,7 +7,6 @@ import pytest
 
 from lineworld.analysis import (
     Interval,
-    LowerBoundConfig,
     chain_equivalence_tv,
     mean_lower_bound,
     single_link_upper_bound,
@@ -399,30 +398,27 @@ def test_max_drop_probability_bound():
 def test_mean_lower_bound_positive_and_monotone():
     values = []
     for ell in range(1, 18):
-        cfg = LowerBoundConfig(n=2 ** 17, sidedness=ONE, expected_degree=float(ell))
-        values.append(mean_lower_bound(cfg))
+        values.append(mean_lower_bound(2 ** 17, ONE, expected_degree=float(ell)))
     assert all(v > 0 for v in values)
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
 
 def test_mean_lower_bound_two_sided_needs_valid_map():
     with pytest.raises(ValueError):
-        mean_lower_bound(LowerBoundConfig(n=1024, sidedness=TWO, expected_degree=3.0))
+        mean_lower_bound(1024, TWO, expected_degree=3.0)
     asym = BernoulliOffsets({1: 1.0, -1: 1.0, 2: 0.5, -2: 0.2})
     with pytest.raises(ValueError):
-        mean_lower_bound(LowerBoundConfig(n=1024, sidedness=TWO, inclusion=asym))
+        mean_lower_bound(1024, TWO, asym)
     ok = BernoulliOffsets({1: 1.0, -1: 1.0, 2: 0.5, -2: 0.5})
-    assert mean_lower_bound(LowerBoundConfig(n=1024, sidedness=TWO, inclusion=ok)) > 0
+    assert mean_lower_bound(1024, TWO, ok) > 0
 
 
 def test_mean_lower_bound_denominator_shrinks():
     # the discount for rare large drops stays near 1 for large n
-    cfg_small = LowerBoundConfig(n=2 ** 10, sidedness=ONE, expected_degree=4.0)
-    cfg_large = LowerBoundConfig(n=2 ** 17, sidedness=ONE, expected_degree=4.0)
-    for cfg in (cfg_small, cfg_large):
-        ell, ln_n = 4.0, math.log(cfg.n)
+    for n in (2 ** 10, 2 ** 17):
+        ell, ln_n = 4.0, math.log(n)
         eps = ln_n ** -3
-        t_raw = mean_lower_bound(cfg)
+        t_raw = mean_lower_bound(n, ONE, expected_degree=ell)
         # recover T from bound = T/(eps*T + 1 - eps): bound <= T always
         assert eps * t_raw < 0.05
 
@@ -443,13 +439,13 @@ def test_offset_band_sums_totals():
                     b[d1 + d2] = b.get(d1 + d2, 0.0) + p1 * p2
         return {k: b.get(2 * k - 1, 0.0) + b.get(2 * k, 0.0) for k in range(1, n + 1)}
 
-    def offset_band_sums(config, a):
+    def offset_band_sums(n, sidedness, law, a):
         """gamma_i = sum over positive k with floor(log_a(k+1)) = i of
         (2 p_k + q_k); q is zero for one-sided routing."""
-        p = config.inclusion.inclusion
-        q = midpoint_mass(p, config.n) if config.sidedness is TWO else {}
-        gammas = np.zeros(int(math.log(config.n + 1) / math.log(a)) + 4)
-        for k in range(1, config.n + 1):
+        p = law.inclusion
+        q = midpoint_mass(p, n) if sidedness is TWO else {}
+        gammas = np.zeros(int(math.log(n + 1) / math.log(a)) + 4)
+        for k in range(1, n + 1):
             gammas[int(math.log(k + 1) / math.log(a))] += 2.0 * p.get(k, 0.0) + q.get(k, 0.0)
         return gammas
 
@@ -457,9 +453,9 @@ def test_offset_band_sums_totals():
     law = inverse_law(n)
     ell = law.expected_size()
     a = 3 * ell * math.log(n) ** 3
-    one = offset_band_sums(LowerBoundConfig(n=n, sidedness=ONE, inclusion=law), a)
+    one = offset_band_sums(n, ONE, law, a)
     assert one.sum() <= 2 * ell + 1e-9
-    two = offset_band_sums(LowerBoundConfig(n=n, sidedness=TWO, inclusion=law), a)
+    two = offset_band_sums(n, TWO, law, a)
     assert two.sum() <= 2 * ell + ell ** 2 + 1e-9
     assert two.sum() >= one.sum()
 
@@ -493,8 +489,7 @@ def test_mean_lower_bound_below_simulation():
     from lineworld.harness import power_law_inclusion
 
     n, ell = 2 ** 14, 14
-    lower = mean_lower_bound(LowerBoundConfig(
-        n=n, sidedness=ONE, inclusion=power_law_inclusion(n, ell)))
+    lower = mean_lower_bound(n, ONE, power_law_inclusion(n, ell))
     sim = _simulate_one_sided_to_zero(n, ell, graphs=3, routes_per_graph=400, seed=55)
     assert 0 < lower <= sim
 

@@ -1,14 +1,15 @@
 """Experiment orchestration: schemas, determinism, CLI plumbing."""
 
+import argparse
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
-from lineworld import harness
-from lineworld.cli import main
+from lineworld import harness, routing
+from lineworld.cli import build_parser, main
 from lineworld.harness import (
     ExperimentConfig,
     FAILURES_HEADER,
@@ -16,7 +17,7 @@ from lineworld.harness import (
     power_law_inclusion,
     run_experiment,
 )
-from lineworld.routing import RouteResult, Status
+from lineworld.routing import RouteResult, Sidedness, Status, Terminate
 
 
 def tiny(experiment, **kw):
@@ -35,7 +36,7 @@ def test_trial_stats_accounting():
     assert s.attempted == 3 and s.delivered == 2 and s.failed == 1 and s.capped == 1
     assert s.mean_hops == pytest.approx(5.0)
     assert s.std_hops == pytest.approx(1.0)
-    assert s.failed_fraction == pytest.approx(1 / 3)
+    assert s.failed / s.attempted == pytest.approx(1 / 3)
 
 
 def test_failures_csv_shape_and_no_failures_at_zero():
@@ -196,6 +197,10 @@ def test_config_validation():
         ExperimentConfig(experiment="nope").validate()
     with pytest.raises(ValueError):
         tiny("failures", trials=0).validate()
+    with pytest.raises(ValueError):
+        ExperimentConfig("chains", n=8, samples=10, t_max=2, policy="bogus").validate()
+    with pytest.raises(ValueError):
+        ExperimentConfig("chains", n=8, samples=10, t_max=2, sidedness="three").validate()
 
 
 @pytest.mark.parametrize("experiment", ["build", "route"])
@@ -266,6 +271,90 @@ def test_cli_experiment_to_file(tmp_path):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == FAILURES_HEADER
     assert len(lines) == 3
+
+
+class _Captured(Exception):
+    """Stops a CLI command at a patched call, once its arguments are recorded."""
+
+
+def _capture(seen):
+    def record(*args, **kwargs):
+        seen.append((args, kwargs))
+        raise _Captured
+    return record
+
+
+@pytest.mark.parametrize("kind", sorted(harness.EXPERIMENTS))
+def test_cli_experiment_without_flags_runs_the_dataclass_defaults(monkeypatch, kind):
+    seen = []
+    monkeypatch.setattr(harness, "run_experiment", _capture(seen))
+    with pytest.raises(_Captured):
+        main(["experiment", kind])
+    [((config,), _)] = seen
+    assert config == ExperimentConfig(kind)
+
+
+def test_cli_build_and_route_without_flags_use_the_dataclass_graph(monkeypatch):
+    # recorded at the commit before the CLI stopped restating defaults
+    graph = dict(n=2 ** 14, links=14, base=2, dist="power1", seed=0)
+    configs, routes = [], []
+    make_distribution = harness.make_distribution
+    monkeypatch.setattr(harness, "make_distribution",
+                        lambda cfg: configs.append(cfg) or make_distribution(cfg))
+    monkeypatch.setattr(harness, "emit", lambda text, out: None)
+    monkeypatch.setattr(routing, "route", _capture(routes))
+    assert main(["build"]) == 0
+    with pytest.raises(_Captured):
+        main(["route", "--src", "1", "--dst", "2"])
+    assert [cfg.experiment for cfg in configs] == ["build", "route"]
+    for cfg in configs:
+        assert {f: getattr(cfg, f) for f in graph} == graph
+        assert {f: getattr(ExperimentConfig(cfg.experiment), f) for f in graph} == graph
+    [((_, *args), kwargs)] = routes
+    assert args == [1, 2, Sidedness.TWO_SIDED, Terminate()]
+    assert {k: v for k, v in kwargs.items() if k != "rng"} == dict(
+        max_hops=None, probe=True, symmetric=True)
+
+
+def test_cli_option_strings_are_unchanged():
+    # recorded at the commit before the CLI stopped restating defaults
+    graph = {"-h", "--help", "--n", "--links", "--base", "--dist", "--seed"}
+    routing_flags = {"--strategy", "--history", "--max-hops", "--sidedness", "--choice",
+                     "--link-mode"}
+    expected = {
+        "build": graph | {"--out"},
+        "route": graph | routing_flags | {"--src", "--dst", "--p-fail"},
+        "experiment": graph | routing_flags | {
+            "--p-grid", "--trials", "--messages", "--out", "--workers", "--reps", "--n-grid",
+            "--l-grid", "--samples", "--t-max", "--failure-model", "--policy"},
+    }
+    [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert {name: {o for a in p._actions for o in a.option_strings}
+            for name, p in sub.choices.items()} == expected
+
+
+def test_cli_every_experiment_flag_sets_its_field(monkeypatch):
+    seen = []
+    monkeypatch.setattr(harness, "run_experiment", _capture(seen))
+    with pytest.raises(_Captured):
+        main(["experiment", "scaling", "--n", "300", "--links", "3", "--base", "3",
+              "--dist", "powers", "--seed", "7", "--p-grid", "0.25,0.5",
+              "--strategy", "restart,backtrack", "--history", "2", "--trials", "4",
+              "--messages", "6", "--max-hops", "9", "--workers", "2", "--reps", "3",
+              "--n-grid", "64,128", "--l-grid", "1,2", "--samples", "50", "--t-max", "4",
+              "--sidedness", "one", "--choice", "commit", "--link-mode", "directed",
+              "--failure-model", "link", "--policy", "oldest"])
+    expected = ExperimentConfig(
+        "scaling", n=300, links=3, base=3, dist="powers", seed=7, p_grid=(0.25, 0.5),
+        strategies=("restart", "backtrack"), history=2, trials=4, messages=6, max_hops=9,
+        workers=2, repetitions=3, n_values=(64, 128), link_values=(1, 2), samples=50,
+        t_max=4, sidedness="one", probe=False, link_mode="directed", failure_model="link",
+        policy="oldest")
+    [((config,), _)] = seen
+    assert config == expected
+    default = ExperimentConfig("scaling")
+    assert all(getattr(expected, f.name) != getattr(default, f.name)
+               for f in fields(ExperimentConfig) if f.name != "experiment")
 
 
 def test_cli_rejects_bad_config(capsys):
