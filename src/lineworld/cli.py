@@ -3,7 +3,9 @@
 Subcommands: `build` (construct and dump a graph), `route` (build, route
 one message, print the result), and `experiment {failures|distribution|
 scaling|compare|chains|bounds}` (batch runs emitting CSV to --out or
-stdout).  Exit status 0 on success (and for --help), 1 with one
+stdout).  Each experiment kind offers the flags of the config fields that
+can change its CSV, and no other; `lineworld experiment <kind> --help`
+lists them.  Exit status 0 on success (and for --help), 1 with one
 `lineworld: error: ...` line on a bad command line, a configuration or I/O
 error, or a graph too large to allocate.
 """
@@ -12,45 +14,62 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
 
 from . import harness, overlay, routing
-from .harness import CHOICES, ExperimentConfig
+from .harness import CHOICES, GRAPH_FIELDS, ROUTING_FIELDS, ExperimentConfig
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(",") if x)
+def _list_of(kind):
+    """argparse type: a comma-separated list of `kind` values, as a tuple."""
+    def parse(text: str) -> tuple:
+        return tuple(kind(x) for x in text.split(",") if x)
+    parse.__name__ = f"{kind.__name__} list"  # argparse names it in a bad value's error
+    return parse
 
 
-def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split(",") if x)
+# config field -> (flag, argparse keywords); every parser takes its config
+# flags from here, stored under the field's name
+FLAGS = {
+    "n": ("--n", dict(type=int, help="line size")),
+    "links": ("--links", dict(type=int, help="long links per node")),
+    "base": ("--base", dict(type=int, help="base b for deterministic schemes")),
+    "dist": ("--dist", dict(choices=CHOICES["dist"], help="link distribution")),
+    "seed": ("--seed", dict(type=int, help="master seed")),
+    "history": ("--history", dict(type=int)),
+    "max_hops": ("--max-hops", dict(type=int)),
+    "sidedness": ("--sidedness", dict(choices=CHOICES["sidedness"])),
+    "probe": ("--choice", dict(
+        choices=["live", "commit"],
+        help="pick the best live candidate, or commit blindly to the best")),
+    "link_mode": ("--link-mode", dict(
+        choices=CHOICES["link_mode"],
+        help="follow links one way or both; the default depends on the command")),
+    "p_grid": ("--p-grid", dict(type=_list_of(float))),
+    "strategies": ("--strategy", dict(type=_list_of(str), metavar="STRATEGY",
+                                      help="comma-separated recovery strategies")),
+    "trials": ("--trials", dict(type=int)),
+    "messages": ("--messages", dict(type=int)),
+    "workers": ("--workers", dict(type=int)),
+    "repetitions": ("--reps", dict(type=int, metavar="REPS", help="repetitions")),
+    "n_values": ("--n-grid", dict(type=_list_of(int), metavar="N_GRID", help="n sweep")),
+    "link_values": ("--l-grid", dict(type=_list_of(int), metavar="L_GRID", help="links sweep")),
+    "samples": ("--samples", dict(type=int, help="samples per chain")),
+    "t_max": ("--t-max", dict(type=int, help="chain steps")),
+    "failure_model": ("--failure-model", dict(choices=CHOICES["failure_model"],
+                                              help="what the p grid degrades")),
+    "policy": ("--policy", dict(choices=CHOICES["policy"], help="churn replacement policy")),
+}
 
 
-def _str_list(text: str) -> tuple[str, ...]:
-    return tuple(x for x in text.split(",") if x)
-
-
-def _add_subcommand(sub, name: str, help: str) -> argparse.ArgumentParser:
-    """A subcommand parser with the graph flags.  A flag the user leaves out
-    is absent from the namespace, so `config_from_args` keeps the field's
-    `ExperimentConfig` default."""
-    p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
-    p.add_argument("--n", type=int, help="line size")
-    p.add_argument("--links", type=int, help="long links per node")
-    p.add_argument("--base", type=int, help="base b for deterministic schemes")
-    p.add_argument("--dist", choices=CHOICES["dist"], help="link distribution")
-    p.add_argument("--seed", type=int, help="master seed")
+def _add_parser(sub, name: str, config_fields: tuple[str, ...], **kwargs):
+    """A subcommand parser with the flags of `config_fields`.  A flag the
+    user leaves out is absent from the namespace, so `config_from_args`
+    keeps the field's `ExperimentConfig` default."""
+    p = sub.add_parser(name, argument_default=argparse.SUPPRESS, **kwargs)
+    for field in config_fields:
+        flag, flag_kwargs = FLAGS[field]
+        p.add_argument(flag, dest=field, **flag_kwargs)
     return p
-
-
-def _add_routing_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--history", type=int)
-    p.add_argument("--max-hops", type=int)
-    p.add_argument("--sidedness", choices=CHOICES["sidedness"])
-    p.add_argument("--choice", dest="probe", choices=["live", "commit"],
-                   help="pick the best live candidate, or commit blindly to the best")
-    p.add_argument("--link-mode", choices=CHOICES["link_mode"],
-                   help="follow links one way or both; the default depends on the command")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -65,38 +84,22 @@ def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="lineworld", description="Line-embedded small-world overlay simulator")
     sub = top.add_subparsers(dest="command", required=True)
 
-    b = _add_subcommand(sub, "build", "construct a graph and dump it")
+    b = _add_parser(sub, "build", GRAPH_FIELDS, help="construct a graph and dump it")
     b.add_argument("--out", default="-", help="dump path, - for stdout")
 
-    r = _add_subcommand(sub, "route", "route one message on a fresh graph")
+    r = _add_parser(sub, "route", GRAPH_FIELDS + ROUTING_FIELDS,
+                    help="route one message on a fresh graph")
     r.add_argument("--src", type=int, required=True)
     r.add_argument("--dst", type=int, required=True)
     r.add_argument("--p-fail", type=float, default=0.0, help="node failure fraction")
     r.add_argument("--strategy", choices=CHOICES["strategies"], default="terminate")
-    _add_routing_flags(r)
     r.set_defaults(link_mode="symmetric")
 
-    e = _add_subcommand(sub, "experiment", "batch experiments emitting CSV")
-    e.add_argument("kind", choices=sorted(harness.EXPERIMENTS))
-    _add_routing_flags(e)
-    e.add_argument("--p-grid", type=_float_list)
-    e.add_argument("--strategy", dest="strategies", type=_str_list, metavar="STRATEGY",
-                   help="comma-separated recovery strategies")
-    e.add_argument("--trials", type=int)
-    e.add_argument("--messages", type=int)
-    e.add_argument("--out", default="-", help="CSV path, - for stdout")
-    e.add_argument("--workers", type=int)
-    e.add_argument("--reps", dest="repetitions", type=int, metavar="REPS",
-                   help="repetitions (distribution/compare)")
-    e.add_argument("--n-grid", dest="n_values", type=_int_list, metavar="N_GRID",
-                   help="n sweep for scaling")
-    e.add_argument("--l-grid", dest="link_values", type=_int_list, metavar="L_GRID",
-                   help="links sweep for scaling")
-    e.add_argument("--samples", type=int, help="samples for chains")
-    e.add_argument("--t-max", type=int, help="steps for chains")
-    e.add_argument("--failure-model", choices=CHOICES["failure_model"],
-                   help="what the p grid degrades (failures runs)")
-    e.add_argument("--policy", choices=CHOICES["policy"], help="churn replacement policy")
+    kinds = sub.add_parser("experiment", help="batch experiments emitting CSV").add_subparsers(
+        dest="kind", required=True)
+    for kind, (_, _, config_fields) in sorted(harness.EXPERIMENTS.items()):
+        e = _add_parser(kinds, kind, config_fields)
+        e.add_argument("--out", default="-", help="CSV path, - for stdout")
     return top
 
 
@@ -104,8 +107,7 @@ def config_from_args(args: argparse.Namespace, experiment: str) -> ExperimentCon
     """The config of `experiment` that the parsed command line asks for:
     each flag given, or defaulted by its subcommand, sets the field of its
     name, and every other field keeps its dataclass default."""
-    given = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
-             if hasattr(args, f.name)}
+    given = {field: getattr(args, field) for field in FLAGS if hasattr(args, field)}
     if "probe" in given:
         given["probe"] = given["probe"] == "live"
     return ExperimentConfig(experiment, **given)
@@ -126,7 +128,7 @@ def cmd_route(args) -> int:
     if args.p_fail:
         overlay.apply_node_failures(g, args.p_fail, rng)
     res = routing.route(g, args.src, args.dst, routing.Sidedness(cfg.sidedness),
-                        harness.make_strategy(args.strategy, cfg),
+                        harness.STRATEGIES[args.strategy](cfg),
                         max_hops=cfg.max_hops, rng=rng, probe=cfg.probe,
                         symmetric=cfg.symmetric_links())
     print(f"status={res.status.value} hops={res.hops} backtracks={res.backtracks} "

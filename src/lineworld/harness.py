@@ -93,13 +93,12 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        for name in ("n", "links", "trials", "messages", "repetitions", "samples", "workers"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        for name, least in dict(n=1, links=1, base=2, history=1, trials=1, messages=1,
+                                repetitions=1, samples=1, workers=1, t_max=0).items():
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}")
         if any(ell < 1 for ell in self.link_values):
             raise ValueError("link grid entries must be >= 1")
-        if self.t_max < 0:
-            raise ValueError("t_max must be >= 0")
         if self.max_hops is not None and self.max_hops < 1:
             raise ValueError("max_hops must be >= 1")
         if not self.p_grid or not self.strategies:
@@ -187,7 +186,7 @@ def power_law_inclusion(n: int, links: int) -> BernoulliOffsets:
     """Offset inclusion map of the multi-link inverse power-law scheme:
     each of `links` with-replacement draws picks offset d w.p.
     (1/|d|) / (2 H_{n-1}), so d is included w.p. 1-(1-q_d)**links."""
-    h = linkgen.harmonic_number(n - 1)
+    h = linkgen.harmonic_numbers(n - 1)[-1]
     inclusion = {1: 1.0, -1: 1.0}
     for d in range(2, n):
         q = (1.0 / d) / (2.0 * h)
@@ -195,10 +194,6 @@ def power_law_inclusion(n: int, links: int) -> BernoulliOffsets:
         inclusion[d] = p
         inclusion[-d] = p
     return BernoulliOffsets(inclusion)
-
-
-def make_strategy(name: str, config: ExperimentConfig) -> routing.RecoveryStrategy:
-    return STRATEGIES[name](config)
 
 
 def _sweep(config: ExperimentConfig, cells: list[tuple[tuple[int, ...], object]], count: int,
@@ -289,7 +284,7 @@ def run_failures(config: ExperimentConfig) -> list[str]:
         g = _failed_graph(config, p, rng)
         if g is None:
             return TrialStats(failed=config.messages)
-        return route_batch(g, make_strategy(strat_name, config), rng, config)
+        return route_batch(g, STRATEGIES[strat_name](config), rng, config)
 
     return [_failures_row(config, "failures", p, strat_name, _total(stats))
             for (_, (p, strat_name)), stats
@@ -386,7 +381,7 @@ def run_compare(config: ExperimentConfig) -> list[str]:
                 p_rng = trial_rng(config.seed, "compare", r, pi, k)
                 overlay.apply_node_failures(g, p, p_rng)
                 for si, strat_name in enumerate(config.strategies):
-                    out[pi, si, k] = route_batch(g, make_strategy(strat_name, config),
+                    out[pi, si, k] = route_batch(g, STRATEGIES[strat_name](config),
                                                  p_rng, config)
         return [stats for _, stats in sorted(out.items())]
 
@@ -425,8 +420,7 @@ def run_bounds(config: ExperimentConfig) -> list[str]:
         stats = TrialStats()
         for _ in range(config.messages):
             src = int(rng.integers(1, config.n))
-            stats.record(routing.route(g, src, 0, side, Terminate(),
-                                       max_hops=config.max_hops, probe=config.probe))
+            stats.record(routing.route(g, src, 0, side, Terminate(), max_hops=config.max_hops))
         return stats
 
     [stats] = _sweep(config, ONE_CELL, config.trials, trial)
@@ -438,17 +432,28 @@ def run_bounds(config: ExperimentConfig) -> list[str]:
     ])]
 
 
-# experiment -> (CSV header, runner)
+GRAPH_FIELDS = ("n", "links", "base", "dist", "seed")
+ROUTING_FIELDS = ("history", "max_hops", "sidedness", "probe", "link_mode")
+
+# experiment -> (CSV header, runner, the config fields that can change its
+# CSV); the CLI offers each experiment the flags of its fields.  No node dies
+# in scaling or bounds, so probing and committing route alike there.
 EXPERIMENTS = {
-    "failures": (FAILURES_HEADER, run_failures),
-    "compare": (FAILURES_HEADER, run_compare),
-    "distribution": ("experiment,n,links,seed,distance,ideal,derived,abs_error",
-                     run_distribution),
+    "failures": (FAILURES_HEADER, run_failures, GRAPH_FIELDS + ROUTING_FIELDS + (
+        "p_grid", "strategies", "trials", "messages", "workers", "failure_model")),
+    "compare": (FAILURES_HEADER, run_compare, ("n", "links", "base", "seed") + ROUTING_FIELDS + (
+        "p_grid", "strategies", "messages", "workers", "repetitions", "policy")),
+    "distribution": ("experiment,n,links,seed,distance,ideal,derived,abs_error", run_distribution,
+                     ("n", "links", "seed", "workers", "repetitions", "policy")),
     "scaling": ("experiment,n,links,base,dist,trials,messages,mean_hops,"
-                "stderr_hops,max_hops_observed,seed", run_scaling),
-    "chains": ("experiment,n,sidedness,t,tv_distance,samples,seed", run_chains),
+                "stderr_hops,max_hops_observed,seed", run_scaling, GRAPH_FIELDS + (
+                    "trials", "messages", "max_hops", "sidedness", "link_mode", "workers",
+                    "n_values", "link_values")),
+    "chains": ("experiment,n,sidedness,t,tv_distance,samples,seed", run_chains,
+               ("n", "seed", "sidedness", "samples", "t_max", "workers")),
     "bounds": ("experiment,n,links,sidedness,lower_bound,sim_mean_hops,"
-               "upper_bound,trials,messages,seed", run_bounds),
+               "upper_bound,trials,messages,seed", run_bounds,
+               ("n", "links", "seed", "trials", "messages", "max_hops", "sidedness", "workers")),
 }
 
 
@@ -456,7 +461,7 @@ def run_experiment(config: ExperimentConfig) -> str:
     """Validate `config`, run its experiment and return the CSV text
     (header + rows)."""
     config.validate()
-    header, runner = EXPERIMENTS[config.experiment]
+    header, runner, _ = EXPERIMENTS[config.experiment]
     return "\n".join([header, *runner(config)]) + "\n"
 
 

@@ -113,10 +113,6 @@ def _line_prefix(n: int) -> np.ndarray:
     return harmonic_numbers(n - 1)
 
 
-def harmonic_number(n: int) -> float:
-    return float(np.sum(1.0 / np.arange(1, n + 1))) if n >= 1 else 0.0
-
-
 def _grid_draws(us: np.ndarray, n: int, draws: int, h: np.ndarray,
                 rng: np.random.Generator) -> np.ndarray:
     """`draws` sinks per source over the whole line, ~ 1/|u-v|, by inverse

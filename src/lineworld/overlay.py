@@ -201,8 +201,6 @@ def _draw_long_links(g: OverlayGraph, present: np.ndarray, dist: LinkDistributio
 def build(n: int, dist: LinkDistribution, rng: np.random.Generator) -> OverlayGraph:
     """Build a fully-populated overlay: immediate links to positions +/-1
     (clipped at the ends) and long links drawn per `dist`."""
-    if n < 2:
-        raise ValueError("need at least 2 positions")
     g = OverlayGraph(n)
     g.alive[:] = True
     positions = np.arange(n)
@@ -216,11 +214,9 @@ def build_binomial_presence(n: int, p_present: float, dist: LinkDistribution,
     """Each position exists independently w.p. p_present; immediate links go
     to the nearest present neighbor per side and long links only to present
     nodes, so no sink is absent at construction time."""
-    if n < 2:
-        raise ValueError("need at least 2 positions")
+    g = OverlayGraph(n)
     if not 0.0 <= p_present <= 1.0:
         raise ValueError("p_present outside [0,1]")
-    g = OverlayGraph(n)
     present = np.flatnonzero(rng.random(n) < p_present)
     if present.size < 2:
         raise ValueError("graph too small")

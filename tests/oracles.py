@@ -1,7 +1,14 @@
 """Reference functions shared by several test modules."""
 
+import numpy as np
+
 from lineworld.analysis import _choose
 from lineworld.routing import Backtrack, RandomRestart, Sidedness
+
+
+def harmonic_number(n: int) -> float:
+    """H_n = 1 + 1/2 + ... + 1/n as one sum, with H_0 = 0."""
+    return float(np.sum(1.0 / np.arange(1, n + 1))) if n >= 1 else 0.0
 
 
 def base_digits_nonzero(distance: int, b: int) -> int:

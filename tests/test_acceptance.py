@@ -52,12 +52,11 @@ from lineworld.dynamics import ReplacementPolicy
 from lineworld.linkgen import (
     BernoulliOffsets,
     InversePowerLaw,
-    harmonic_number,
     ideal_length_distribution,
     sample_offsets,
 )
 from lineworld.routing import Backtrack, Sidedness, Terminate
-from oracles import base_digits_nonzero
+from oracles import base_digits_nonzero, harmonic_number
 
 ONE = Sidedness.ONE_SIDED
 TWO = Sidedness.TWO_SIDED

@@ -13,9 +13,9 @@ from lineworld.analysis import (
     split_interval,
     step_interval,
 )
-from lineworld.linkgen import BernoulliOffsets, harmonic_number, harmonic_numbers, sample_offsets
+from lineworld.linkgen import BernoulliOffsets, harmonic_numbers, sample_offsets
 from lineworld.routing import Sidedness
-from oracles import step_point
+from oracles import harmonic_number, step_point
 
 ONE = Sidedness.ONE_SIDED
 TWO = Sidedness.TWO_SIDED

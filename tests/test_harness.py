@@ -2,9 +2,12 @@
 
 import argparse
 import os
+import re
+import shlex
 import subprocess
 import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
@@ -244,6 +247,42 @@ def test_trials_without_two_live_nodes_fail_every_message(config):
         assert delivered + failed == trials * messages
 
 
+# a small config per kind; failures and compare route backtrack at p > 0,
+# where `history` matters
+SMALL = {
+    "failures": dict(n=64, links=2, trials=2, messages=10, p_grid=(0.3,),
+                     strategies=("backtrack",)),
+    "compare": dict(n=64, links=2, repetitions=1, messages=20, p_grid=(0.5,),
+                    strategies=("backtrack",)),
+    "scaling": dict(n=64, links=2, trials=2, messages=10),
+    "bounds": dict(n=64, links=2, trials=2, messages=10),
+    "distribution": dict(n=32, links=2, repetitions=1),
+    "chains": dict(n=8, samples=200, t_max=2),
+}
+# a valid value per field, other than its default and its SMALL value;
+# `link_mode` takes the mode a kind does not default to
+OTHER = dict(n=48, links=3, base=3, dist="detbase", p_grid=(0.6,), strategies=("restart",),
+             history=1, trials=3, messages=7, max_hops=3, seed=5, repetitions=2,
+             n_values=(32, 48), link_values=(1, 3), samples=300, t_max=3, sidedness="one",
+             probe=False, failure_model="link", policy="oldest")
+
+
+@pytest.mark.parametrize("kind", sorted(harness.EXPERIMENTS))
+def test_experiment_fields_are_the_ones_that_change_its_csv(kind):
+    # every field but `workers`, which must not change the CSV (see
+    # test_failures_deterministic_across_workers)
+    small = ExperimentConfig(kind, **SMALL[kind])
+    csv = run_experiment(small)
+    *_, config_fields = harness.EXPERIMENTS[kind]
+    for name in [f.name for f in fields(ExperimentConfig)
+                 if f.name not in ("experiment", "workers")]:
+        value = OTHER[name] if name != "link_mode" else (
+            "directed" if small.symmetric_links() else "symmetric")
+        assert value not in (getattr(small, name), getattr(ExperimentConfig(kind), name))
+        changed = run_experiment(replace(small, **{name: value})) != csv
+        assert changed == (name in config_fields), name
+
+
 def test_link_mode_defaults():
     assert tiny("failures").symmetric_links()
     assert tiny("compare").symmetric_links()
@@ -316,45 +355,118 @@ def test_cli_build_and_route_without_flags_use_the_dataclass_graph(monkeypatch):
         max_hops=None, probe=True, symmetric=True)
 
 
+# recorded by hand: the flags each experiment kind offers besides -h/--help
+# and --out, one per config field that can change its CSV
+GRAPH_FLAGS = {"--n", "--links", "--base", "--dist", "--seed"}
+ROUTING_FLAGS = {"--history", "--max-hops", "--sidedness", "--choice", "--link-mode"}
+EXPERIMENT_FLAGS = {
+    "failures": GRAPH_FLAGS | ROUTING_FLAGS | {
+        "--p-grid", "--strategy", "--trials", "--messages", "--workers", "--failure-model"},
+    "compare": ROUTING_FLAGS | {
+        "--n", "--links", "--base", "--seed", "--p-grid", "--strategy", "--messages",
+        "--workers", "--reps", "--policy"},
+    "scaling": GRAPH_FLAGS | {
+        "--trials", "--messages", "--max-hops", "--sidedness", "--link-mode", "--workers",
+        "--n-grid", "--l-grid"},
+    "bounds": {"--n", "--links", "--seed", "--trials", "--messages", "--max-hops",
+               "--sidedness", "--workers"},
+    "distribution": {"--n", "--links", "--seed", "--workers", "--reps", "--policy"},
+    "chains": {"--n", "--seed", "--sidedness", "--samples", "--t-max", "--workers"},
+}
+
+# flag -> (argument, field, value); each value differs from the field's default
+FLAG_VALUES = {
+    "--n": ("300", "n", 300),
+    "--links": ("3", "links", 3),
+    "--base": ("3", "base", 3),
+    "--dist": ("powers", "dist", "powers"),
+    "--seed": ("7", "seed", 7),
+    "--p-grid": ("0.25,0.5", "p_grid", (0.25, 0.5)),
+    "--strategy": ("restart,backtrack", "strategies", ("restart", "backtrack")),
+    "--history": ("2", "history", 2),
+    "--trials": ("4", "trials", 4),
+    "--messages": ("6", "messages", 6),
+    "--max-hops": ("9", "max_hops", 9),
+    "--workers": ("2", "workers", 2),
+    "--reps": ("3", "repetitions", 3),
+    "--n-grid": ("64,128", "n_values", (64, 128)),
+    "--l-grid": ("1,2", "link_values", (1, 2)),
+    "--samples": ("50", "samples", 50),
+    "--t-max": ("4", "t_max", 4),
+    "--sidedness": ("one", "sidedness", "one"),
+    "--choice": ("commit", "probe", False),
+    "--link-mode": ("directed", "link_mode", "directed"),
+    "--failure-model": ("link", "failure_model", "link"),
+    "--policy": ("oldest", "policy", "oldest"),
+}
+
+
+def _subparsers(parser):
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def _option_strings(parser):
+    return {o for a in parser._actions for o in a.option_strings}
+
+
 def test_cli_option_strings_are_unchanged():
-    # recorded at the commit before the CLI stopped restating defaults
-    graph = {"-h", "--help", "--n", "--links", "--base", "--dist", "--seed"}
-    routing_flags = {"--strategy", "--history", "--max-hops", "--sidedness", "--choice",
-                     "--link-mode"}
-    expected = {
-        "build": graph | {"--out"},
-        "route": graph | routing_flags | {"--src", "--dst", "--p-fail"},
-        "experiment": graph | routing_flags | {
-            "--p-grid", "--trials", "--messages", "--out", "--workers", "--reps", "--n-grid",
-            "--l-grid", "--samples", "--t-max", "--failure-model", "--policy"},
-    }
-    [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    assert {name: {o for a in p._actions for o in a.option_strings}
-            for name, p in sub.choices.items()} == expected
+    # build and route as recorded at the commit before the CLI stopped
+    # restating defaults; each experiment kind offers its own flags
+    help_flags = {"-h", "--help"}
+    commands = _subparsers(build_parser())
+    assert _option_strings(commands["build"]) == help_flags | GRAPH_FLAGS | {"--out"}
+    assert _option_strings(commands["route"]) == help_flags | GRAPH_FLAGS | ROUTING_FLAGS | {
+        "--strategy", "--src", "--dst", "--p-fail"}
+    assert _option_strings(commands["experiment"]) == help_flags
+    assert {kind: _option_strings(p) for kind, p in _subparsers(commands["experiment"]).items()} \
+        == {kind: help_flags | flags | {"--out"} for kind, flags in EXPERIMENT_FLAGS.items()}
 
 
-def test_cli_every_experiment_flag_sets_its_field(monkeypatch):
+@pytest.mark.parametrize("kind", sorted(EXPERIMENT_FLAGS))
+def test_cli_every_experiment_flag_sets_its_field(monkeypatch, kind):
+    assert {field for _, field, _ in FLAG_VALUES.values()} == {
+        f.name for f in fields(ExperimentConfig) if f.name != "experiment"}
+    default = ExperimentConfig(kind)
+    assert all(getattr(default, field) != value for _, field, value in FLAG_VALUES.values())
     seen = []
     monkeypatch.setattr(harness, "run_experiment", _capture(seen))
+    argv = ["experiment", kind]
+    for flag in sorted(EXPERIMENT_FLAGS[kind]):
+        argv += [flag, FLAG_VALUES[flag][0]]
     with pytest.raises(_Captured):
-        main(["experiment", "scaling", "--n", "300", "--links", "3", "--base", "3",
-              "--dist", "powers", "--seed", "7", "--p-grid", "0.25,0.5",
-              "--strategy", "restart,backtrack", "--history", "2", "--trials", "4",
-              "--messages", "6", "--max-hops", "9", "--workers", "2", "--reps", "3",
-              "--n-grid", "64,128", "--l-grid", "1,2", "--samples", "50", "--t-max", "4",
-              "--sidedness", "one", "--choice", "commit", "--link-mode", "directed",
-              "--failure-model", "link", "--policy", "oldest"])
-    expected = ExperimentConfig(
-        "scaling", n=300, links=3, base=3, dist="powers", seed=7, p_grid=(0.25, 0.5),
-        strategies=("restart", "backtrack"), history=2, trials=4, messages=6, max_hops=9,
-        workers=2, repetitions=3, n_values=(64, 128), link_values=(1, 2), samples=50,
-        t_max=4, sidedness="one", probe=False, link_mode="directed", failure_model="link",
-        policy="oldest")
+        main(argv)
     [((config,), _)] = seen
-    assert config == expected
-    default = ExperimentConfig("scaling")
-    assert all(getattr(expected, f.name) != getattr(default, f.name)
-               for f in fields(ExperimentConfig) if f.name != "experiment")
+    assert config == ExperimentConfig(kind, **{
+        field: value for flag, (_, field, value) in FLAG_VALUES.items()
+        if flag in EXPERIMENT_FLAGS[kind]})
+
+
+@pytest.mark.parametrize("kind", sorted(EXPERIMENT_FLAGS))
+def test_cli_experiment_help_lists_exactly_its_flags(capsys, kind):
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", kind, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"(?<![\w-])--?[a-z][a-z-]*", capsys.readouterr().out))
+    assert listed == {"-h", "--help", "--out"} | EXPERIMENT_FLAGS[kind]
+
+
+def _readme_commands():
+    """Each `lineworld ...` command of README's CLI block, continuation
+    lines joined, as an argv without the program name."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("lineworld ")]
+    return [argv[1:] for argv in commands]
+
+
+def test_readme_cli_commands_parse():
+    commands = _readme_commands()
+    assert {argv[1] for argv in commands if argv[0] == "experiment"} == set(EXPERIMENT_FLAGS)
+    assert {"build", "route"} <= {argv[0] for argv in commands}
+    for argv in commands:
+        build_parser().parse_args(argv)
 
 
 def test_cli_rejects_bad_config(capsys):
@@ -378,28 +490,40 @@ def test_cli_route_rejects_endpoint_off_the_line(capsys, argv):
     assert "path=" not in captured.out
 
 
-@pytest.mark.parametrize("argv", [
-    ["distribution", "--reps", "0"],
-    ["failures", "--messages", "0"],
-    ["chains", "--samples", "0"],
-    ["failures", "--workers", "0"],
-    ["chains", "--t-max", "-1"],
-    ["failures", "--max-hops", "0"],
-    ["distribution", "--links", "0", "--reps", "1"],
-    ["scaling", "--n", "16", "--dist", "bernoulli", "--links", "0", "--messages", "2"],
-    ["scaling", "--dist", "bernoulli", "--l-grid", "2,0", "--messages", "2"],
-    ["chains", "--n", "0"],
-    ["failures", "--links", "3", "--messages", "2", "--p-grid", ","],
-    ["failures", "--links", "3", "--messages", "2", "--strategy", ","],
-], ids=["repetitions", "messages", "samples", "workers", "t_max", "max_hops", "links",
-        "links_scaling", "link_grid", "n", "p_grid_empty", "strategy_empty"])
-def test_cli_rejects_counts_below_one(capsys, argv):
-    # the case's own flags come last, so they override the fixed ones
-    kind, *flags = argv
-    rc = main(["experiment", kind, "--n", "64", "--links", "2", "--trials", "1", *flags])
+FAILURES_SMALL = ["failures", "--n", "64", "--links", "2", "--trials", "1", "--messages", "2"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["distribution", "--n", "64", "--links", "2", "--reps", "0"],
+                 "repetitions must be >= 1", id="repetitions"),
+    pytest.param([*FAILURES_SMALL, "--messages", "0"], "messages must be >= 1", id="messages"),
+    pytest.param(["chains", "--n", "8", "--samples", "0"], "samples must be >= 1", id="samples"),
+    pytest.param([*FAILURES_SMALL, "--workers", "0"], "workers must be >= 1", id="workers"),
+    pytest.param(["chains", "--n", "8", "--t-max", "-1"], "t_max must be >= 0", id="t_max"),
+    pytest.param([*FAILURES_SMALL, "--max-hops", "0"], "max_hops must be >= 1", id="max_hops"),
+    pytest.param(["distribution", "--n", "64", "--links", "0", "--reps", "1"],
+                 "links must be >= 1", id="links"),
+    pytest.param(["scaling", "--n", "16", "--dist", "bernoulli", "--links", "0",
+                  "--trials", "1", "--messages", "2"], "links must be >= 1", id="links_scaling"),
+    pytest.param(["scaling", "--n", "64", "--dist", "bernoulli", "--l-grid", "2,0",
+                  "--trials", "1", "--messages", "2"], "link grid entries must be >= 1",
+                 id="link_grid"),
+    pytest.param(["chains", "--n", "0"], "n must be >= 1", id="n"),
+    pytest.param([*FAILURES_SMALL, "--p-grid", ","], "p grid and strategy list must not be empty",
+                 id="p_grid_empty"),
+    pytest.param([*FAILURES_SMALL, "--strategy", ","],
+                 "p grid and strategy list must not be empty", id="strategy_empty"),
+    pytest.param([*FAILURES_SMALL, "--p-grid", "0", "--strategy", "terminate", "--base", "0"],
+                 "base must be >= 2", id="base"),
+    pytest.param([*FAILURES_SMALL, "--p-grid", "0", "--strategy", "terminate", "--history", "0"],
+                 "history must be >= 1", id="history"),
+])
+def test_cli_rejects_counts_below_one(capsys, argv, message):
+    # each case passes only flags its kind offers, so it reaches `validate`
+    rc = main(["experiment", *argv])
     captured = capsys.readouterr()
     assert rc == 1
-    assert captured.err.startswith("lineworld: error:")
+    assert captured.err == f"lineworld: error: {message}\n"
     assert captured.out == ""
 
 
