@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linkgen import BernoulliOffsets, harmonic_numbers
+from .linkgen import BernoulliOffsets, harmonic_numbers, sample_offsets
 from .routing import Sidedness
 
 
@@ -191,7 +191,7 @@ def mean_lower_bound(n: int, sidedness: Sidedness, inclusion: BernoulliOffsets |
     """Closed-form lower bound on expected greedy hops to reach the target
     from a uniform start on 1..n.
 
-    `inclusion` maps signed offsets to independent inclusion probabilities
+    `inclusion` is the law of independently included signed offsets
     (both unit offsets present with probability 1); `expected_degree`
     defaults to the sum of inclusion probabilities.  Two-sided use requires
     a symmetric unimodal map.
@@ -246,21 +246,17 @@ def chain_equivalence_tv(n: int, dist: BernoulliOffsets, sidedness: Sidedness,
     1..t_max are Monte-Carlo estimates from `samples` independent runs of
     each chain.  Keep n small (<= 64): the estimate needs dense coverage.
     """
-    deltas = np.asarray(sorted(d for d in dist.inclusion if abs(d) <= n), dtype=np.int64)
-    probs = np.asarray([dist.inclusion[int(d)] for d in deltas])
+    deltas = dist.deltas
     span = 2 * n + 1  # positions -n..n
 
     # point chain, all samples in lockstep
     point_hist = np.zeros((t_max + 1, span))
     xs = rng.integers(1, n + 1, size=samples)
     for t in range(1, t_max + 1):
-        incl = rng.random((samples, len(deltas))) < probs
-        gaps = np.abs(xs[:, None] - deltas[None, :]).astype(float)
+        incl = sample_offsets(dist, rng, rows=samples)
         if sidedness is Sidedness.ONE_SIDED:
-            usable = incl & (deltas[None, :] <= xs[:, None])
-        else:
-            usable = incl
-        gaps[~usable] = np.inf
+            incl &= deltas <= xs[:, None]
+        gaps = np.where(incl, np.abs(xs[:, None] - deltas), np.inf)
         pick = np.argmin(gaps, axis=1)  # ties resolve to the smaller offset
         nxt = xs - deltas[pick]
         xs = np.where(xs == 0, 0, nxt)
@@ -275,7 +271,7 @@ def chain_equivalence_tv(n: int, dist: BernoulliOffsets, sidedness: Sidedness,
             if state.absorbed:
                 interval_hist[t, n] += 1.0
                 continue
-            offs = deltas[rng.random(len(deltas)) < probs].tolist()
+            offs = deltas[sample_offsets(dist, rng)].tolist()
             state = step_interval(state, offs, sidedness, rng)
             interval_hist[t, state.lo + n: state.hi + n + 1] += 1.0 / state.size
     interval_hist /= samples

@@ -74,7 +74,11 @@ def _add_parser(sub, name: str, config_fields: tuple[str, ...], **kwargs):
 
 class _Parser(argparse.ArgumentParser):
     """Reports a bad command line like any other configuration error
-    (`main` prints it and exits 1); subcommand parsers inherit this."""
+    (`main` prints it and exits 1) and takes no abbreviated flag; subcommand
+    parsers inherit this."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise ValueError(message)
@@ -104,13 +108,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace, experiment: str) -> ExperimentConfig:
-    """The config of `experiment` that the parsed command line asks for:
-    each flag given, or defaulted by its subcommand, sets the field of its
-    name, and every other field keeps its dataclass default."""
+    """The validated config of `experiment` that the parsed command line
+    asks for: each flag given, or defaulted by its subcommand, sets the
+    field of its name, and every other field keeps its dataclass default."""
     given = {field: getattr(args, field) for field in FLAGS if hasattr(args, field)}
     if "probe" in given:
         given["probe"] = given["probe"] == "live"
-    return ExperimentConfig(experiment, **given)
+    config = ExperimentConfig(experiment, **given)
+    config.validate()
+    return config
 
 
 def cmd_build(args) -> int:

@@ -91,7 +91,7 @@ class ExperimentConfig:
         return self.experiment in ("failures", "compare")
 
     def validate(self) -> None:
-        if self.experiment not in EXPERIMENTS:
+        if self.experiment not in EXP_CODES:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         for name, least in dict(n=1, links=1, base=2, history=1, trials=1, messages=1,
                                 repetitions=1, samples=1, workers=1, t_max=0).items():
@@ -151,10 +151,6 @@ class TrialStats:
         self.hop_max = max(self.hop_max, other.hop_max)
 
     @property
-    def attempted(self) -> int:
-        return self.delivered + self.failed
-
-    @property
     def mean_hops(self) -> float:
         return self.hop_sum / self.delivered if self.delivered else float("nan")
 
@@ -183,17 +179,14 @@ def make_distribution(config: ExperimentConfig) -> linkgen.LinkDistribution:
 
 
 def power_law_inclusion(n: int, links: int) -> BernoulliOffsets:
-    """Offset inclusion map of the multi-link inverse power-law scheme:
-    each of `links` with-replacement draws picks offset d w.p.
-    (1/|d|) / (2 H_{n-1}), so d is included w.p. 1-(1-q_d)**links."""
+    """Offset law of the multi-link inverse power-law scheme: each of
+    `links` with-replacement draws picks offset d w.p. (1/|d|) / (2 H_{n-1}),
+    so d is included w.p. 1-(1-q_d)**links; the unit offsets always are."""
     h = linkgen.harmonic_numbers(n - 1)[-1]
-    inclusion = {1: 1.0, -1: 1.0}
-    for d in range(2, n):
-        q = (1.0 / d) / (2.0 * h)
-        p = 1.0 - (1.0 - q) ** links
-        inclusion[d] = p
-        inclusion[-d] = p
-    return BernoulliOffsets(inclusion)
+    d = np.arange(2, n)
+    p = 1.0 - (1.0 - (1.0 / d) / (2.0 * h)) ** links
+    return BernoulliOffsets(np.concatenate((-d[::-1], [-1, 1], d)),
+                            np.concatenate((p[::-1], [1.0, 1.0], p)))
 
 
 def _sweep(config: ExperimentConfig, cells: list[tuple[tuple[int, ...], object]], count: int,
@@ -395,8 +388,8 @@ def run_compare(config: ExperimentConfig) -> list[str]:
 def run_chains(config: ExperimentConfig) -> list[str]:
     """Chain-equivalence oracle: TV distance between point-chain and
     interval-chain marginals, per step."""
-    inclusion = BernoulliOffsets(
-        {d: 1.0 / abs(d) for d in range(-config.n, config.n + 1) if d != 0})
+    d = np.delete(np.arange(-config.n, config.n + 1), config.n)  # every offset but 0
+    inclusion = BernoulliOffsets(d, 1.0 / np.abs(d))
     side = Sidedness(config.sidedness)
     [[tv]] = _sweep(config, ONE_CELL, 1, lambda _, t, rng: analysis.chain_equivalence_tv(
         config.n, inclusion, side, config.t_max, config.samples, rng))
@@ -461,6 +454,8 @@ def run_experiment(config: ExperimentConfig) -> str:
     """Validate `config`, run its experiment and return the CSV text
     (header + rows)."""
     config.validate()
+    if config.experiment not in EXPERIMENTS:
+        raise ValueError(f"unknown experiment {config.experiment!r}")
     header, runner, _ = EXPERIMENTS[config.experiment]
     return "\n".join([header, *runner(config)]) + "\n"
 

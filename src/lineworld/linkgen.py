@@ -14,7 +14,7 @@ neighbors; the schemes here generate the *long-distance* links:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -55,44 +55,50 @@ class PowersOfB:
             raise ValueError("base must be >= 2")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BernoulliOffsets:
-    """Independent inclusion of each signed offset delta with probability p[delta].
+    """Independent inclusion of each signed offset deltas[i] w.p. probs[i],
+    stored sorted by offset in two read-only arrays.
 
     Offsets +1 and -1 must be included with probability 1.  For the two-sided
-    interval-chain machinery the map should additionally be symmetric
-    (p[d] == p[-d]) and unimodal (nonincreasing in |d|); `validate_two_sided`
-    checks that.
+    interval-chain machinery the law should additionally be symmetric
+    (p[d] == p[-d], a missing offset counting as 0) and unimodal
+    (nonincreasing in |d|); `validate_two_sided` checks that.
     """
 
-    inclusion: dict = field(default_factory=dict)
+    deltas: np.ndarray
+    probs: np.ndarray
 
     def __post_init__(self):
-        p = dict(self.inclusion)
-        for delta, prob in p.items():
-            if delta == 0:
-                raise ValueError("offset 0 is not a link")
-            if not 0.0 <= prob <= 1.0:
-                raise ValueError(f"inclusion probability for {delta} outside [0,1]")
-        if p.get(1) != 1.0 or p.get(-1) != 1.0:
+        deltas = np.asarray(self.deltas, dtype=np.int64).reshape(-1)
+        probs = np.asarray(self.probs, dtype=float).reshape(-1)
+        if deltas.shape != probs.shape:
+            raise ValueError("need one inclusion probability per offset")
+        order = np.argsort(deltas, kind="stable")
+        deltas, probs = deltas[order], probs[order]
+        if np.any(deltas[1:] == deltas[:-1]) or np.any(deltas == 0):
+            raise ValueError("offsets must be distinct and nonzero")
+        if not np.all((probs >= 0.0) & (probs <= 1.0)):
+            raise ValueError("inclusion probability outside [0,1]")
+        unit = probs[np.isin(deltas, (-1, 1))]
+        if unit.size != 2 or np.any(unit != 1.0):
             raise ValueError("offsets +1 and -1 must have inclusion probability 1")
-        object.__setattr__(self, "inclusion", p)
-        # the same map as arrays, in the dict's order, for `sample_offsets`
-        object.__setattr__(self, "_deltas", np.fromiter(p, dtype=np.int64, count=len(p)))
-        object.__setattr__(self, "_probs", np.fromiter(p.values(), dtype=float, count=len(p)))
+        for name, values in (("deltas", deltas), ("probs", probs)):
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
 
     def validate_two_sided(self):
-        p = self.inclusion
-        deltas = sorted(d for d in p if d > 0)
-        for d in deltas:
-            if p.get(-d, 0.0) != p[d]:
-                raise ValueError("inclusion map must be symmetric for two-sided use")
-        for lo, hi in zip(deltas, deltas[1:]):
-            if p[hi] > p[lo] + 1e-12:
-                raise ValueError("inclusion map must be unimodal for two-sided use")
+        positive = self.deltas > 0
+        d, p = self.deltas[positive], self.probs[positive]
+        # -d <= -1 and -1 is present, so the index stays in range
+        mirror = np.searchsorted(self.deltas, -d)
+        if np.any(np.where(self.deltas[mirror] == -d, self.probs[mirror], 0.0) != p):
+            raise ValueError("inclusion map must be symmetric for two-sided use")
+        if np.any(p[1:] > p[:-1] + 1e-12):
+            raise ValueError("inclusion map must be unimodal for two-sided use")
 
     def expected_size(self) -> float:
-        return float(sum(self.inclusion.values()))
+        return float(self.probs.sum())
 
 
 LinkDistribution = InversePowerLaw | DeterministicBaseB | PowersOfB | BernoulliOffsets
@@ -177,15 +183,6 @@ def ceil_log(n: int, b: int) -> int:
     return k
 
 
-def floor_log(n: int, b: int) -> int:
-    """Largest k with b**k <= n."""
-    k, power = 0, b
-    while power <= n:
-        power *= b
-        k += 1
-    return k
-
-
 def scheme_distances(dist: DeterministicBaseB | PowersOfB, n: int) -> np.ndarray:
     """Sorted positive link distances of a deterministic scheme on a line of
     n positions: j*b^i for 1 <= j < b and i < ceil(log_b n) (base-b), or b^i
@@ -193,26 +190,19 @@ def scheme_distances(dist: DeterministicBaseB | PowersOfB, n: int) -> np.ndarray
     in both directions, where the line allows."""
     b = dist.base
     if isinstance(dist, PowersOfB):
-        return b ** np.arange(floor_log(n, b) + 1)
+        return b ** np.arange(ceil_log(n + 1, b))  # b^i <= n
     # row i holds b^i, ..., (b-1)*b^i: row-major order is already ascending
     powers = b ** np.arange(ceil_log(n, b))
     return (powers[:, None] * np.arange(1, b)).ravel()
 
 
 def sample_offsets(dist: BernoulliOffsets, rng: np.random.Generator,
-                   truncate_at: int | None = None) -> np.ndarray:
-    """Sample one offset set: each delta kept independently w.p. p[delta].
-
-    +1 and -1 are always present.  Returns the offsets sorted ascending.
-    Offsets with |delta| > truncate_at are unusable on a line of that
-    radius and are dropped before sampling.
-    """
-    deltas, probs = dist._deltas, dist._probs
-    if truncate_at is not None:
-        usable = np.abs(deltas) <= truncate_at
-        deltas, probs = deltas[usable], probs[usable]
-    keep = rng.random(len(deltas)) < probs
-    return np.sort(deltas[keep])
+                   rows: int | None = None) -> np.ndarray:
+    """Draw offset sets: a boolean mask over `dist.deltas`, each entry True
+    independently w.p. its probability (+1 and -1 always).  With `rows`,
+    one mask per row, the stream of `rows` single draws in row order."""
+    k = dist.probs.size
+    return rng.random(k if rows is None else (rows, k)) < dist.probs
 
 
 def ideal_length_distribution(n: int) -> np.ndarray:

@@ -171,6 +171,11 @@ def _stitch_line(g: OverlayGraph, positions: np.ndarray) -> None:
     g.right[positions[:-1]] = positions[1:]
 
 
+# most offsets one chunk of the offset-table build draws and filters at a
+# time: a Bernoulli law spans the line, so all rows at once would be O(n^2)
+_OFFSET_CHUNK = 1 << 20
+
+
 def _draw_long_links(g: OverlayGraph, present: np.ndarray, dist: LinkDistribution,
                      rng: np.random.Generator) -> None:
     """Fill long-link tables for `present` positions, candidates = present."""
@@ -178,23 +183,30 @@ def _draw_long_links(g: OverlayGraph, present: np.ndarray, dist: LinkDistributio
     if isinstance(dist, InversePowerLaw):
         g._fill(present, sample_line_links(present, n, dist.links, rng, present=g.alive))
         return
-    if isinstance(dist, (DeterministicBaseB, PowersOfB)):
-        d = scheme_distances(dist, n)
-        d = d[d < n]  # longer links leave the line from every node
-        rows = present[:, None] + np.concatenate((-d[::-1], d))  # ascending per row
-        keep = (rows >= 0) & (rows < n)
-        keep[keep] = g.alive[rows[keep]]
-        # left-pack the kept sinks, in order, into the widest row's width
-        order = np.argsort(~keep, axis=1, kind="stable")[:, :keep.sum(axis=1).max()]
-        g._fill(present, np.take_along_axis(np.where(keep, rows, NO_NEIGHBOR), order, axis=1))
-        return
-    if not isinstance(dist, BernoulliOffsets):
+    if isinstance(dist, BernoulliOffsets):
+        deltas = dist.deltas
+    elif isinstance(dist, (DeterministicBaseB, PowersOfB)):
+        d = scheme_distances(dist, n)  # a link longer than n - 1 is never kept
+        deltas = np.concatenate((d[::-1], -d))  # descending, so each row's sinks ascend
+    else:
         raise TypeError(f"unknown link distribution {dist!r}")
-    rows = [[v for v in (u - sample_offsets(dist, rng, truncate_at=n)).tolist()
-             if 0 <= v < n and g.alive[v]] for u in present.tolist()]
-    table = np.full((len(rows), max(map(len, rows), default=0)), NO_NEIGHBOR, dtype=np.int64)
-    for i, row in enumerate(rows):
-        table[i, :len(row)] = row
+    step = max(1, _OFFSET_CHUNK // deltas.size)
+    holders, sinks = [], []
+    for start in range(0, present.size, step):
+        us = present[start:start + step]
+        if isinstance(dist, BernoulliOffsets):  # one mask row per node, in node order
+            i, j = np.divmod(np.flatnonzero(sample_offsets(dist, rng, rows=us.size)), deltas.size)
+            v = us[i] - deltas[j]
+        else:  # every offset kept
+            i, v = np.repeat(np.arange(us.size), deltas.size), (us[:, None] - deltas).ravel()
+        ok = (v >= 0) & (v < n)
+        ok[ok] = g.alive[v[ok]]
+        holders.append(start + i[ok])
+        sinks.append(v[ok])
+    counts = np.bincount(np.concatenate(holders), minlength=present.size)
+    table = np.full((present.size, counts.max()), NO_NEIGHBOR, dtype=np.int64)
+    # holders ascend, so row-major order left-packs each row in offset order
+    table[np.arange(table.shape[1]) < counts[:, None]] = np.concatenate(sinks)
     g._fill(present, table)
 
 

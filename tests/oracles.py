@@ -3,6 +3,8 @@
 import numpy as np
 
 from lineworld.analysis import _choose
+from lineworld.linkgen import BernoulliOffsets, sample_offsets
+from lineworld.overlay import OverlayGraph
 from lineworld.routing import Backtrack, RandomRestart, Sidedness
 
 
@@ -53,6 +55,30 @@ def power_links(u: int, n: int, b: int) -> set[int]:
         sinks.update((u - step, u + step))
         step *= b
     return {v for v in sinks if 0 <= v < n}
+
+
+def offset_law(inclusion: dict) -> BernoulliOffsets:
+    """The Bernoulli offset law of a {delta: inclusion probability} map."""
+    return BernoulliOffsets(list(inclusion), list(inclusion.values()))
+
+
+def draw_offsets(law: BernoulliOffsets, rng) -> np.ndarray:
+    """One offset set drawn from `law`, ascending."""
+    return law.deltas[sample_offsets(law, rng)]
+
+
+def reference_offset_build(n: int, law: BernoulliOffsets, rng) -> OverlayGraph:
+    """Full-line build of a Bernoulli offset law one node at a time: node u,
+    in node order, draws one uniform per offset of the sorted law and links
+    to u - delta for each kept delta on the line, in offset order."""
+    g = OverlayGraph(n)
+    g.alive[:] = True
+    g.left[1:] = np.arange(n - 1)
+    g.right[:-1] = np.arange(1, n)
+    for u in range(n):
+        keep = rng.random(law.deltas.size) < law.probs
+        g.set_links(u, [u - d for d in law.deltas[keep].tolist() if 0 <= u - d < n])
+    return g
 
 
 def step_point(x: int, offsets, sidedness: Sidedness) -> int:

@@ -49,14 +49,9 @@ from lineworld.harness import (
     run_experiment,
 )
 from lineworld.dynamics import ReplacementPolicy
-from lineworld.linkgen import (
-    BernoulliOffsets,
-    InversePowerLaw,
-    ideal_length_distribution,
-    sample_offsets,
-)
+from lineworld.linkgen import InversePowerLaw, ideal_length_distribution
 from lineworld.routing import Backtrack, Sidedness, Terminate
-from oracles import base_digits_nonzero, harmonic_number
+from oracles import base_digits_nonzero, draw_offsets, harmonic_number, offset_law
 
 ONE = Sidedness.ONE_SIDED
 TWO = Sidedness.TWO_SIDED
@@ -262,7 +257,7 @@ def test_criterion_9_join_heuristic_fidelity():
 
 def test_criterion_10_chain_equivalence():
     n = 16
-    law = BernoulliOffsets({d: 1.0 / abs(d) for d in range(-n, n + 1) if d != 0})
+    law = offset_law({d: 1.0 / abs(d) for d in range(-n, n + 1) if d != 0})
     worst = 0.0
     for side in (ONE, TWO):
         tv = chain_equivalence_tv(n, law, side, t_max=8, samples=100_000,
@@ -274,7 +269,7 @@ def test_criterion_10_chain_equivalence():
 
 def test_criterion_11_interval_max_drop():
     n = 64
-    law = BernoulliOffsets({d: 1.0 / abs(d) for d in range(-n, n + 1) if d != 0})
+    law = offset_law({d: 1.0 / abs(d) for d in range(-n, n + 1) if d != 0})
     ell = law.expected_size()
     rng = np.random.default_rng([1101])
     targets = (2, 4, 8, 16)
@@ -283,7 +278,7 @@ def test_criterion_11_interval_max_drop():
     state = Interval(1, n)
     steps = 100_000
     for _ in range(steps):
-        offs = sample_offsets(law, rng, truncate_at=n)
+        offs = draw_offsets(law, rng)
         nxt = step_interval(state, offs, TWO, rng)
         for a in targets:
             if state.size >= a:

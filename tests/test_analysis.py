@@ -13,16 +13,16 @@ from lineworld.analysis import (
     split_interval,
     step_interval,
 )
-from lineworld.linkgen import BernoulliOffsets, harmonic_numbers, sample_offsets
+from lineworld.linkgen import harmonic_numbers
 from lineworld.routing import Sidedness
-from oracles import harmonic_number, step_point
+from oracles import draw_offsets, harmonic_number, offset_law, step_point
 
 ONE = Sidedness.ONE_SIDED
 TWO = Sidedness.TWO_SIDED
 
 
 def inverse_law(n):
-    return BernoulliOffsets({d: 1.0 / abs(d) for d in range(-n, n + 1) if d != 0})
+    return offset_law({d: 1.0 / abs(d) for d in range(-n, n + 1) if d != 0})
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +217,7 @@ def test_step_interval_matches_enumerating_step_on_one_stream():
         fast, slow = np.random.default_rng(10), np.random.default_rng(10)
         state = Interval(1, n)
         for _ in range(5_000):
-            offs = sample_offsets(law, offset_rng, truncate_at=n).tolist()
+            offs = draw_offsets(law, offset_rng).tolist()
             nxt = step_interval(state, offs, side, fast)
             assert nxt == enumerating_step(state, offs, side, slow), (state, offs)
             state = Interval(1, n) if nxt.absorbed else nxt
@@ -267,7 +267,7 @@ def test_interval_steps_stay_contiguous_same_sign():
     law = inverse_law(n)
     state = Interval(1, n)
     for _ in range(100_000):
-        offs = sample_offsets(law, rng, truncate_at=n)
+        offs = draw_offsets(law, rng)
         parts = split_interval(state, offs, TWO)
         covered = 0
         for lo, hi, delta in parts:
@@ -286,7 +286,7 @@ def test_one_sided_states_are_prefix_intervals():
     law = inverse_law(n)
     state = Interval(1, n)
     for _ in range(20_000):
-        offs = sample_offsets(law, rng, truncate_at=n)
+        offs = draw_offsets(law, rng)
         state = step_interval(state, offs, ONE, rng)
         if state.absorbed:
             state = Interval(1, n)
@@ -370,14 +370,14 @@ def test_max_drop_probability_bound():
     scale = 2.0  # effective two-link draw: p_d = 2*(1/d)/(2H_n)
     inclusion = {d: min(1.0, scale / (abs(d) * 2 * h)) for d in range(-n, n + 1) if d != 0}
     inclusion[1] = inclusion[-1] = 1.0
-    law = BernoulliOffsets(inclusion)
+    law = offset_law(inclusion)
     ell = law.expected_size()
     counts = {a: 0 for a in (2, 4, 8, 16)}
     eligible = {a: 0 for a in (2, 4, 8, 16)}
     state = Interval(1, n)
     steps = 100_000
     for _ in range(steps):
-        offs = sample_offsets(law, rng, truncate_at=n)
+        offs = draw_offsets(law, rng)
         nxt = step_interval(state, offs, TWO, rng)
         for a in counts:
             if state.size >= a:
@@ -406,10 +406,10 @@ def test_mean_lower_bound_positive_and_monotone():
 def test_mean_lower_bound_two_sided_needs_valid_map():
     with pytest.raises(ValueError):
         mean_lower_bound(1024, TWO, expected_degree=3.0)
-    asym = BernoulliOffsets({1: 1.0, -1: 1.0, 2: 0.5, -2: 0.2})
+    asym = offset_law({1: 1.0, -1: 1.0, 2: 0.5, -2: 0.2})
     with pytest.raises(ValueError):
         mean_lower_bound(1024, TWO, asym)
-    ok = BernoulliOffsets({1: 1.0, -1: 1.0, 2: 0.5, -2: 0.5})
+    ok = offset_law({1: 1.0, -1: 1.0, 2: 0.5, -2: 0.5})
     assert mean_lower_bound(1024, TWO, ok) > 0
 
 
@@ -442,7 +442,7 @@ def test_offset_band_sums_totals():
     def offset_band_sums(n, sidedness, law, a):
         """gamma_i = sum over positive k with floor(log_a(k+1)) = i of
         (2 p_k + q_k); q is zero for one-sided routing."""
-        p = law.inclusion
+        p = dict(zip(law.deltas.tolist(), law.probs.tolist()))
         q = midpoint_mass(p, n) if sidedness is TWO else {}
         gammas = np.zeros(int(math.log(n + 1) / math.log(a)) + 4)
         for k in range(1, n + 1):
@@ -507,7 +507,7 @@ def test_chain_equivalence_zero_at_start():
 def test_chain_equivalence_deterministic_offsets():
     # all-or-nothing inclusion: both chains coincide in law
     rng = np.random.default_rng(6)
-    law = BernoulliOffsets({1: 1.0, -1: 1.0, 2: 1.0, -2: 1.0, 5: 1.0, -5: 1.0})
+    law = offset_law({1: 1.0, -1: 1.0, 2: 1.0, -2: 1.0, 5: 1.0, -5: 1.0})
     for side in (ONE, TWO):
         tv = chain_equivalence_tv(16, law, side, 6, 100_000, rng)
         assert tv.max() < 0.01

@@ -129,8 +129,10 @@ DISTRIBUTION = dict(experiment="distribution", n=2 ** 8, links=8, repetitions=3,
      "9314ae1e5f86bde067f092c240962e6cc6347e9b5242d07e35d73f9674d856a6"),
     (dict(SCALING, dist="powers", base=2),
      "11200cca6e06de0af5b6edcbbaef92478e18470f7c1840fbbc7762db787d6580"),
+    # re-recorded when the Bernoulli offset law was stored sorted by offset:
+    # each node's uniforms now meet its offsets in ascending order
     (dict(SCALING, n=2 ** 9, links=3, dist="bernoulli"),
-     "0d722e9cba1c858e009b7ffecc32475355c1b7346c736bc19c49609f90590f7d"),
+     "5ce19caa3ccd39585d5d178aadbb369ea02314bc64e35549264157b0a7a0eb4b"),
     (dict(BOUNDS, links=1, sidedness="one"),
      "a30c8469a08614fe30f0ba68070e21ea60b9ab300f43b43c99a96fd14bb42b16"),
     (dict(BOUNDS, links=3, sidedness="two"),

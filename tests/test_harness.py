@@ -36,10 +36,10 @@ def test_trial_stats_accounting():
     s.record(RouteResult(Status.DELIVERED, hops=4, backtracks=1))
     s.record(RouteResult(Status.DELIVERED, hops=6, backtracks=0))
     s.record(RouteResult(Status.FAILED, hops=9, capped=True))
-    assert s.attempted == 3 and s.delivered == 2 and s.failed == 1 and s.capped == 1
+    assert s.delivered + s.failed == 3 and s.delivered == 2 and s.failed == 1 and s.capped == 1
     assert s.mean_hops == pytest.approx(5.0)
     assert s.std_hops == pytest.approx(1.0)
-    assert s.failed / s.attempted == pytest.approx(1 / 3)
+    assert s.failed / (s.delivered + s.failed) == pytest.approx(1 / 3)
 
 
 def test_failures_csv_shape_and_no_failures_at_zero():
@@ -186,7 +186,8 @@ def test_bounds_sandwich_row():
 
 def test_power_law_inclusion_map():
     law = power_law_inclusion(64, 4)
-    assert law.inclusion[1] == 1.0 and law.inclusion[-1] == 1.0
+    p = dict(zip(law.deltas.tolist(), law.probs.tolist()))
+    assert p[1] == 1.0 and p[-1] == 1.0
     law.validate_two_sided()
     assert 2.0 < law.expected_size() < 10.0
 
@@ -533,7 +534,14 @@ def test_cli_rejects_counts_below_one(capsys, argv, message):
     ["frobnicate"],
     ["experiment"],
     ["build", "--n", str(2 ** 62)],
-], ids=["bad_int", "missing_src", "unknown_command", "missing_kind", "unallocatable_n"])
+    ["route", "--n", "64", "--links", "2", "--src", "1", "--dst", "50", "--strat", "backtrack"],
+    ["experiment", "chains", "--n", "8", "--samp", "200", "--t-max", "2"],
+    ["route", "--n", "64", "--base", "0", "--history", "0", "--src", "1", "--dst", "50"],
+    ["route", "--n", "64", "--history", "0", "--src", "1", "--dst", "50"],
+    ["build", "--n", "64", "--base", "0"],
+], ids=["bad_int", "missing_src", "unknown_command", "missing_kind", "unallocatable_n",
+        "abbreviated_flag", "abbreviated_experiment_flag", "route_base", "route_history",
+        "build_base"])
 def test_cli_errors_exit_1_with_one_line(capsys, argv):
     assert main(argv) == 1
     captured = capsys.readouterr()

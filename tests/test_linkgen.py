@@ -15,7 +15,9 @@ from lineworld.linkgen import (
     sample_line_links,
     sample_offsets,
 )
+from lineworld.harness import power_law_inclusion
 from lineworld.overlay import build
+from oracles import draw_offsets, offset_law
 
 
 def harmonic_weights(u, population) -> dict[int, float]:
@@ -159,63 +161,108 @@ def test_base_must_exceed_one():
 
 
 def test_offsets_unit_always_present():
-    dist = BernoulliOffsets({1: 1.0, -1: 1.0})
+    dist = offset_law({1: 1.0, -1: 1.0})
     rng = np.random.default_rng(0)
     for _ in range(20):
-        assert list(sample_offsets(dist, rng)) == [-1, 1]
+        assert list(draw_offsets(dist, rng)) == [-1, 1]
 
 
 def test_offsets_deterministic_inclusion():
-    dist = BernoulliOffsets({1: 1.0, -1: 1.0, 2: 1.0, -2: 1.0})
+    dist = offset_law({1: 1.0, -1: 1.0, 2: 1.0, -2: 1.0})
     rng = np.random.default_rng(0)
-    assert list(sample_offsets(dist, rng)) == [-2, -1, 1, 2]
+    assert list(draw_offsets(dist, rng)) == [-2, -1, 1, 2]
 
 
 def test_offsets_inclusion_rate():
     n = 16
-    dist = BernoulliOffsets({d: 1.0 / abs(d) for d in range(-n, n + 1) if d != 0})
+    dist = offset_law({d: 1.0 / abs(d) for d in range(-n, n + 1) if d != 0})
     rng = np.random.default_rng(5)
     samples = 100_000
     hits = 0
     for _ in range(samples):
-        if 4 in sample_offsets(dist, rng):
+        if 4 in draw_offsets(dist, rng):
             hits += 1
     se = math.sqrt(0.25 * 0.75 / samples)
     assert abs(hits / samples - 0.25) < 3 * se
 
 
 def test_offsets_match_per_call_dict_scan():
-    # the cached arrays keep the dict's order, so each draw lands on the same offset
-    def dict_scan(dist, rng, truncate_at):
-        kept = [(d, p) for d, p in dist.inclusion.items()
-                if truncate_at is None or abs(d) <= truncate_at]
+    # the law is sorted by offset, so each draw meets the offsets in ascending
+    # order whatever order the map was given in
+    def dict_scan(inclusion, rng):
+        kept = sorted(inclusion.items())
         deltas = np.array([d for d, _ in kept], dtype=np.int64)
         keep = rng.random(len(kept)) < np.array([p for _, p in kept])
-        return np.sort(deltas[keep])
+        return deltas[keep]
 
     n = 256
-    unordered = {d: 1.0 / abs(d) for d in range(n, -n - 1, -1) if d != 0}
-    laws = [BernoulliOffsets(unordered),
-            BernoulliOffsets({d: min(1.0, 4.0 / d ** 2) for d in range(-n, n + 1) if d})]
-    for law in laws:
-        for truncate_at in (None, n // 2, 3):
-            fast, slow = np.random.default_rng(14), np.random.default_rng(14)
-            for _ in range(100):
-                assert sample_offsets(law, fast, truncate_at).tolist() == \
-                    dict_scan(law, slow, truncate_at).tolist()
+    maps = [{d: 1.0 / abs(d) for d in range(n, -n - 1, -1) if d != 0},
+            {d: min(1.0, 4.0 / d ** 2) for d in range(-n, n + 1) if d}]
+    for inclusion in maps:
+        law = offset_law(inclusion)
+        fast, slow = np.random.default_rng(14), np.random.default_rng(14)
+        for _ in range(100):
+            assert draw_offsets(law, fast).tolist() == dict_scan(inclusion, slow).tolist()
+
+
+def test_sample_offsets_rows_are_consecutive_single_draws():
+    law = power_law_inclusion(300, 4)
+    batch = sample_offsets(law, np.random.default_rng(15), rows=7)
+    rng = np.random.default_rng(15)
+    assert batch.shape == (7, law.deltas.size)
+    assert np.array_equal(batch, [sample_offsets(law, rng) for _ in range(7)])
+
+
+def test_offsets_constructor_sorts_and_freezes():
+    law = BernoulliOffsets([3, 1, -1, -3], [0.25, 1.0, 1.0, 0.5])
+    assert law.deltas.tolist() == [-3, -1, 1, 3]
+    assert law.probs.tolist() == [0.5, 1.0, 1.0, 0.25]
+    with pytest.raises(ValueError):
+        law.probs[0] = 1.0
+
+
+@pytest.mark.parametrize("deltas, probs", [
+    ([1, -1, 3], [1.0, 1.0, 1.4]),
+    ([1, -1, 3], [1.0, 1.0, -0.1]),
+    ([1, -1, 3], [1.0, 1.0, float("nan")]),
+    ([1, -1], [0.5, 1.0]),
+    ([1, 2], [1.0, 1.0]),
+    ([-1, 1, 0], [1.0, 1.0, 0.5]),
+    ([-1, 1, 2, 2], [1.0, 1.0, 0.5, 0.5]),
+    ([-1, 1, 2], [1.0, 1.0]),
+], ids=["p_above_one", "p_negative", "p_nan", "unit_below_one", "unit_missing", "zero",
+        "duplicate", "length_mismatch"])
+def test_offsets_constructor_rejects(deltas, probs):
+    with pytest.raises(ValueError):
+        BernoulliOffsets(deltas, probs)
 
 
 def test_offsets_validation():
-    with pytest.raises(ValueError):
-        BernoulliOffsets({1: 1.0, -1: 1.0, 3: 1.4})
-    with pytest.raises(ValueError):
-        BernoulliOffsets({1: 0.5, -1: 1.0})
-    asym = BernoulliOffsets({1: 1.0, -1: 1.0, 2: 0.5, -2: 0.1})
+    offset_law({1: 1.0, -1: 1.0, 2: 0.5, -2: 0.5, 3: 0.5, -3: 0.5}).validate_two_sided()
+    asym = offset_law({1: 1.0, -1: 1.0, 2: 0.5, -2: 0.1})
     with pytest.raises(ValueError):
         asym.validate_two_sided()
-    bumpy = BernoulliOffsets({1: 1.0, -1: 1.0, 2: 0.1, -2: 0.1, 3: 0.5, -3: 0.5})
+    # a missing -d counts as probability 0
+    with pytest.raises(ValueError):
+        offset_law({1: 1.0, -1: 1.0, 2: 0.5}).validate_two_sided()
+    offset_law({1: 1.0, -1: 1.0, 2: 0.0}).validate_two_sided()
+    bumpy = offset_law({1: 1.0, -1: 1.0, 2: 0.1, -2: 0.1, 3: 0.5, -3: 0.5})
     with pytest.raises(ValueError):
         bumpy.validate_two_sided()
+
+
+@pytest.mark.parametrize("n", [2 ** 9, 2 ** 12, 2 ** 14])
+@pytest.mark.parametrize("links", [1, 3, 14])
+def test_power_law_inclusion_matches_closed_form(n, links):
+    h = harmonic_numbers(n - 1)[-1]
+    closed = {d: 1.0 - (1.0 - (1.0 / d) / (2.0 * h)) ** links for d in range(2, n)}
+    closed[1] = 1.0
+    law = power_law_inclusion(n, links)
+    assert law.deltas.tolist() == [d for d in range(-(n - 1), n) if d]
+    expected = np.array([closed[abs(d)] for d in law.deltas.tolist()])
+    # numpy's ** and Python's float pow may differ in the last ulp of
+    # (1 - q)**links, a number near 1, and 1 - that is exact
+    assert np.abs(law.probs - expected).max() <= 4 * np.finfo(float).eps
 
 
 def test_poisson_zero_probability():

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from lineworld import overlay
+from lineworld.harness import power_law_inclusion
 from lineworld.linkgen import DeterministicBaseB, InversePowerLaw, PowersOfB
 from lineworld.overlay import (
     NO_NEIGHBOR,
@@ -14,7 +16,7 @@ from lineworld.overlay import (
     build,
     build_binomial_presence,
 )
-from oracles import deterministic_links, power_links
+from oracles import deterministic_links, offset_law, power_links, reference_offset_build
 
 
 def test_build_degenerate_pair():
@@ -199,11 +201,8 @@ def test_row_writes_stamp_ages_in_order():
 
 
 def test_build_bernoulli_offsets():
-    from lineworld.linkgen import BernoulliOffsets
-
     n = 256
-    law = BernoulliOffsets({d: (1.0 if abs(d) < 3 else 0.25)
-                            for d in range(-8, 9) if d != 0})
+    law = offset_law({d: (1.0 if abs(d) < 3 else 0.25) for d in range(-8, 9) if d != 0})
     g = build(n, law, np.random.default_rng(11))
     for u in range(n):
         for v in g.long_links(u):
@@ -215,6 +214,34 @@ def test_build_bernoulli_offsets():
     interior = [len(g.long_links(u)) for u in range(8, n - 8)]
     # expected size: 4 forced + 12 * 0.25 = 7
     assert abs(float(np.mean(interior)) - 7.0) < 0.5
+
+
+@pytest.mark.parametrize("n, links, chunk", [
+    (300, 3, None),  # one chunk
+    (300, 3, 7 * 598 + 5),  # 7 rows a chunk, a short last chunk
+    (300, 3, 1),  # one row a chunk
+    (2 ** 12, 3, None),  # the default chunk, 128 rows
+], ids=["one-chunk", "seven-rows", "one-row", "n4096"])
+def test_bernoulli_build_matches_row_at_a_time_reference(monkeypatch, n, links, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(overlay, "_OFFSET_CHUNK", chunk)
+    law = power_law_inclusion(n, links)
+    g = build(n, law, np.random.default_rng(21))
+    ref = reference_offset_build(n, law, np.random.default_rng(21))
+    assert g.dump_text() == ref.dump_text()
+    assert np.array_equal(g.sinks, ref.sinks)
+
+
+@pytest.mark.parametrize("dist, links_of", [
+    (DeterministicBaseB(3), deterministic_links),
+    (PowersOfB(2), power_links),
+], ids=["detbase3", "powers2"])
+def test_deterministic_rows_ascend_across_chunks(monkeypatch, dist, links_of):
+    monkeypatch.setattr(overlay, "_OFFSET_CHUNK", 50)
+    n = 200
+    g = build(n, dist, np.random.default_rng(0))
+    for u in range(n):
+        assert g.long_links(u) == sorted(links_of(u, n, dist.base))
 
 
 def test_symmetric_cache_invalidated_by_link_failures():
