@@ -119,6 +119,42 @@ def _line_prefix(n: int) -> np.ndarray:
     return harmonic_numbers(n - 1)
 
 
+# batches smaller than this go to np.searchsorted: below it the guess and
+# fix-up passes cost more than the binary search they replace
+_GUESS_MIN_DRAWS = 1024
+
+
+def _harmonic_index(h: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Inverse CDF of the 1/d law: the smallest d >= 1 with h[d] >= r, for
+    r in [0, h[-1]], equal to max(np.searchsorted(h, r, "left"), 1).
+
+    Large batches guess d = ceil(exp(r - gamma) - 1/2), since
+    H_d = ln(d + 1/2) + gamma + O(1/d^2), clip it to [1, n - 1] and step it
+    one index at a time to the exact answer, O(1) per draw."""
+    if r.size < _GUESS_MIN_DRAWS:
+        d = np.searchsorted(h, r, side="left")
+        return np.maximum(d, 1, out=d)
+    shape, r = r.shape, r.ravel()
+    guess = np.exp(r - np.euler_gamma)
+    guess -= 0.5
+    np.ceil(guess, out=guess)
+    np.clip(guess, 1, h.size - 1, out=guess)
+    d = guess.astype(np.int64)
+    moving = None  # indices still being fixed up; None is every index
+    while moving is None or moving.size:
+        dm, rm = (d, r) if moving is None else (d[moving], r[moving])
+        up = h[dm] < rm
+        down = (dm > 1) & (h[dm - 1] >= rm)
+        step = np.subtract(up, down, dtype=np.int64)
+        if moving is None:
+            d += step
+            moving = np.flatnonzero(step)
+        else:
+            d[moving] = dm + step
+            moving = moving[step != 0]
+    return d.reshape(shape)
+
+
 def _grid_draws(us: np.ndarray, n: int, draws: int, h: np.ndarray,
                 rng: np.random.Generator) -> np.ndarray:
     """`draws` sinks per source over the whole line, ~ 1/|u-v|, by inverse
@@ -128,8 +164,7 @@ def _grid_draws(us: np.ndarray, n: int, draws: int, h: np.ndarray,
     r = rng.random((us.size, draws))
     r *= mass_left + h[n - 1 - u]
     on_left = r < mass_left
-    d = np.searchsorted(h, np.where(on_left, r, r - mass_left), side="left")
-    np.maximum(d, 1, out=d)
+    d = _harmonic_index(h, np.where(on_left, r, r - mass_left))
     sinks = np.where(on_left, u - d, u + d)
     np.clip(sinks, 0, n - 1, out=sinks)
     return sinks
@@ -140,7 +175,8 @@ def sample_line_links(sources, n: int, links: int, rng: np.random.Generator,
     """Draw `links` sinks per source ~ 1/|u-v|, one row per source.
 
     Inverse-CDF sampling against the shared harmonic prefix of the line
-    0..n-1, O(log n) per draw.  With a boolean `present` mask the law is
+    0..n-1: O(1) per draw in large batches (`_harmonic_index`), a binary
+    search in small ones.  With a boolean `present` mask the law is
     1/|u-v| restricted to present positions: each row keeps its first
     `links` grid draws that land on a present position (rejection, exact),
     and short rows draw again in batches that double in size.  Duplicates

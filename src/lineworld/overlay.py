@@ -100,9 +100,15 @@ class OverlayGraph:
     def retain_links(self, keep: np.ndarray) -> None:
         """Drop every long link whose slot is False in `keep` (shaped like
         the table); survivors stay left-packed in their old order."""
-        order = np.argsort(~keep, axis=1, kind="stable")
-        self.sinks = np.take_along_axis(np.where(keep, self.sinks, NO_NEIGHBOR), order, axis=1)
-        self.ages = np.take_along_axis(self.ages, order, axis=1)
+        # row-major boolean indexing walks each row in slot order, so the
+        # first count slots of a row take its kept links and the rest its
+        # dropped ones: a stable sort of each row on ~keep
+        head = np.arange(keep.shape[1]) < np.count_nonzero(keep, axis=1)[:, None]
+        self.sinks[head] = self.sinks[keep]
+        self.sinks[~head] = NO_NEIGHBOR
+        kept, dropped = self.ages[keep], self.ages[~keep]
+        self.ages[head] = kept
+        self.ages[~head] = dropped
         self._adjacency.clear()
 
     def neighbors(self, u: NodeId, symmetric: bool = False) -> np.ndarray:
@@ -121,16 +127,28 @@ class OverlayGraph:
 
     def _build_adjacency(self, symmetric: bool) -> tuple[np.ndarray, np.ndarray]:
         n, width = self.sinks.shape
-        positions = np.arange(n, dtype=np.int64)
+        # keys src * n + dst and the probes up to n * n in int32 where they
+        # fit: sorting half-width keys takes about half the time
+        idx = np.int32 if (n + 1) * n <= np.iinfo(np.int32).max else np.int64
+        positions = np.arange(n, dtype=idx)
         holders = np.repeat(positions, width)
-        sinks = self.sinks.ravel()
+        sinks = self.sinks.ravel().astype(idx)
+        left, right = self.left.astype(idx), self.right.astype(idx)
         src = [holders, positions, positions] + ([sinks] if symmetric else [])
-        dst = [sinks, self.left, self.right] + ([holders] if symmetric else [])
+        dst = [sinks, left, right] + ([holders] if symmetric else [])
         src, dst = np.concatenate(src), np.concatenate(dst)
         edge = (src != NO_NEIGHBOR) & (dst != NO_NEIGHBOR) & (src != dst)
-        key = np.sort(src[edge] * n + dst[edge])
-        key = key[np.diff(key, prepend=-1) != 0]
-        return np.searchsorted(key, np.arange(n + 1) * n), key % n
+        key = src[edge]
+        key *= n
+        key += dst[edge]
+        key.sort()
+        fresh = np.empty(key.size, dtype=bool)
+        fresh[:1] = True
+        np.not_equal(key[1:], key[:-1], out=fresh[1:])
+        key = key[fresh]
+        indptr = np.searchsorted(key, np.arange(n + 1, dtype=idx) * n)
+        # key % n, but numpy divides by a scalar far faster than it takes %
+        return indptr, (key - key // n * n).astype(np.int64)
 
     def in_neighbors(self, u: NodeId) -> np.ndarray:
         """Holders of long links pointing at u, sorted and deduplicated."""
@@ -181,7 +199,10 @@ def _draw_long_links(g: OverlayGraph, present: np.ndarray, dist: LinkDistributio
     """Fill long-link tables for `present` positions, candidates = present."""
     n = g.n
     if isinstance(dist, InversePowerLaw):
-        g._fill(present, sample_line_links(present, n, dist.links, rng, present=g.alive))
+        # on a full line every draw lands on a present position: skip the
+        # rejection pass, which would accept its first batch whole
+        alive = None if present.size == n else g.alive
+        g._fill(present, sample_line_links(present, n, dist.links, rng, present=alive))
         return
     if isinstance(dist, BernoulliOffsets):
         deltas = dist.deltas

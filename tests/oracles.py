@@ -4,7 +4,7 @@ import numpy as np
 
 from lineworld.analysis import _choose
 from lineworld.linkgen import BernoulliOffsets, sample_offsets
-from lineworld.overlay import OverlayGraph
+from lineworld.overlay import NO_NEIGHBOR, OverlayGraph
 from lineworld.routing import Backtrack, RandomRestart, Sidedness
 
 
@@ -79,6 +79,33 @@ def reference_offset_build(n: int, law: BernoulliOffsets, rng) -> OverlayGraph:
         keep = rng.random(law.deltas.size) < law.probs
         g.set_links(u, [u - d for d in law.deltas[keep].tolist() if 0 <= u - d < n])
     return g
+
+
+def reference_retain_links(sinks: np.ndarray, ages: np.ndarray,
+                           keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`OverlayGraph.retain_links` as a stable per-row sort on ~keep: kept
+    sinks left-packed in slot order, NO_NEIGHBOR after them, and ages
+    moved with their slots, the dropped slots' ages in the tail."""
+    order = np.argsort(~keep, axis=1, kind="stable")
+    return (np.take_along_axis(np.where(keep, sinks, NO_NEIGHBOR), order, axis=1),
+            np.take_along_axis(ages, order, axis=1))
+
+
+def reference_adjacency(g: OverlayGraph, symmetric: bool) -> tuple[np.ndarray, np.ndarray]:
+    """`OverlayGraph`'s CSR adjacency (indptr, indices) from one sort of
+    int64 keys src * n + dst over every long, immediate and (symmetric)
+    reversed long link, self-links and empty slots dropped."""
+    n, width = g.sinks.shape
+    positions = np.arange(n, dtype=np.int64)
+    holders = np.repeat(positions, width)
+    sinks = g.sinks.ravel()
+    src = [holders, positions, positions] + ([sinks] if symmetric else [])
+    dst = [sinks, g.left, g.right] + ([holders] if symmetric else [])
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    edge = (src != NO_NEIGHBOR) & (dst != NO_NEIGHBOR) & (src != dst)
+    key = np.sort(src[edge] * n + dst[edge])
+    key = key[np.diff(key, prepend=-1) != 0]
+    return np.searchsorted(key, np.arange(n + 1) * n), key % n
 
 
 def step_point(x: int, offsets, sidedness: Sidedness) -> int:

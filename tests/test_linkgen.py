@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from lineworld import linkgen
 from lineworld.linkgen import (
     BernoulliOffsets,
     DeterministicBaseB,
@@ -122,6 +123,34 @@ def test_sample_line_links_off_center():
         p = w[v]
         se = math.sqrt(p * (1 - p) / draws)
         assert abs(counts[v] / draws - p) < 3 * se + 1e-9
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 2 ** 10, 2 ** 14, 2 ** 17, 2 ** 20])
+def test_harmonic_index_matches_binary_search(monkeypatch, n):
+    # every prefix value, both float neighbours of each, 0, the smallest
+    # subnormal, the top of the prefix and 10^5 uniforms, through the
+    # guess-and-fix-up path and through the batch-size selection
+    h = harmonic_numbers(n - 1)
+    r = np.concatenate((h, np.nextafter(h, -np.inf), np.nextafter(h, np.inf),
+                        [0.0, np.nextafter(0.0, 1.0), h[-1]],
+                        np.random.default_rng(n).random(10 ** 5) * h[-1]))
+    r = r[(r >= 0.0) & (r <= h[-1])]
+    want = np.maximum(np.searchsorted(h, r, "left"), 1)
+    for batch in (r, r[:linkgen._GUESS_MIN_DRAWS - 1], r[:linkgen._GUESS_MIN_DRAWS]):
+        assert np.array_equal(linkgen._harmonic_index(h, batch), want[:batch.size])
+    monkeypatch.setattr(linkgen, "_GUESS_MIN_DRAWS", 0)
+    for batch in (r, r[:11]):
+        assert np.array_equal(linkgen._harmonic_index(h, batch), want[:batch.size])
+
+
+def test_sample_line_links_full_present_mask_draws_as_none():
+    # with every position present the rejection pass accepts its first batch
+    # whole, so it draws what the unmasked sampler draws, and no more
+    n = 300
+    a, b = np.random.default_rng(3), np.random.default_rng(3)
+    with_mask = sample_line_links(np.arange(n), n, 7, a, present=np.ones(n, dtype=bool))
+    assert np.array_equal(with_mask, sample_line_links(np.arange(n), n, 7, b))
+    assert a.random() == b.random()
 
 
 def long_links(n, dist, u):

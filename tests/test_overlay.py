@@ -16,7 +16,14 @@ from lineworld.overlay import (
     build,
     build_binomial_presence,
 )
-from oracles import deterministic_links, offset_law, power_links, reference_offset_build
+from oracles import (
+    deterministic_links,
+    offset_law,
+    power_links,
+    reference_adjacency,
+    reference_offset_build,
+    reference_retain_links,
+)
 
 
 def test_build_degenerate_pair():
@@ -252,3 +259,37 @@ def test_symmetric_cache_invalidated_by_link_failures():
     assert holder in g.neighbors(sink, symmetric=True)
     apply_link_failures(g, 0.0, rng)
     assert holder not in g.neighbors(sink, symmetric=True)
+
+
+@pytest.mark.parametrize("n", [17, 300, 4096])
+def test_retain_links_matches_stable_sort_reference(n):
+    # random keep masks over every slot, empty ones included, on scrambled
+    # ages; the second round starts from ragged rows
+    rng = np.random.default_rng(n)
+    g = build(n, InversePowerLaw(6), rng)
+    g.ages[:] = rng.permutation(g.ages.size).reshape(g.ages.shape)
+    for p in (0.5, 0.7):
+        keep = rng.random(g.sinks.shape) < p
+        sinks, ages = reference_retain_links(g.sinks, g.ages, keep)
+        g.retain_links(keep)
+        assert np.array_equal(g.sinks, sinks) and np.array_equal(g.ages, ages)
+
+
+def _link_failed(n, links, rng):
+    return apply_link_failures(build(n, InversePowerLaw(links), rng), 0.5, rng)
+
+
+def _binomial(n, links, rng):
+    return build_binomial_presence(n, 0.5, InversePowerLaw(links), rng)
+
+
+# 46340 is the largest n whose keys fit int32, (n + 1) * n < 2^31
+@pytest.mark.parametrize("n, links", [(17, 3), (300, 6), (4096, 12), (46340, 1), (46341, 1)])
+@pytest.mark.parametrize("make", [_link_failed, _binomial], ids=["link-failed", "binomial"])
+@pytest.mark.parametrize("symmetric", [False, True], ids=["directed", "symmetric"])
+def test_adjacency_matches_int64_reference(n, links, make, symmetric):
+    g = make(n, links, np.random.default_rng(n))
+    indptr, indices = g._build_adjacency(symmetric)
+    want_indptr, want_indices = reference_adjacency(g, symmetric)
+    assert indices.dtype == np.int64
+    assert np.array_equal(indptr, want_indptr) and np.array_equal(indices, want_indices)
