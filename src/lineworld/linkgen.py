@@ -46,7 +46,8 @@ class DeterministicBaseB:
 
 @dataclass(frozen=True)
 class PowersOfB:
-    """Sinks at distances b^0, b^1, ..., b^floor(log_b n), both directions."""
+    """Sinks at distances b^0, b^1, ... up to the line's length, both
+    directions."""
 
     base: int
 
@@ -220,16 +221,17 @@ def ceil_log(n: int, b: int) -> int:
 
 
 def scheme_distances(dist: DeterministicBaseB | PowersOfB, n: int) -> np.ndarray:
-    """Sorted positive link distances of a deterministic scheme on a line of
-    n positions: j*b^i for 1 <= j < b and i < ceil(log_b n) (base-b), or b^i
-    for i <= floor(log_b n) (powers of b).  Every node links at each distance
-    in both directions, where the line allows."""
+    """Sorted positive link distances of a deterministic scheme that fit a
+    line of n positions, all <= n - 1: j*b^i for 1 <= j < b (base-b), or b^i
+    (powers of b).  Every node links at each distance in both directions,
+    where the line allows."""
     b = dist.base
+    powers = b ** np.arange(ceil_log(n, b))  # b^i <= n - 1
     if isinstance(dist, PowersOfB):
-        return b ** np.arange(ceil_log(n + 1, b))  # b^i <= n
+        return powers
     # row i holds b^i, ..., (b-1)*b^i: row-major order is already ascending
-    powers = b ** np.arange(ceil_log(n, b))
-    return (powers[:, None] * np.arange(1, b)).ravel()
+    d = (powers[:, None] * np.arange(1, b)).ravel()
+    return d[d < n]
 
 
 def sample_offsets(dist: BernoulliOffsets, rng: np.random.Generator,

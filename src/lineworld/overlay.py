@@ -207,7 +207,7 @@ def _draw_long_links(g: OverlayGraph, present: np.ndarray, dist: LinkDistributio
     if isinstance(dist, BernoulliOffsets):
         deltas = dist.deltas
     elif isinstance(dist, (DeterministicBaseB, PowersOfB)):
-        d = scheme_distances(dist, n)  # a link longer than n - 1 is never kept
+        d = scheme_distances(dist, n)
         deltas = np.concatenate((d[::-1], -d))  # descending, so each row's sinks ascend
     else:
         raise TypeError(f"unknown link distribution {dist!r}")

@@ -15,10 +15,11 @@ from lineworld.linkgen import (
     ideal_length_distribution,
     sample_line_links,
     sample_offsets,
+    scheme_distances,
 )
 from lineworld.harness import power_law_inclusion
 from lineworld.overlay import build
-from oracles import draw_offsets, offset_law
+from oracles import deterministic_links, draw_offsets, offset_law, power_links
 
 
 def harmonic_weights(u, population) -> dict[int, float]:
@@ -180,6 +181,14 @@ def test_link_sets_stay_on_line():
         b = int(rng.integers(2, 6))
         for dist in (DeterministicBaseB(b), PowersOfB(b)):
             assert all(0 <= v < n and v != u for v in long_links(n, dist, u))
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 10, 81, 100, 1024])
+@pytest.mark.parametrize("b", [2, 3, 5])
+def test_scheme_distances_are_the_lengths_nodes_hold(n, b):
+    for dist, links_of in ((DeterministicBaseB(b), deterministic_links), (PowersOfB(b), power_links)):
+        held = {abs(u - v) for u in range(n) for v in links_of(u, n, b)}
+        assert scheme_distances(dist, n).tolist() == sorted(held)
 
 
 def test_base_must_exceed_one():
