@@ -141,19 +141,20 @@ def _harmonic_index(h: np.ndarray, r: np.ndarray) -> np.ndarray:
     np.ceil(guess, out=guess)
     np.clip(guess, 1, h.size - 1, out=guess)
     d = guess.astype(np.int64)
-    moving = None  # indices still being fixed up; None is every index
-    while moving is None or moving.size:
-        dm, rm = (d, r) if moving is None else (d[moving], r[moving])
-        up = h[dm] < rm
-        down = (dm > 1) & (h[dm - 1] >= rm)
-        step = np.subtract(up, down, dtype=np.int64)
-        if moving is None:
-            d += step
-            moving = np.flatnonzero(step)
-        else:
-            d[moving] = dm + step
-            moving = moving[step != 0]
+    step = _harmonic_step(h, d, r)
+    d += step
+    moving = np.flatnonzero(step)
+    while moving.size:
+        step = _harmonic_step(h, d[moving], r[moving])
+        d[moving] += step
+        moving = moving[step != 0]
     return d.reshape(shape)
+
+
+def _harmonic_step(h: np.ndarray, d: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Move of each index d toward the smallest d >= 1 with h[d] >= r: +1
+    where h[d] < r, -1 where d > 1 and h[d - 1] >= r, else 0."""
+    return np.subtract(h[d] < r, (d > 1) & (h[d - 1] >= r), dtype=np.int64)
 
 
 def _grid_draws(us: np.ndarray, n: int, draws: int, h: np.ndarray,

@@ -138,13 +138,10 @@ class OverlayGraph:
         dst = [sinks, left, right] + ([holders] if symmetric else [])
         src, dst = np.concatenate(src), np.concatenate(dst)
         edge = (src != NO_NEIGHBOR) & (dst != NO_NEIGHBOR) & (src != dst)
-        key = src[edge]
-        key *= n
-        key += dst[edge]
+        key = src[edge] * n + dst[edge]
         key.sort()
-        fresh = np.empty(key.size, dtype=bool)
-        fresh[:1] = True
-        np.not_equal(key[1:], key[:-1], out=fresh[1:])
+        fresh = np.ones(key.size, dtype=bool)
+        fresh[1:] = key[1:] != key[:-1]
         key = key[fresh]
         indptr = np.searchsorted(key, np.arange(n + 1, dtype=idx) * n)
         # key % n, but numpy divides by a scalar far faster than it takes %

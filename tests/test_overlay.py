@@ -283,9 +283,14 @@ def _binomial(n, links, rng):
     return build_binomial_presence(n, 0.5, InversePowerLaw(links), rng)
 
 
+def _no_links(n, links, rng):
+    return OverlayGraph(n)
+
+
 # 46340 is the largest n whose keys fit int32, (n + 1) * n < 2^31
 @pytest.mark.parametrize("n, links", [(17, 3), (300, 6), (4096, 12), (46340, 1), (46341, 1)])
-@pytest.mark.parametrize("make", [_link_failed, _binomial], ids=["link-failed", "binomial"])
+@pytest.mark.parametrize("make", [_link_failed, _binomial, _no_links],
+                         ids=["link-failed", "binomial", "no-links"])
 @pytest.mark.parametrize("symmetric", [False, True], ids=["directed", "symmetric"])
 def test_adjacency_matches_int64_reference(n, links, make, symmetric):
     g = make(n, links, np.random.default_rng(n))
