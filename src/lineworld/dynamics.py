@@ -1,10 +1,10 @@
 """Overlay maintenance under churn.
 
-A joining node stitches itself into the live line, draws its outgoing
-long links over the whole grid (absent positions are owned by the nearest
-live node, its basin of attraction), then estimates how many incoming
-links it should have -- a Poisson draw with rate equal to the outdegree --
-and asks that many existing nodes to redirect one of their links to it.
+A joining node takes its place on the line, draws its outgoing long links
+over the whole grid (absent positions are owned by the nearest live node,
+its basin of attraction), then estimates how many incoming links it should
+have -- a Poisson draw with rate equal to the outdegree -- and asks that
+many existing nodes to redirect one of their links to it.
 
 A requester at distances d_1..d_k from its current sinks accepts the
 redirect with probability p_new / (p_1 + ... + p_k + p_new) where
@@ -14,10 +14,11 @@ which telescopes exactly to the stationary inverse-distance law:
     p_i/sum_{j<=k} - p_i/sum_{j<=k+1} = (p_i/sum_{j<=k}) * (p_new/sum_{j<=k+1})
 
 The oldest-link variant keeps the same accept step but always evicts the
-link with the smallest age.  Departures re-stitch the line and can
-optionally resample every link that pointed at the leaver.  Every write
-is a whole row (the joiner's) or one array write (accepted redirects in
-requester order, repairs in row-major slot order).
+link with the smallest age.  A departure takes the node off the line, so
+its line neighbours become each other's, and can optionally resample every
+link that pointed at the leaver.  Every write is a whole row (the
+joiner's) or one array write (accepted redirects in requester order,
+repairs in row-major slot order).
 """
 
 from __future__ import annotations
@@ -103,13 +104,7 @@ def join(g: OverlayGraph, v: NodeId, links: int, policy: ReplacementPolicy,
     if g.alive[v]:
         raise ValueError("position already live")
     live_arr = g.live_sorted()  # snapshot without v
-    g.alive[v] = True
-
-    # stitch into the live line, on both sides: a rejoining position may
-    # still point at the neighbours it had when it left
-    i = int(np.searchsorted(live_arr, v))
-    g.stitch(int(live_arr[i - 1]) if i > 0 else NO_NEIGHBOR, v)
-    g.stitch(v, int(live_arr[i]) if i < live_arr.size else NO_NEIGHBOR)
+    g.set_member(v, True)
 
     # a rejoining position starts with a fresh row; a first or second node
     # has at most its line neighbor, no meaningful long links
@@ -131,7 +126,7 @@ def join(g: OverlayGraph, v: NodeId, links: int, policy: ReplacementPolicy,
 
 
 def leave(g: OverlayGraph, v: NodeId, repair: bool, rng: np.random.Generator) -> OverlayGraph:
-    """Take position v down, re-stitching its line neighbors across it.
+    """Take position v down and off the line.
 
     With repair=True every long link that pointed at v is resampled over
     the live population (~1/distance from its holder), unless its holder is
@@ -140,8 +135,7 @@ def leave(g: OverlayGraph, v: NodeId, repair: bool, rng: np.random.Generator) ->
     """
     if not g.alive[v]:
         raise ValueError("position not live")
-    g.stitch(int(g.left[v]), int(g.right[v]))
-    g.alive[v] = False
+    g.set_member(v, False)
     if not repair:
         return g
     holders = g.in_neighbors(v)

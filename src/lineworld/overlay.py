@@ -1,18 +1,22 @@
 """Overlay graphs on a line: construction, failure injection, serialization.
 
-An overlay holds, per position: a liveness flag and immediate links to the
-nearest live neighbor on each side.  Long-distance links live in one
-padded table, `sinks[u]` holding u's sinks left-packed in slot order with
-NO_NEIGHBOR after the last; the table is exactly as wide as the widest row
-ever written.  `ages` has the same shape and stamps each write from one
-graph-wide clock, so churn policies can find a row's oldest link.  Writes
-take whole rows (`set_links`) or arrays of slots (`replace_link`), stamped
-in order.  With-replacement sampling may store the same sink twice.
+An overlay holds, per position, a liveness flag and a membership flag.  A
+position is on the line (a member) from its build or join until it leaves;
+a failed node stays a member, so routing still finds it dead.  Immediate
+links follow from the mask: each member links to the nearest member on
+each side.  Long-distance links live in one padded table, `sinks[u]`
+holding u's sinks left-packed in slot order with NO_NEIGHBOR after the
+last; the table is exactly as wide as the widest row ever written.  `ages`
+has the same shape and stamps each write from one graph-wide clock, so
+churn policies can find a row's oldest link.  Writes take whole rows, one
+or a padded table of them (`set_links`), or arrays of slots
+(`replace_link`), stamped in order.  With-replacement sampling may store
+the same sink twice.
 
 Routing reads a sorted, deduplicated CSR adjacency per link mode (directed,
 or symmetric with in-links), rebuilt on the first read after a link or
-stitch write.  It ignores liveness, so node failures never invalidate it;
-readers filter dead sinks themselves.
+membership write.  It ignores liveness, so node failures never invalidate
+it; readers filter dead sinks themselves.
 """
 
 from __future__ import annotations
@@ -41,19 +45,18 @@ DUMP_HEADER = "lineworld-graph v1"
 class OverlayGraph:
     """Mutable overlay state; routing reads it, churn operations mutate it."""
 
-    __slots__ = ("n", "alive", "left", "right", "sinks", "ages", "_clock", "_adjacency")
+    __slots__ = ("n", "alive", "member", "sinks", "ages", "_clock", "_adjacency")
 
     def __init__(self, n: int):
         if n < 2:
             raise ValueError("need at least 2 positions")
         self.n = n
         self.alive = np.zeros(n, dtype=bool)
-        self.left = np.full(n, NO_NEIGHBOR, dtype=np.int64)
-        self.right = np.full(n, NO_NEIGHBOR, dtype=np.int64)
+        self.member = np.zeros(n, dtype=bool)
         self.sinks = np.full((n, 0), NO_NEIGHBOR, dtype=np.int64)
         self.ages = np.zeros((n, 0), dtype=np.int64)
         self._clock = 0
-        # symmetric -> (indptr, indices); emptied by every link or stitch write
+        # symmetric -> (indptr, indices); emptied by every link or membership write
         self._adjacency: dict[bool, tuple[np.ndarray, np.ndarray]] = {}
 
     # -- link bookkeeping ------------------------------------------------
@@ -63,29 +66,21 @@ class OverlayGraph:
         row = self.sinks[u].tolist()
         return row[:row.index(NO_NEIGHBOR)] if NO_NEIGHBOR in row else row
 
-    def _fill(self, positions: np.ndarray, rows: np.ndarray) -> None:
-        """Load a fresh table: positions[i] gets the long links rows[i]
-        (NO_NEIGHBOR-padded), all stamped older than any later write."""
-        width = rows.shape[1]
-        self.sinks = np.full((self.n, width), NO_NEIGHBOR, dtype=np.int64)
-        self.sinks[positions] = rows
-        self.ages = np.tile(np.arange(width, dtype=np.int64), (self.n, 1))
-        self._clock = width
-        self._adjacency.clear()
-
-    def set_links(self, u: NodeId, sinks) -> None:
+    def set_links(self, u, sinks) -> None:
         """Make `sinks` u's whole row, in slot order, stamped with the next
-        clock values; the table widens to fit the row if it must."""
+        clock values; the table widens to fit the row if it must.  Given an
+        array of positions and a NO_NEIGHBOR-padded table, one row each,
+        writes every row, stamped in row-major order."""
         sinks = np.asarray(sinks, dtype=np.int64)
-        k, width = sinks.size, self.sinks.shape[1]
+        k, width = sinks.shape[-1], self.sinks.shape[1]
         if k > width:
             pad = ((0, 0), (0, k - width))
             self.sinks = np.pad(self.sinks, pad, constant_values=NO_NEIGHBOR)
             self.ages = np.pad(self.ages, pad)
-        self.sinks[u] = NO_NEIGHBOR
+        self.sinks[u, k:] = NO_NEIGHBOR
         self.sinks[u, :k] = sinks
-        self.ages[u, :k] = self._clock + np.arange(k)
-        self._clock += k
+        self.ages[u, :k] = np.arange(self._clock, self._clock + sinks.size).reshape(sinks.shape)
+        self._clock += sinks.size
         self._adjacency.clear()
 
     def replace_link(self, u, index, new_sink) -> None:
@@ -133,9 +128,9 @@ class OverlayGraph:
         positions = np.arange(n, dtype=idx)
         holders = np.repeat(positions, width)
         sinks = self.sinks.ravel().astype(idx)
-        left, right = self.left.astype(idx), self.right.astype(idx)
-        src = [holders, positions, positions] + ([sinks] if symmetric else [])
-        dst = [sinks, left, right] + ([holders] if symmetric else [])
+        line = np.flatnonzero(self.member).astype(idx)
+        src = [holders, line[:-1], line[1:]] + ([sinks] if symmetric else [])
+        dst = [sinks, line[1:], line[:-1]] + ([holders] if symmetric else [])
         src, dst = np.concatenate(src), np.concatenate(dst)
         edge = (src != NO_NEIGHBOR) & (dst != NO_NEIGHBOR) & (src != dst)
         key = src[edge] * n + dst[edge]
@@ -152,13 +147,9 @@ class OverlayGraph:
         holders = np.flatnonzero(self.sinks.ravel() == u) // self.sinks.shape[1]
         return holders[np.diff(holders, prepend=-1) != 0]
 
-    def stitch(self, left: NodeId, right: NodeId) -> None:
-        """Make `left` and `right` immediate neighbors on the line; either
-        may be NO_NEIGHBOR for an end of the line."""
-        if left != NO_NEIGHBOR:
-            self.right[left] = right
-        if right != NO_NEIGHBOR:
-            self.left[right] = left
+    def set_member(self, u: NodeId, on: bool) -> None:
+        """Put u on the line, live, or take it off the line and down."""
+        self.member[u] = self.alive[u] = on
         self._adjacency.clear()
 
     def live_sorted(self) -> np.ndarray:
@@ -168,22 +159,19 @@ class OverlayGraph:
     # -- serialization ---------------------------------------------------
 
     def dump_text(self) -> str:
-        """Stable line dump: position, liveness, immediate sinks, sorted
-        long sinks.  Equal dumps mean equal topology and liveness."""
+        """Stable line dump: position, liveness, immediate sinks (none off
+        the line), sorted long sinks.  Equal dumps mean equal topology and
+        liveness."""
+        line = np.flatnonzero(self.member).tolist()
+        immediate = [""] * self.n
+        for i, u in enumerate(line):
+            immediate[u] = ",".join(map(str, line[max(i - 1, 0):i] + line[i + 1:i + 2]))
         out = io.StringIO()
         out.write(f"{DUMP_HEADER}\nn={self.n}\n")
         for u in range(self.n):
-            imm = ",".join(str(x) for x in (self.left[u], self.right[u]) if x != NO_NEIGHBOR)
             longs = ",".join(str(v) for v in sorted(self.long_links(u)))
-            out.write(f"{u}\t{int(self.alive[u])}\t{imm}\t{longs}\n")
+            out.write(f"{u}\t{int(self.alive[u])}\t{immediate[u]}\t{longs}\n")
         return out.getvalue()
-
-
-def _stitch_line(g: OverlayGraph, positions: np.ndarray) -> None:
-    """Point immediate links of `positions` (sorted, on a fresh graph) at
-    their neighbors in sequence."""
-    g.left[positions[1:]] = positions[:-1]
-    g.right[positions[:-1]] = positions[1:]
 
 
 # most offsets one chunk of the offset-table build draws and filters at a
@@ -199,7 +187,7 @@ def _draw_long_links(g: OverlayGraph, present: np.ndarray, dist: LinkDistributio
         # on a full line every draw lands on a present position: skip the
         # rejection pass, which would accept its first batch whole
         alive = None if present.size == n else g.alive
-        g._fill(present, sample_line_links(present, n, dist.links, rng, present=alive))
+        g.set_links(present, sample_line_links(present, n, dist.links, rng, present=alive))
         return
     if isinstance(dist, BernoulliOffsets):
         deltas = dist.deltas
@@ -225,17 +213,15 @@ def _draw_long_links(g: OverlayGraph, present: np.ndarray, dist: LinkDistributio
     table = np.full((present.size, counts.max()), NO_NEIGHBOR, dtype=np.int64)
     # holders ascend, so row-major order left-packs each row in offset order
     table[np.arange(table.shape[1]) < counts[:, None]] = np.concatenate(sinks)
-    g._fill(present, table)
+    g.set_links(present, table)
 
 
 def build(n: int, dist: LinkDistribution, rng: np.random.Generator) -> OverlayGraph:
     """Build a fully-populated overlay: immediate links to positions +/-1
     (clipped at the ends) and long links drawn per `dist`."""
     g = OverlayGraph(n)
-    g.alive[:] = True
-    positions = np.arange(n)
-    _stitch_line(g, positions)
-    _draw_long_links(g, positions, dist, rng)
+    g.alive[:] = g.member[:] = True
+    _draw_long_links(g, np.arange(n), dist, rng)
     return g
 
 
@@ -250,8 +236,7 @@ def build_binomial_presence(n: int, p_present: float, dist: LinkDistribution,
     present = np.flatnonzero(rng.random(n) < p_present)
     if present.size < 2:
         raise ValueError("graph too small")
-    g.alive[present] = True
-    _stitch_line(g, present)
+    g.alive[present] = g.member[present] = True
     _draw_long_links(g, present, dist, rng)
     return g
 

@@ -72,9 +72,7 @@ def reference_offset_build(n: int, law: BernoulliOffsets, rng) -> OverlayGraph:
     in node order, draws one uniform per offset of the sorted law and links
     to u - delta for each kept delta on the line, in offset order."""
     g = OverlayGraph(n)
-    g.alive[:] = True
-    g.left[1:] = np.arange(n - 1)
-    g.right[:-1] = np.arange(1, n)
+    g.alive[:] = g.member[:] = True
     for u in range(n):
         keep = rng.random(law.deltas.size) < law.probs
         g.set_links(u, [u - d for d in law.deltas[keep].tolist() if 0 <= u - d < n])
@@ -91,16 +89,35 @@ def reference_retain_links(sinks: np.ndarray, ages: np.ndarray,
             np.take_along_axis(ages, order, axis=1))
 
 
+def nearest_members(member) -> list[list[int]]:
+    """Immediate sinks of every position, scanning the membership mask
+    outward one position at a time: the nearest member on each side, left
+    first, for members only."""
+    n = len(member)
+    out = []
+    for u in range(n):
+        row = []
+        for step in (-1, 1) if member[u] else ():
+            v = u + step
+            while 0 <= v < n and not member[v]:
+                v += step
+            if 0 <= v < n:
+                row.append(v)
+        out.append(row)
+    return out
+
+
 def reference_adjacency(g: OverlayGraph, symmetric: bool) -> tuple[np.ndarray, np.ndarray]:
     """`OverlayGraph`'s CSR adjacency (indptr, indices) from one sort of
     int64 keys src * n + dst over every long, immediate and (symmetric)
     reversed long link, self-links and empty slots dropped."""
     n, width = g.sinks.shape
-    positions = np.arange(n, dtype=np.int64)
-    holders = np.repeat(positions, width)
+    holders = np.repeat(np.arange(n, dtype=np.int64), width)
     sinks = g.sinks.ravel()
-    src = [holders, positions, positions] + ([sinks] if symmetric else [])
-    dst = [sinks, g.left, g.right] + ([holders] if symmetric else [])
+    line = [(u, v) for u, row in enumerate(nearest_members(g.member)) for v in row]
+    line_src, line_dst = np.array(line, dtype=np.int64).reshape(-1, 2).T
+    src = [holders, line_src] + ([sinks] if symmetric else [])
+    dst = [sinks, line_dst] + ([holders] if symmetric else [])
     src, dst = np.concatenate(src), np.concatenate(dst)
     edge = (src != NO_NEIGHBOR) & (dst != NO_NEIGHBOR) & (src != dst)
     key = np.sort(src[edge] * n + dst[edge])
@@ -133,16 +150,21 @@ def nearest_live(live, target: int) -> int:
 
 
 
-def parse_dump(dump: str) -> tuple[list[bool], list[set[int]], list[list[int]]]:
+def parse_dump(dump: str) -> tuple[list[bool], list[list[int]], list[list[int]]]:
     """Per position of `OverlayGraph.dump_text()`: liveness, immediate
-    sinks and sorted long sinks."""
+    sinks in dump order and sorted long sinks."""
     alive, immediate, longs = [], [], []
     for line in dump.splitlines()[2:]:
         _, flag, imm, long_text = line.split("\t")
         alive.append(flag == "1")
-        immediate.append({int(v) for v in imm.split(",") if v})
+        immediate.append([int(v) for v in imm.split(",") if v])
         longs.append([int(v) for v in long_text.split(",") if v])
     return alive, immediate, longs
+
+
+def immediate_column(g: OverlayGraph) -> list[list[int]]:
+    """Immediate sinks of every position, as `g.dump_text()` lists them."""
+    return parse_dump(g.dump_text())[1]
 
 
 def reference_neighbors(dump: str, symmetric: bool) -> list[list[int]]:
@@ -153,7 +175,7 @@ def reference_neighbors(dump: str, symmetric: bool) -> list[list[int]]:
     _, immediate, longs = parse_dump(dump)
     out = []
     for u in range(len(longs)):
-        sinks = set(longs[u]) | immediate[u]
+        sinks = set(longs[u] + immediate[u])
         if symmetric:
             sinks |= {h for h, row in enumerate(longs) if u in row}
         sinks.discard(u)

@@ -14,9 +14,9 @@ from lineworld.dynamics import (
     replacement_decision,
 )
 from lineworld.linkgen import InversePowerLaw
-from lineworld.overlay import NO_NEIGHBOR, OverlayGraph, build
+from lineworld.overlay import OverlayGraph, build
 from lineworld.routing import Sidedness, greedy_step
-from oracles import nearest_live
+from oracles import immediate_column, nearest_live
 
 
 def small_graph(n=32, ell=3, seed=0):
@@ -97,10 +97,11 @@ def test_join_into_empty_and_single():
     rng = np.random.default_rng(4)
     join(g, 3, 2, ReplacementPolicy.INVERSE_DISTANCE, rng)
     assert g.alive[3] and not g.long_links(3)
-    assert g.left[3] == NO_NEIGHBOR and g.right[3] == NO_NEIGHBOR
-    # second joiner: immediate stitch only, no meaningful long links
+    assert immediate_column(g)[3] == []
+    # second joiner: immediate link only, no meaningful long links
     join(g, 6, 2, ReplacementPolicy.INVERSE_DISTANCE, rng)
-    assert g.left[6] == 3 and g.right[3] == 6
+    imm = immediate_column(g)
+    assert imm[6] == [3] and imm[3] == [6]
     assert not g.long_links(6)
 
 
@@ -127,8 +128,9 @@ def test_join_stitches_live_line():
     for v in (2, 9, 13):
         join(g, v, 1, ReplacementPolicy.INVERSE_DISTANCE, rng)
     join(g, 5, 1, ReplacementPolicy.INVERSE_DISTANCE, rng)
-    assert g.right[2] == 5 and g.left[5] == 2
-    assert g.right[5] == 9 and g.left[9] == 5
+    imm = immediate_column(g)
+    assert imm[2] == [5] and imm[5] == [2, 9]
+    assert imm[9] == [5, 13]
     # links attach only to live nodes
     for s in g.long_links(5):
         assert g.alive[s]
@@ -180,7 +182,27 @@ def test_rejoin_into_empty_grid_drops_stale_line_links():
         leave(g, v, True, rng)
     join(g, 3, 3, ReplacementPolicy.INVERSE_DISTANCE, rng)
     assert g.live_sorted().tolist() == [3]
-    assert (g.left[3], g.right[3]) == (NO_NEIGHBOR, NO_NEIGHBOR)
+    assert immediate_column(g)[3] == []
+
+
+def test_departed_position_dumps_no_immediate_sinks():
+    g = small_graph(8, 2, seed=22)
+    leave(g, 3, repair=False, rng=np.random.default_rng(23))
+    imm = immediate_column(g)
+    assert imm[3] == [] and imm[2] == [1, 4] and imm[4] == [2, 5]
+    assert g.neighbors(3).tolist() == sorted(set(g.long_links(3)))
+
+
+def test_join_next_to_failed_member_links_to_it():
+    # a failed node stays on the line, so a joiner beside it links to it
+    g = small_graph(16, 2, seed=24)
+    rng = np.random.default_rng(25)
+    leave(g, 8, repair=True, rng=rng)
+    g.alive[7] = False
+    join(g, 8, 2, ReplacementPolicy.INVERSE_DISTANCE, rng)
+    imm = immediate_column(g)
+    assert imm[8] == [7, 9] and imm[7] == [6, 8]
+    assert 7 in g.neighbors(8)
 
 
 def test_leave_without_repair_leaves_dangling():
@@ -193,10 +215,7 @@ def test_leave_without_repair_leaves_dangling():
     assert target in g.long_links(holder)
     # the dangling link is discovered by a committing greedy step
     g2 = OverlayGraph(32)
-    g2.alive[:] = True
-    for u in range(32):
-        g2.left[u] = u - 1 if u > 0 else NO_NEIGHBOR
-        g2.right[u] = u + 1 if u < 31 else NO_NEIGHBOR
+    g2.alive[:] = g2.member[:] = True
     g2.set_links(20, [4])
     leave(g2, 4, repair=False, rng=rng)
     assert greedy_step(g2, 20, 0, Sidedness.TWO_SIDED) is None
@@ -211,8 +230,9 @@ def test_leave_with_repair_no_dangling():
     for u in range(128):
         if g.alive[u]:
             assert not dead.intersection(g.long_links(u))
-    # line re-stitched across the dead run 63-64
-    assert g.right[62] == 65 and g.left[65] == 62
+    # the line closes across the departed run 63-64
+    imm = immediate_column(g)
+    assert imm[62] == [61, 65] and imm[65] == [62, 66]
 
 
 def test_leave_with_repair_lone_survivor_keeps_dangling_link():
@@ -221,7 +241,7 @@ def test_leave_with_repair_lone_survivor_keeps_dangling_link():
     g = leave(build(2, InversePowerLaw(2), rng), 1, True, rng)
     assert g.alive.tolist() == [True, False]
     assert g.long_links(0) == [1, 1]
-    assert g.right[0] == NO_NEIGHBOR
+    assert immediate_column(g)[0] == []
 
 
 def test_leave_repair_resamples_over_live_nodes_only():
@@ -241,7 +261,7 @@ def test_leave_then_rejoin_consistent():
     join(g, 30, 3, ReplacementPolicy.INVERSE_DISTANCE, rng)
     assert g.alive[30]
     assert len(g.long_links(30)) == 3
-    assert g.left[30] == 29 and g.right[30] == 31
+    assert immediate_column(g)[30] == [29, 31]
     live_links_ok = all(g.alive[s] for u in range(64) if g.alive[u] for s in g.long_links(u))
     assert live_links_ok
 

@@ -9,7 +9,6 @@ from lineworld import overlay
 from lineworld.harness import power_law_inclusion
 from lineworld.linkgen import DeterministicBaseB, InversePowerLaw, PowersOfB
 from lineworld.overlay import (
-    NO_NEIGHBOR,
     OverlayGraph,
     apply_link_failures,
     apply_node_failures,
@@ -18,6 +17,8 @@ from lineworld.overlay import (
 )
 from oracles import (
     deterministic_links,
+    immediate_column,
+    nearest_members,
     offset_law,
     power_links,
     reference_adjacency,
@@ -28,8 +29,7 @@ from oracles import (
 
 def test_build_degenerate_pair():
     g = build(2, InversePowerLaw(3), np.random.default_rng(0))
-    assert g.right[0] == 1 and g.left[1] == 0
-    assert g.left[0] == NO_NEIGHBOR and g.right[1] == NO_NEIGHBOR
+    assert immediate_column(g) == [[1], [0]]
     assert set(g.long_links(0)) == {1} and set(g.long_links(1)) == {0}
 
 
@@ -73,9 +73,10 @@ def test_deterministic_tables_match_per_node_sets(n, b):
 
 def test_build_immediate_links():
     g = build(50, InversePowerLaw(2), np.random.default_rng(2))
+    assert g.member.all()
+    imm = immediate_column(g)
     for u in range(50):
-        assert g.left[u] == (u - 1 if u > 0 else NO_NEIGHBOR)
-        assert g.right[u] == (u + 1 if u < 49 else NO_NEIGHBOR)
+        assert imm[u] == [v for v in (u - 1, u + 1) if 0 <= v < 50]
 
 
 def test_link_failures_identity_and_wipeout():
@@ -87,9 +88,9 @@ def test_link_failures_identity_and_wipeout():
     apply_link_failures(g, 0.0, rng)
     assert all(not g.long_links(u) for u in range(g.n))
     # immediate adjacency survives in full
+    imm = immediate_column(g)
     for u in range(200):
-        assert g.left[u] == (u - 1 if u > 0 else NO_NEIGHBOR)
-        assert g.right[u] == (u + 1 if u < 199 else NO_NEIGHBOR)
+        assert imm[u] == [v for v in (u - 1, u + 1) if 0 <= v < 200]
 
 
 def test_link_failures_survival_rate():
@@ -106,17 +107,18 @@ def test_link_failures_survival_rate():
 def test_link_failures_preserve_immediate_adjacency():
     rng = np.random.default_rng(5)
     g = build(300, InversePowerLaw(3), rng)
-    imm_before = [(int(g.left[u]), int(g.right[u])) for u in range(300)]
+    imm_before = immediate_column(g)
     apply_link_failures(g, 0.4, rng)
-    assert [(int(g.left[u]), int(g.right[u])) for u in range(300)] == imm_before
+    assert immediate_column(g) == imm_before
 
 
 def test_binomial_presence_full():
     g = build_binomial_presence(64, 1.0, InversePowerLaw(3), np.random.default_rng(6))
     assert g.alive.all()
     assert all(len(g.long_links(u)) == 3 for u in range(g.n))
+    imm = immediate_column(g)
     for u in range(1, 63):
-        assert g.left[u] == u - 1 and g.right[u] == u + 1
+        assert imm[u] == [u - 1, u + 1]
 
 
 def test_binomial_presence_count_and_sinks():
@@ -128,11 +130,14 @@ def test_binomial_presence_count_and_sinks():
     for u in range(n):
         for v in g.long_links(u):
             assert g.alive[v]
-    # immediate links point at the nearest present neighbor
-    live = np.flatnonzero(g.alive)
+    # immediate links point at the nearest present neighbor; absent
+    # positions are off the line
+    assert np.array_equal(g.member, g.alive)
+    live = np.flatnonzero(g.alive).tolist()
+    imm = immediate_column(g)
     for i, u in enumerate(live):
-        assert g.left[u] == (live[i - 1] if i > 0 else NO_NEIGHBOR)
-        assert g.right[u] == (live[i + 1] if i + 1 < len(live) else NO_NEIGHBOR)
+        assert imm[u] == live[max(i - 1, 0):i] + live[i + 1:i + 2]
+    assert imm == nearest_members(g.member)
 
 
 def test_binomial_presence_too_small():
@@ -173,10 +178,7 @@ def test_dump_format():
 
 def test_symmetric_neighbors_include_in_links():
     g = OverlayGraph(10)
-    g.alive[:] = True
-    for u in range(10):
-        g.left[u] = u - 1 if u > 0 else NO_NEIGHBOR
-        g.right[u] = u + 1 if u < 9 else NO_NEIGHBOR
+    g.alive[:] = g.member[:] = True
     g.set_links(2, [9])
     assert 9 in g.neighbors(2)
     assert 2 not in g.neighbors(9)
@@ -205,6 +207,9 @@ def test_row_writes_stamp_ages_in_order():
     assert (g.sinks[2, 0], g.ages[2, 0], g.sinks[1, 1], g.ages[1, 1]) == (7, 5, 7, 6)
     g.set_links(2, [1])  # a shorter row clears the slots after it
     assert g.long_links(2) == [1] and g.ages[2, 0] == 7
+    g.set_links(np.array([4, 0]), [[3, -1], [2, 6]])  # a padded table, row-major
+    assert g.sinks[[4, 0]].tolist() == [[3, -1, -1], [2, 6, -1]]
+    assert g.ages[4, :2].tolist() == [8, 9] and g.ages[0, :2].tolist() == [10, 11]
 
 
 def test_build_bernoulli_offsets():

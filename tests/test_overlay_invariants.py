@@ -15,7 +15,7 @@ from lineworld.overlay import (
     apply_node_failures,
     build,
 )
-from oracles import reference_neighbors
+from oracles import immediate_column, nearest_members, reference_neighbors
 
 N = 24
 LINKS = 3
@@ -85,13 +85,20 @@ class OverlayMachine(RuleBasedStateMachine):
             assert len(set(ages)) == len(ages)
 
     @invariant()
-    def churn_keeps_live_line_stitched(self):
-        if not self.churn_only:
-            return
-        live = self.g.live_sorted().tolist()
-        for i, u in enumerate(live):
-            assert self.g.left[u] == (live[i - 1] if i > 0 else NO_NEIGHBOR)
-            assert self.g.right[u] == (live[i + 1] if i + 1 < len(live) else NO_NEIGHBOR)
+    def live_nodes_are_members(self):
+        assert not (self.g.alive & ~self.g.member).any()
+
+    @invariant()
+    def churn_keeps_members_live(self):
+        # only node failures take a member down without taking it off the line
+        if self.churn_only:
+            assert np.array_equal(self.g.member, self.g.alive)
+
+    @invariant()
+    def immediate_sinks_are_nearest_members(self):
+        imm = immediate_column(self.g)
+        assert all(not imm[u] for u in np.flatnonzero(~self.g.member))
+        assert imm == nearest_members(self.g.member)
 
 
 OverlayMachine.TestCase.settings = settings(max_examples=60, stateful_step_count=30,

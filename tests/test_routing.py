@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lineworld.linkgen import DeterministicBaseB, InversePowerLaw, PowersOfB
-from lineworld.overlay import NO_NEIGHBOR, OverlayGraph, apply_link_failures, apply_node_failures, build
+from lineworld.overlay import OverlayGraph, apply_link_failures, apply_node_failures, build
 from lineworld.routing import (
     Backtrack,
     RandomRestart,
@@ -35,10 +35,7 @@ TWO = Sidedness.TWO_SIDED
 def line_graph(n, extra_links=()):
     """Line with hand-placed long links [(u, v), ...]."""
     g = OverlayGraph(n)
-    g.alive[:] = True
-    for u in range(n):
-        g.left[u] = u - 1 if u > 0 else NO_NEIGHBOR
-        g.right[u] = u + 1 if u < n - 1 else NO_NEIGHBOR
+    g.alive[:] = g.member[:] = True
     for u in {u for u, _ in extra_links}:
         g.set_links(u, [v for w, v in extra_links if w == u])
     return g
