@@ -31,11 +31,13 @@ from .routing import (
     Backtrack,
     RandomRestart,
     RouteResult,
+    Routes,
     Sidedness,
     Status,
     Terminate,
     greedy_step,
     route,
+    route_many,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

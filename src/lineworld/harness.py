@@ -127,18 +127,16 @@ class TrialStats:
     restart_sum: int = 0
     hop_max: int = 0
 
-    def record(self, res: routing.RouteResult) -> None:
-        if res.delivered:
-            self.delivered += 1
-            self.hop_sum += res.hops
-            self.hop_sq_sum += res.hops * res.hops
-            self.backtrack_sum += res.backtracks
-            self.restart_sum += res.restarts
-            self.hop_max = max(self.hop_max, res.hops)
-        else:
-            self.failed += 1
-            if res.capped:
-                self.capped += 1
+    @classmethod
+    def of(cls, routes: routing.Routes) -> "TrialStats":
+        """Exact integer sums over a batch's outcome arrays."""
+        hops = routes.hops[routes.delivered]
+        return cls(delivered=hops.size, failed=routes.hops.size - hops.size,
+                   capped=int(np.count_nonzero(routes.capped)), hop_sum=int(hops.sum()),
+                   hop_sq_sum=int((hops * hops).sum()),
+                   backtrack_sum=int(routes.backtracks[routes.delivered].sum()),
+                   restart_sum=int(routes.restarts[routes.delivered].sum()),
+                   hop_max=int(hops.max(initial=0)))
 
     def merge(self, other: "TrialStats") -> None:
         self.delivered += other.delivered
@@ -227,22 +225,18 @@ def route_batch(g: overlay.OverlayGraph, strategy: routing.RecoveryStrategy,
     one-sided greedy on them, so those cells route one-sided whatever
     `config.sidedness` says.  With fewer than two live nodes every message
     fails, and nothing is drawn."""
-    live = g.live_sorted().tolist()
-    if len(live) < 2:
+    live = g.live_sorted()
+    if live.size < 2:
         return TrialStats(failed=config.messages)
-    stats = TrialStats()
     digits = config.experiment == "scaling" and config.dist in ("detbase", "powers")
     side = Sidedness.ONE_SIDED if digits else Sidedness(config.sidedness)
-    symmetric = config.symmetric_links()
-    for _ in range(config.messages):
-        i = int(rng.integers(len(live)))
-        j = int(rng.integers(len(live) - 1))
-        if j >= i:
-            j += 1
-        stats.record(routing.route(g, live[i], live[j], side, strategy,
-                                   max_hops=config.max_hops, rng=rng, probe=config.probe,
-                                   symmetric=symmetric))
-    return stats
+    # source i, then destination j of the others, per message: one
+    # array-bounded draw gives the stream of one scalar draw per bound
+    i, j = rng.integers(np.tile([live.size, live.size - 1], config.messages)).reshape(-1, 2).T
+    j += j >= i
+    return TrialStats.of(routing.route_many(
+        g, live[i], live[j], side, strategy, config.max_hops, rng, config.probe,
+        config.symmetric_links()))
 
 
 # ---------------------------------------------------------------------------
@@ -410,11 +404,9 @@ def run_bounds(config: ExperimentConfig) -> list[str]:
 
     def trial(_, t, rng) -> TrialStats:
         g = overlay.build(config.n, InversePowerLaw(config.links), rng)
-        stats = TrialStats()
-        for _ in range(config.messages):
-            src = int(rng.integers(1, config.n))
-            stats.record(routing.route(g, src, 0, side, Terminate(), max_hops=config.max_hops))
-        return stats
+        src = rng.integers(1, np.full(config.messages, config.n))  # one scalar draw each
+        return TrialStats.of(routing.route_many(g, src, np.zeros_like(src), side,
+                                                max_hops=config.max_hops))
 
     [stats] = _sweep(config, ONE_CELL, config.trials, trial)
     total = _total(stats)

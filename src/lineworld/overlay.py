@@ -13,8 +13,10 @@ or a padded table of them (`set_links`), or arrays of slots
 (`replace_link`), stamped in order.  With-replacement sampling may store
 the same sink twice.
 
-Routing reads a sorted, deduplicated CSR adjacency per link mode (directed,
-or symmetric with in-links), rebuilt on the first read after a link or
+Routing reads one adjacency per link mode (directed, or symmetric with
+in-links): a padded `(n, W)` table whose row u holds u's candidates sorted
+and deduplicated in its first `deg[u]` slots and NO_NEIGHBOR after them, W
+being the largest degree (at least 1).  It is rebuilt on the first read after a link or
 membership write.  It ignores liveness, so node failures never invalidate
 it; readers filter dead sinks themselves.
 """
@@ -56,7 +58,7 @@ class OverlayGraph:
         self.sinks = np.full((n, 0), NO_NEIGHBOR, dtype=np.int64)
         self.ages = np.zeros((n, 0), dtype=np.int64)
         self._clock = 0
-        # symmetric -> (indptr, indices); emptied by every link or membership write
+        # symmetric -> (table, deg); emptied by every link or membership write
         self._adjacency: dict[bool, tuple[np.ndarray, np.ndarray]] = {}
 
     # -- link bookkeeping ------------------------------------------------
@@ -69,8 +71,9 @@ class OverlayGraph:
     def set_links(self, u, sinks) -> None:
         """Make `sinks` u's whole row, in slot order, stamped with the next
         clock values; the table widens to fit the row if it must.  Given an
-        array of positions and a NO_NEIGHBOR-padded table, one row each,
-        writes every row, stamped in row-major order."""
+        array of positions (or a slice, which writes rows by slice) and a
+        NO_NEIGHBOR-padded table, one row each, writes every row, stamped in
+        row-major order."""
         sinks = np.asarray(sinks, dtype=np.int64)
         k, width = sinks.shape[-1], self.sinks.shape[1]
         if k > width:
@@ -114,33 +117,42 @@ class OverlayGraph:
         (connections rather than pointers), so nodes holding a link *to* u
         are candidates as well.
         """
-        csr = self._adjacency.get(symmetric)
-        if csr is None:
-            csr = self._adjacency[symmetric] = self._build_adjacency(symmetric)
-        indptr, indices = csr
-        return indices[indptr[u]:indptr[u + 1]]
+        table, deg = self._adjacency.get(symmetric) or self.adjacency(symmetric)
+        return table[u, :deg[u]]
+
+    def adjacency(self, symmetric: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """Every position's `neighbors` at once: a NO_NEIGHBOR-padded `(n, W)`
+        table, each row sorted and deduplicated, and the row lengths `deg`."""
+        adj = self._adjacency.get(symmetric)
+        if adj is None:
+            adj = self._adjacency[symmetric] = self._build_adjacency(symmetric)
+        return adj
 
     def _build_adjacency(self, symmetric: bool) -> tuple[np.ndarray, np.ndarray]:
         n, width = self.sinks.shape
-        # keys src * n + dst and the probes up to n * n in int32 where they
-        # fit: sorting half-width keys takes about half the time
+        # keys src * n + dst in int32 where they fit: sorting half-width keys
+        # takes about half the time
         idx = np.int32 if (n + 1) * n <= np.iinfo(np.int32).max else np.int64
-        positions = np.arange(n, dtype=idx)
-        holders = np.repeat(positions, width)
+        holders = np.repeat(np.arange(n, dtype=idx), width)
         sinks = self.sinks.ravel().astype(idx)
+        link = (sinks != NO_NEIGHBOR) & (sinks != holders)
+        # np.compress takes a mask faster than boolean indexing does
+        holders, sinks = np.compress(link, holders), np.compress(link, sinks)
         line = np.flatnonzero(self.member).astype(idx)
-        src = [holders, line[:-1], line[1:]] + ([sinks] if symmetric else [])
-        dst = [sinks, line[1:], line[:-1]] + ([holders] if symmetric else [])
-        src, dst = np.concatenate(src), np.concatenate(dst)
-        edge = (src != NO_NEIGHBOR) & (dst != NO_NEIGHBOR) & (src != dst)
-        key = src[edge] * n + dst[edge]
+        key = [holders * n + sinks, line[:-1] * n + line[1:], line[1:] * n + line[:-1]]
+        key = np.concatenate(key + [sinks * n + holders] if symmetric else key)
         key.sort()
         fresh = np.ones(key.size, dtype=bool)
         fresh[1:] = key[1:] != key[:-1]
-        key = key[fresh]
-        indptr = np.searchsorted(key, np.arange(n + 1, dtype=idx) * n)
-        # key % n, but numpy divides by a scalar far faster than it takes %
-        return indptr, (key - key // n * n).astype(np.int64)
+        key = np.compress(fresh, key)
+        # numpy divides by a scalar far faster than it takes %
+        holder = key // n
+        deg = np.bincount(holder, minlength=n)
+        # at least one slot, so that every row has a (padded) best candidate
+        table = np.full((n, max(int(deg.max(initial=0)), 1)), NO_NEIGHBOR, dtype=np.int64)
+        # keys ascend, so row-major order left-packs each row in sink order
+        table[np.arange(table.shape[1]) < deg[:, None]] = key - holder * n
+        return table, deg
 
     def in_neighbors(self, u: NodeId) -> np.ndarray:
         """Holders of long links pointing at u, sorted and deduplicated."""
@@ -183,11 +195,13 @@ def _draw_long_links(g: OverlayGraph, present: np.ndarray, dist: LinkDistributio
                      rng: np.random.Generator) -> None:
     """Fill long-link tables for `present` positions, candidates = present."""
     n = g.n
+    full = present.size == n
+    rows = slice(None) if full else present  # a full line is written by slice
     if isinstance(dist, InversePowerLaw):
         # on a full line every draw lands on a present position: skip the
         # rejection pass, which would accept its first batch whole
-        alive = None if present.size == n else g.alive
-        g.set_links(present, sample_line_links(present, n, dist.links, rng, present=alive))
+        g.set_links(rows, sample_line_links(present, n, dist.links, rng,
+                                            present=None if full else g.alive))
         return
     if isinstance(dist, BernoulliOffsets):
         deltas = dist.deltas
@@ -213,7 +227,7 @@ def _draw_long_links(g: OverlayGraph, present: np.ndarray, dist: LinkDistributio
     table = np.full((present.size, counts.max()), NO_NEIGHBOR, dtype=np.int64)
     # holders ascend, so row-major order left-packs each row in offset order
     table[np.arange(table.shape[1]) < counts[:, None]] = np.concatenate(sinks)
-    g.set_links(present, table)
+    g.set_links(rows, table)
 
 
 def build(n: int, dist: LinkDistribution, rng: np.random.Generator) -> OverlayGraph:

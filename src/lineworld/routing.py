@@ -20,11 +20,17 @@ Recovery strategies on a stuck search: terminate, restart at a random
 live node, or backtrack through recently visited nodes, excluding the
 choice that led into the dead end and taking the next-best link.
 
-`route` is the one router.  Digit routing needs no router of its own: on
-the deterministic base-b and powers-of-b schemes one-sided greedy takes
-the longest link that does not cross the target, which strips the leading
-base-b digit of the distance (base-b) or the largest power of b in it
-(powers of b, where link failures leave it the largest surviving one).
+`route` routes one message and records its path; `route_many` routes a
+batch in lockstep, one array step per hand-off for every message still in
+flight, and returns the same counts without paths.  The two take the same
+decisions in the same order, so terminate and backtrack results agree
+message for message; restart results agree for a batch of one, while a
+larger batch draws its restart landings step by step across messages.
+Digit routing needs no router of its own: on the deterministic base-b and
+powers-of-b schemes one-sided greedy takes the longest link that does not
+cross the target, which strips the leading base-b digit of the distance
+(base-b) or the largest power of b in it (powers of b, where link failures
+leave it the largest surviving one).
 """
 
 from __future__ import annotations
@@ -156,6 +162,19 @@ def default_max_hops(n: int) -> int:
     return max(8, int(4 * math.log2(n) ** 2))
 
 
+def _hop_cap(g: OverlayGraph, strategy: RecoveryStrategy, max_hops: int | None,
+             rng: np.random.Generator | None) -> int:
+    """The hop cap to route with, after checking the routers' shared
+    arguments."""
+    if max_hops is None:
+        max_hops = default_max_hops(g.n)
+    elif max_hops < 1:
+        raise ValueError("max_hops must be >= 1")
+    if isinstance(strategy, RandomRestart) and rng is None:
+        raise ValueError("RandomRestart needs an rng")
+    return max_hops
+
+
 def route(g: OverlayGraph, src: NodeId, dst: NodeId, sidedness: Sidedness = Sidedness.TWO_SIDED,
           strategy: RecoveryStrategy = Terminate(), max_hops: int | None = None,
           rng: np.random.Generator | None = None, probe: bool = True,
@@ -177,12 +196,7 @@ def route(g: OverlayGraph, src: NodeId, dst: NodeId, sidedness: Sidedness = Side
         raise ValueError(f"endpoint outside [0, {g.n})")
     if not (g.alive[src] and g.alive[dst]):
         raise ValueError("endpoint dead")
-    if max_hops is None:
-        max_hops = default_max_hops(g.n)
-    elif max_hops < 1:
-        raise ValueError("max_hops must be >= 1")
-    if isinstance(strategy, RandomRestart) and rng is None:
-        raise ValueError("RandomRestart needs an rng")
+    max_hops = _hop_cap(g, strategy, max_hops, rng)
 
     max_restarts = getattr(strategy, "max_restarts", 0)
     # (node, chosen sink) moves, most recent last; empty unless backtracking
@@ -213,3 +227,177 @@ def route(g: OverlayGraph, src: NodeId, dst: NodeId, sidedness: Sidedness = Side
         hops += 1
         path.append(cur)
     return RouteResult(Status.DELIVERED, hops, backtracks, restarts, path=path)
+
+
+@dataclass(frozen=True)
+class Routes:
+    """`route_many`'s outcomes, one entry per message: the `RouteResult`
+    fields but `path`, as arrays."""
+
+    delivered: np.ndarray
+    hops: np.ndarray
+    backtracks: np.ndarray
+    restarts: np.ndarray
+    capped: np.ndarray
+
+
+# messages stepped together at most: each step holds a few (messages, W)
+# arrays, W being the adjacency width
+ROUTE_CHUNK = 4096
+# the key of a candidate that may not be chosen: above every real key and
+# every progress limit
+_FAR = 1 << 60
+
+
+def route_many(g: OverlayGraph, src, dst, sidedness: Sidedness = Sidedness.TWO_SIDED,
+               strategy: RecoveryStrategy = Terminate(), max_hops: int | None = None,
+               rng: np.random.Generator | None = None, probe: bool = True,
+               symmetric: bool = False) -> Routes:
+    """Route message i from src[i] to dst[i] for every i, as `route` would,
+    and return the outcome counts.
+
+    Messages run in lockstep, ROUTE_CHUNK at a time: each step takes the
+    greedy choice of every message in flight at once, then applies the
+    recovery rule to the stuck ones.  Restart landings are drawn in message
+    order within each step, so only a batch of one reproduces `route`'s
+    restart stream."""
+    src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+    if src.shape != dst.shape or src.ndim != 1:
+        raise ValueError("src and dst must be 1-D arrays of one length")
+    if ((src < 0) | (src >= g.n) | (dst < 0) | (dst >= g.n)).any():
+        raise ValueError(f"endpoint outside [0, {g.n})")
+    if not (g.alive[src] & g.alive[dst]).all():
+        raise ValueError("endpoint dead")
+    max_hops = _hop_cap(g, strategy, max_hops, rng)
+
+    table, _ = g.adjacency(symmetric)
+    # whether a table entry may be chosen, indexed by the entry: a position,
+    # live under the probe rule; the NO_NEIGHBOR pad reads the appended
+    # False, where alive[NO_NEIGHBOR] would read node n - 1
+    usable = np.append(g.alive if probe else np.ones(g.n, dtype=bool), False)
+    out = Routes(np.zeros(src.size, dtype=bool), *np.zeros((3, src.size), dtype=np.int64),
+                 np.zeros(src.size, dtype=bool))
+    for start in range(0, src.size, ROUTE_CHUNK):
+        part = slice(start, start + ROUTE_CHUNK)
+        _lockstep(g, table, usable, src[part], dst[part], sidedness, strategy, max_hops, rng,
+                  probe, Routes(**{name: a[part] for name, a in vars(out).items()}))
+    return out
+
+
+# columns of `_lockstep`'s state, one row per message in flight; the
+# backtrack trail follows them
+MSG, CUR, DST, HOPS, BACKTRACKS, RESTARTS, TOP, LENGTH, TRAIL = range(9)
+
+
+def _lockstep(g: OverlayGraph, table: np.ndarray, usable: np.ndarray, src: np.ndarray,
+              dst: np.ndarray, sidedness: Sidedness, strategy: RecoveryStrategy, max_hops: int,
+              rng: np.random.Generator | None, probe: bool, out: Routes) -> None:
+    """Route one chunk for `route_many`, writing its outcomes into `out`
+    (views of the batch's arrays).  The branches follow `route`'s loop."""
+    n, width = g.n, table.shape[1]
+    one_sided = sidedness is Sidedness.ONE_SIDED
+    budget = getattr(strategy, "max_restarts", 0)
+    history = getattr(strategy, "history", 0)
+    live = g.live_sorted() if budget else None
+    out.delivered[src == dst] = True  # arrived without a hop
+    msg = np.flatnonzero(src != dst)
+    # One row per message in flight, so that dropping the finished ones is
+    # one gather.  The trail is a ring of `history` + 1 (node, choice) column
+    # pairs, its newest move in pair (TOP - 1) % ring and LENGTH <= history
+    # moves long, so the pair at TOP % ring is always free to write.
+    ring = history + 1
+    state = np.zeros((msg.size, TRAIL + 2 * ring), dtype=np.int64)
+    state[:, MSG], state[:, CUR], state[:, DST] = msg, src[msg], dst[msg]
+    # backtrack exclusions: sorted keys (msg * n + node) * n + excluded sink,
+    # within int64 while ROUTE_CHUNK * n * n is
+    excluded = np.zeros(0, dtype=np.int64)
+    # every step's candidate rows and their blocked flags, in buffers that
+    # the steps reuse: fresh ones each step leave a sweep's heap fragmented
+    cand_buf = np.empty((msg.size, width), dtype=np.int64)
+    blocked_buf = np.empty((msg.size, width), dtype=bool)
+    while state.size:
+        msg, cur, dst, hops = state[:, MSG], state[:, CUR], state[:, DST], state[:, HOPS]
+        cand = table.take(cur, axis=0, out=cand_buf[:len(state)])
+        blocked = usable.take(cand, out=blocked_buf[:len(state)])
+        np.invert(blocked, out=blocked)  # pads, and dead candidates under the probe rule
+        if history:  # a message has exclusions once it has backed up
+            has = np.flatnonzero(state[:, BACKTRACKS])
+            holder = (msg[has] * n + cur[has]) * n
+            here = excluded.searchsorted(holder + n) > excluded.searchsorted(holder)
+            if here.any():
+                has = has[here]
+                keys = holder[here, None] + cand[has]
+                blocked[has] |= excluded[np.minimum(excluded.searchsorted(keys),
+                                                    excluded.size - 1)] == keys
+        gap = cur - dst
+        above = gap > 0
+        np.abs(gap, out=gap)
+        # each candidate's key, in place: the least key wins, and only a key
+        # below the row's limit makes progress
+        if one_sided:
+            # the distance left short of dst; candidates across it wrap to huge
+            sign = np.where(above, 1, -1)
+            cand *= sign[:, None]
+            cand -= (sign * dst)[:, None]
+            key, limit = cand.view(np.uint64), gap.view(np.uint64)
+        else:
+            # ranks like 2 |c - dst| + [c overshoots]: |4 s (c - dst) - 1|, s
+            # the side of dst that cur is on
+            sign = np.where(above, 4, -4)
+            cand *= sign[:, None]
+            cand -= (sign * dst + 1)[:, None]
+            key, limit = np.abs(cand, out=cand), 4 * gap - 1
+        key[blocked] = _FAR
+        at = np.arange(len(state))
+        pick = key.argmin(axis=1)
+        stuck = key.take(at * width + pick) >= limit
+        nxt = table.take(cur * width + pick)
+        if not probe:  # the commit rule: stuck when the choice is dead
+            stuck |= ~g.alive.take(nxt, mode="clip")
+
+        moving = ~stuck
+        if budget:
+            jump = stuck & (state[:, RESTARTS] < budget)
+            if jump.any():
+                cur[jump] = live[rng.integers(np.full(np.count_nonzero(jump), live.size))]
+                state[:, RESTARTS] += jump
+                stuck &= ~jump
+        # a stuck row fails without a trail to back up along, else it is
+        # capped like a move when the hop would pass max_hops; a jump is no hop
+        if history:
+            failed = stuck & (state[:, LENGTH] == 0)
+            capped = (hops >= max_hops) & ~failed
+        else:
+            failed, capped = stuck, (hops >= max_hops) & moving
+        moving &= ~capped
+        if history:
+            # every row writes its move to its free pair; a move keeps it
+            pair = at * state.shape[1] + TRAIL + 2 * (state[:, TOP] % ring)
+            state.put(pair, cur)
+            state.put(pair + 1, nxt)
+            state[:, TOP] += moving
+            state[:, LENGTH] = np.minimum(state[:, LENGTH] + moving, history)
+            backing = stuck & ~failed & ~capped
+            if backing.any():
+                state[:, TOP] -= backing
+                state[:, LENGTH] -= backing
+                state[:, BACKTRACKS] += backing
+                hops += backing
+                back = np.flatnonzero(backing)
+                pair = back * state.shape[1] + TRAIL + 2 * (state[back, TOP] % ring)
+                node, choice = state.take(pair), state.take(pair + 1)
+                excluded = np.sort(np.concatenate((excluded, (msg[back] * n + node) * n + choice)))
+                cur[back] = node
+        np.copyto(cur, nxt, where=moving)
+        hops += moving
+
+        done = failed | capped | (cur == dst)
+        if done.any():
+            ended = state[done]
+            ids = ended[:, MSG]
+            out.delivered[ids] = ended[:, CUR] == ended[:, DST]
+            out.capped[ids] = capped[done]
+            out.hops[ids] = ended[:, HOPS]
+            out.backtracks[ids] = ended[:, BACKTRACKS]
+            out.restarts[ids] = ended[:, RESTARTS]
+            state = state[~done]

@@ -108,7 +108,7 @@ def nearest_members(member) -> list[list[int]]:
 
 
 def reference_adjacency(g: OverlayGraph, symmetric: bool) -> tuple[np.ndarray, np.ndarray]:
-    """`OverlayGraph`'s CSR adjacency (indptr, indices) from one sort of
+    """`OverlayGraph`'s adjacency as CSR (indptr, indices) from one sort of
     int64 keys src * n + dst over every long, immediate and (symmetric)
     reversed long link, self-links and empty slots dropped."""
     n, width = g.sinks.shape

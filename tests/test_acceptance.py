@@ -68,6 +68,13 @@ def random_pair(rng, count):
     return (i, j + 1) if j >= i else (i, j)
 
 
+def random_pairs(rng, count, size):
+    """`size` calls of `random_pair(rng, count)` in one draw, as two arrays:
+    an array-bounded draw takes one scalar draw per bound."""
+    i, j = rng.integers(np.tile([count, count - 1], size)).reshape(-1, 2).T
+    return i, j + (j >= i)
+
+
 def mean_hops_ideal(n, ell, routes, seed, sidedness=TWO, graphs=10, p_link=1.0):
     rng = np.random.default_rng([seed])
     total = cnt = 0
@@ -76,29 +83,28 @@ def mean_hops_ideal(n, ell, routes, seed, sidedness=TWO, graphs=10, p_link=1.0):
         g = lw.build(n, InversePowerLaw(ell), rng)
         if p_link < 1.0:
             lw.apply_link_failures(g, p_link, rng)
-        for _ in range(routes // graphs):
-            s, d = random_pair(rng, n)
-            res = lw.route(g, s, d, sidedness, max_hops=cap)
-            if res.delivered:
-                total += res.hops
-                cnt += 1
+        s, d = random_pairs(rng, n, routes // graphs)
+        res = lw.route_many(g, s, d, sidedness, max_hops=cap)
+        total += int(res.hops[res.delivered].sum())
+        cnt += int(np.count_nonzero(res.delivered))
     assert cnt == graphs * (routes // graphs)
     return total / cnt
 
 
 def failed_fraction(n, ell, p_fail, strategy, routes, seed, graphs):
+    # the strategies used here draw nothing while routing, so drawing every
+    # pair of a graph first leaves the stream as one pair per route
     rng = np.random.default_rng([seed])
     fails = attempts = 0
     for _ in range(graphs):
         g = lw.build(n, InversePowerLaw(ell), rng)
         lw.apply_node_failures(g, p_fail, rng)
         live = g.live_sorted()
-        for _ in range(routes // graphs):
-            i, j = random_pair(rng, len(live))
-            res = lw.route(g, live[i], live[j], TWO, strategy, rng=rng,
-                           probe=True, symmetric=True)
-            fails += not res.delivered
-            attempts += 1
+        i, j = random_pairs(rng, len(live), routes // graphs)
+        res = lw.route_many(g, live[i], live[j], TWO, strategy, rng=rng,
+                            probe=True, symmetric=True)
+        fails += int(np.count_nonzero(~res.delivered))
+        attempts += res.delivered.size
     return fails / attempts
 
 

@@ -9,6 +9,7 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lineworld import harness, routing
@@ -20,7 +21,7 @@ from lineworld.harness import (
     power_law_inclusion,
     run_experiment,
 )
-from lineworld.routing import RouteResult, Sidedness, Status, Terminate
+from lineworld.routing import Routes, Sidedness, Terminate
 
 
 def tiny(experiment, **kw):
@@ -32,11 +33,13 @@ def tiny(experiment, **kw):
 
 
 def test_trial_stats_accounting():
-    s = TrialStats()
-    s.record(RouteResult(Status.DELIVERED, hops=4, backtracks=1))
-    s.record(RouteResult(Status.DELIVERED, hops=6, backtracks=0))
-    s.record(RouteResult(Status.FAILED, hops=9, capped=True))
+    # two delivered routes (4 hops, 1 backtrack; 6 hops) and one capped failure
+    s = TrialStats.of(Routes(delivered=np.array([True, True, False]), hops=np.array([4, 6, 9]),
+                             backtracks=np.array([1, 0, 0]), restarts=np.array([0, 2, 5]),
+                             capped=np.array([False, False, True])))
     assert s.delivered + s.failed == 3 and s.delivered == 2 and s.failed == 1 and s.capped == 1
+    assert (s.hop_sum, s.hop_sq_sum, s.hop_max) == (10, 52, 6)
+    assert (s.backtrack_sum, s.restart_sum) == (1, 2)  # over delivered routes only
     assert s.mean_hops == pytest.approx(5.0)
     assert s.std_hops == pytest.approx(1.0)
     assert s.failed / (s.delivered + s.failed) == pytest.approx(1 / 3)

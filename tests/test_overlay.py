@@ -298,8 +298,14 @@ def _no_links(n, links, rng):
                          ids=["link-failed", "binomial", "no-links"])
 @pytest.mark.parametrize("symmetric", [False, True], ids=["directed", "symmetric"])
 def test_adjacency_matches_int64_reference(n, links, make, symmetric):
+    # row u of the padded table is the reference's CSR row u, then NO_NEIGHBOR
+    # up to the widest row, or one slot in a graph without edges
     g = make(n, links, np.random.default_rng(n))
-    indptr, indices = g._build_adjacency(symmetric)
+    table, deg = g._build_adjacency(symmetric)
     want_indptr, want_indices = reference_adjacency(g, symmetric)
-    assert indices.dtype == np.int64
-    assert np.array_equal(indptr, want_indptr) and np.array_equal(indices, want_indices)
+    want_deg = np.diff(want_indptr)
+    assert table.dtype == np.int64 and np.array_equal(deg, want_deg)
+    assert table.shape == (n, max(want_deg.max(initial=0), 1))
+    filled = np.arange(table.shape[1]) < want_deg[:, None]
+    assert np.array_equal(table[filled], want_indices)
+    assert (table[~filled] == overlay.NO_NEIGHBOR).all()

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lineworld import routing
 from lineworld.linkgen import DeterministicBaseB, InversePowerLaw, PowersOfB
 from lineworld.overlay import OverlayGraph, apply_link_failures, apply_node_failures, build
 from lineworld.routing import (
@@ -19,6 +20,7 @@ from lineworld.routing import (
     default_max_hops,
     greedy_step,
     route,
+    route_many,
 )
 from oracles import (
     base_digit_sum,
@@ -27,6 +29,7 @@ from oracles import (
     reference_neighbors,
     reference_route,
 )
+from test_golden import GRAPHS
 
 ONE = Sidedness.ONE_SIDED
 TWO = Sidedness.TWO_SIDED
@@ -332,13 +335,119 @@ def test_restart_leg_hops_accumulate():
         assert res.hops == len(res.path) - 1 - res.restarts
 
 
+def outcome(res):
+    """The fields of a RouteResult that `route_many` reports."""
+    return res.delivered, res.hops, res.backtracks, res.restarts, res.capped
+
+
+def outcomes(routes):
+    return list(zip(routes.delivered.tolist(), routes.hops.tolist(),
+                    routes.backtracks.tolist(), routes.restarts.tolist(),
+                    routes.capped.tolist()))
+
+
+@pytest.mark.parametrize("graph", GRAPHS)
+@pytest.mark.parametrize("strategy", [Terminate(), Backtrack(1), Backtrack(5)],
+                         ids=["terminate", "backtrack1", "backtrack5"])
+def test_route_many_matches_route(graph, strategy):
+    """One batch per mode gives every message `route`'s outcome, on the
+    golden route graphs under every sidedness x choice rule x link mode x
+    max_hops in {None, 3}; the last pair starts at its target."""
+    make, seed = GRAPHS[graph]
+    rng = np.random.default_rng(seed)
+    g = make(rng)
+    live = g.live_sorted()
+    pairs = [rng.choice(live, 2, replace=False).tolist() for _ in range(40)] + [[live[0]] * 2]
+    src, dst = np.array(pairs).T
+    for side, probe, symmetric, max_hops in product(Sidedness, (True, False), (False, True),
+                                                    (None, 3)):
+        many = route_many(g, src, dst, side, strategy, max_hops, probe=probe,
+                          symmetric=symmetric)
+        assert outcomes(many) == [
+            outcome(route(g, s, d, side, strategy, max_hops, probe=probe, symmetric=symmetric))
+            for s, d in pairs]
+
+
+@pytest.mark.parametrize("graph", GRAPHS)
+def test_route_many_restart_batch_of_one_matches_route(graph):
+    # a larger batch draws its landings step by step across messages
+    make, seed = GRAPHS[graph]
+    rng = np.random.default_rng(seed)
+    g = make(rng)
+    pairs = [rng.choice(g.live_sorted(), 2, replace=False).tolist() for _ in range(20)]
+    for side, probe, symmetric, max_hops in product(Sidedness, (True, False), (False, True),
+                                                    (None, 3)):
+        for s, d in pairs:
+            one, many = np.random.default_rng(seed), np.random.default_rng(seed)
+            want = outcome(route(g, s, d, side, RandomRestart(), max_hops, one, probe,
+                                 symmetric))
+            got = route_many(g, [s], [d], side, RandomRestart(), max_hops, many, probe,
+                             symmetric)
+            assert outcomes(got) == [want]
+            assert one.bit_generator.state == many.bit_generator.state
+
+
+@pytest.mark.parametrize("strategy", [Terminate(), Backtrack(5)], ids=["terminate", "backtrack5"])
+def test_route_many_chunks_route_alike(monkeypatch, strategy):
+    # chunks of 7 split the 40 pairs unevenly; every message still routes alone
+    make, seed = GRAPHS["node-failed"]
+    rng = np.random.default_rng(seed)
+    g = make(rng)
+    src, dst = np.array([rng.choice(g.live_sorted(), 2, replace=False) for _ in range(40)]).T
+    whole = route_many(g, src, dst, TWO, strategy, symmetric=True)
+    monkeypatch.setattr(routing, "ROUTE_CHUNK", 7)
+    assert outcomes(route_many(g, src, dst, TWO, strategy, symmetric=True)) == outcomes(whole)
+
+
+def test_route_many_checks_its_arguments():
+    g = line_graph(8)
+    g.alive[7] = False
+    with pytest.raises(ValueError, match="endpoint dead"):
+        route_many(g, [0, 1], [2, 7])
+    with pytest.raises(ValueError, match=r"outside \[0, 8\)"):
+        route_many(g, [0], [8])
+    with pytest.raises(ValueError, match="max_hops must be >= 1"):
+        route_many(g, [0], [3], max_hops=0)
+    with pytest.raises(ValueError, match="RandomRestart needs an rng"):
+        route_many(g, [0], [3], strategy=RandomRestart())
+    assert outcomes(route_many(g, [], [])) == []
+
+
+def test_route_many_without_candidates_fails_at_source():
+    # positions live but off the line, with no links
+    g = OverlayGraph(8)
+    g.alive[:] = True
+    assert outcomes(route_many(g, [0, 5], [3, 5])) == [(False, 0, 0, 0, False),
+                                                      (True, 0, 0, 0, False)]
+    assert outcome(route(g, 0, 3)) == (False, 0, 0, 0, False)
+
+
+@pytest.mark.parametrize("count", [2, 3, 2 ** 11 + 1, 2 ** 31 - 1])
+def test_tiled_pair_draw_matches_scalar_draws(count):
+    """The batch routers' pair draw: one `integers` call over the bounds
+    [count, count - 1] * size takes the stream of one scalar call per bound,
+    so drawing every pair first keeps routes that draw nothing themselves."""
+    scalar, tiled = np.random.default_rng(count), np.random.default_rng(count)
+    want = []
+    for _ in range(300):
+        i = int(scalar.integers(count))
+        j = int(scalar.integers(count - 1))
+        want.append((i, j + (j >= i)))
+    i, j = tiled.integers(np.tile([count, count - 1], 300)).reshape(-1, 2).T
+    assert list(zip(i.tolist(), (j + (j >= i)).tolist())) == want
+    assert scalar.bit_generator.state == tiled.bit_generator.state
+    # the bounds experiment's sources: one draw from [1, count) per message
+    assert tiled.integers(1, np.full(300, count)).tolist() == [
+        int(scalar.integers(1, count)) for _ in range(300)]
+
+
 @settings(max_examples=150, deadline=None)
 @given(n=st.integers(8, 48), links=st.integers(1, 4), p_link=st.sampled_from([1.0, 0.4]),
        p_node=st.sampled_from([0.0, 0.3, 0.6]), cap=st.integers(1, 6),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_route_matches_reference(n, links, p_link, p_node, cap, seed):
-    """`route` returns what the brute-force router over the dump returns, in
-    every mode, with the default hop cap and a small one."""
+    """`route` and `route_many` return what the brute-force router over the
+    dump returns, in every mode, with the default hop cap and a small one."""
     rng = np.random.default_rng(seed)
     g = apply_link_failures(build(n, InversePowerLaw(links), rng), p_link, rng)
     apply_node_failures(g, p_node, rng)
@@ -352,6 +461,7 @@ def test_route_matches_reference(n, links, p_link, p_node, cap, seed):
     strategies = [Terminate(), RandomRestart(2), RandomRestart(), Backtrack(1), Backtrack(5)]
     for side, probe, symmetric, strategy, max_hops in product(
             Sidedness, (True, False), (False, True), strategies, (None, cap)):
+        expected = []
         for s, d in pairs:
             res = route(g, s, d, side, strategy, max_hops=max_hops,
                         rng=np.random.default_rng(seed), probe=probe, symmetric=symmetric)
@@ -360,3 +470,15 @@ def test_route_matches_reference(n, links, p_link, p_node, cap, seed):
                                      np.random.default_rng(seed), probe)
             assert (res.status.value, res.hops, res.backtracks, res.restarts, res.capped,
                     res.path) == expect
+            expected.append((expect[0] == "delivered", *expect[1:5]))
+        # route_many routes the pairs as one batch; a restart batch draws its
+        # landings in another order, so it routes the first pair alone
+        if isinstance(strategy, RandomRestart):
+            (s, d), = pairs[:1]
+            assert outcomes(route_many(g, [s], [d], side, strategy, max_hops,
+                                       np.random.default_rng(seed), probe,
+                                       symmetric)) == expected[:1]
+        else:
+            src, dst = np.array(pairs).T
+            assert outcomes(route_many(g, src, dst, side, strategy, max_hops, None, probe,
+                                       symmetric)) == expected
