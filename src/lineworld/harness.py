@@ -1,14 +1,16 @@
 """Experiment orchestration: seeded batch runs emitting CSV.
 
 Every experiment runs through one trial loop, `_sweep`.  A runner lists its
-cells (a p value and strategy, an (n, links) pair, or a single cell) with
-their configuration indices; `_sweep` runs each cell's trials on one
-thread pool, each trial on its own rng stream derived from (master seed,
-experiment code, configuration indices, trial index), and hands back each
-cell's results in trial order.  The runner reduces them in that order and
-formats its rows, so output bytes are identical for any worker count.
-Statistics (hop mean/stddev, backtrack and restart means) are computed
-over successful routes only.  README.md lists each experiment's CSV columns.
+cells (an (n, links) pair, or a single cell) with their configuration
+indices; `_sweep` runs each cell's trials on one thread pool, each trial on
+its own rng stream derived from (master seed, experiment code, configuration
+indices, trial index), and hands back each cell's results in trial order.
+The failures and compare sweeps share one trial body, `_p_grid_sweep`: a
+trial draws its graphs, then degrades and routes them at every p under every
+strategy.  Runners reduce results in trial order, so output bytes are
+identical for any worker count.  Statistics (hop mean/stddev, backtrack and
+restart means) are computed over successful routes only.  README.md lists
+each experiment's CSV columns.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import product
 
 import numpy as np
@@ -138,15 +140,12 @@ class TrialStats:
                    restart_sum=int(routes.restarts[routes.delivered].sum()),
                    hop_max=int(hops.max(initial=0)))
 
-    def merge(self, other: "TrialStats") -> None:
-        self.delivered += other.delivered
-        self.failed += other.failed
-        self.capped += other.capped
-        self.hop_sum += other.hop_sum
-        self.hop_sq_sum += other.hop_sq_sum
-        self.backtrack_sum += other.backtrack_sum
-        self.restart_sum += other.restart_sum
-        self.hop_max = max(self.hop_max, other.hop_max)
+    @classmethod
+    def total(cls, parts) -> "TrialStats":
+        """Exact sums over `parts`, and their largest hop count."""
+        parts = list(parts)
+        sums = {f.name: sum(getattr(st, f.name) for st in parts) for f in fields(cls)}
+        return cls(**sums | {"hop_max": max((st.hop_max for st in parts), default=0)})
 
     @property
     def mean_hops(self) -> float:
@@ -211,13 +210,6 @@ def _sweep(config: ExperimentConfig, cells: list[tuple[tuple[int, ...], object]]
 ONE_CELL = [((), None)]
 
 
-def _total(parts) -> TrialStats:
-    total = TrialStats()
-    for st in parts:
-        total.merge(st)
-    return total
-
-
 def route_batch(g: overlay.OverlayGraph, strategy: routing.RecoveryStrategy,
                 rng: np.random.Generator, config: ExperimentConfig) -> TrialStats:
     """Route `config.messages` between uniformly chosen distinct live pairs.
@@ -243,52 +235,69 @@ def route_batch(g: overlay.OverlayGraph, strategy: routing.RecoveryStrategy,
 # experiments
 
 
-def _failed_graph(config: ExperimentConfig, p: float,
-                  rng: np.random.Generator) -> overlay.OverlayGraph | None:
-    """Fresh graph under the configured failure model.  For the node model
-    p is the failure fraction; for link and binomial-presence models it is
-    the survival/presence probability.  None when too few nodes exist."""
-    dist = make_distribution(config)
-    if config.failure_model == "binomial":
-        try:
-            return overlay.build_binomial_presence(config.n, p, dist, rng)
-        except ValueError:
-            return None
-    g = overlay.build(config.n, dist, rng)
-    if config.failure_model == "link":
-        return overlay.apply_link_failures(g, p, rng)
-    return overlay.apply_node_failures(g, p, rng)
+def _p_grid_sweep(config: ExperimentConfig, trials: int, labels, setup) -> list[str]:
+    """Rows by p, then strategy, then graph k, labelled `labels[k]`.
+    `setup(rng)` returns trial t's graphs, drawn on its `_sweep` stream, and
+    `degrade(graphs[k], p, rng)`, which gives the graph to route at the i-th
+    p (None if too few nodes exist) on the stream `trial_rng(seed,
+    experiment, t, i, k)`; every strategy then routes on it in turn.  A
+    trial visits p from high to low, so a degrade may build on the last."""
 
+    def trial(_, t, rng) -> list[TrialStats]:
+        graphs, degrade = setup(rng)
+        out = {}
+        high_to_low = sorted(enumerate(config.p_grid), key=lambda ip: -ip[1])
+        for (i, p), (k, g) in product(high_to_low, enumerate(graphs)):
+            p_rng = trial_rng(config.seed, config.experiment, t, i, k)
+            at_p = degrade(g, p, p_rng)
+            for j, name in enumerate(config.strategies):
+                out[i, j, k] = (TrialStats(failed=config.messages) if at_p is None else
+                                route_batch(at_p, STRATEGIES[name](config), p_rng, config))
+        return [stats for _, stats in sorted(out.items())]
 
-def run_failures(config: ExperimentConfig) -> list[str]:
-    """Failure sweep: fresh graph per trial under the configured failure
-    model, routing between live pairs under each recovery strategy."""
-    cells = [((pi, si), (p, strat_name)) for pi, p in enumerate(config.p_grid)
-             for si, strat_name in enumerate(config.strategies)]
-
-    def trial(cell, t, rng) -> TrialStats:
-        p, strat_name = cell
-        g = _failed_graph(config, p, rng)
-        if g is None:
-            return TrialStats(failed=config.messages)
-        return route_batch(g, STRATEGIES[strat_name](config), rng, config)
-
-    return [_failures_row(config, "failures", p, strat_name, _total(stats))
-            for (_, (p, strat_name)), stats
-            in zip(cells, _sweep(config, cells, config.trials, trial))]
-
-
-def _failures_row(config: ExperimentConfig, experiment: str, p: float,
-                  strategy: str, s: TrialStats) -> str:
-    return ",".join([
-        experiment, str(config.n), str(config.links), str(config.base),
-        _fmt(p), strategy, str(config.trials), str(config.messages),
+    [per_trial] = _sweep(config, ONE_CELL, trials, trial)
+    return [",".join([
+        label, str(config.n), str(config.links), str(config.base),
+        _fmt(p), strategy, str(trials), str(config.messages),
         str(s.delivered), str(s.failed), str(s.capped),
         _fmt(s.mean_hops), _fmt(s.std_hops),
         _fmt(s.backtrack_sum / s.delivered if s.delivered else float("nan")),
         _fmt(s.restart_sum / s.delivered if s.delivered else float("nan")),
         str(config.seed),
-    ])
+    ]) for (p, strategy, label), s in zip(product(config.p_grid, config.strategies, labels),
+                                          map(TrialStats.total, zip(*per_trial)))]
+
+
+def run_failures(config: ExperimentConfig) -> list[str]:
+    """Failure sweep: each trial's graph is routed at every p under every
+    strategy.  Failure sets nest in p; binomial presence, which decides
+    where links may go, builds one graph per p."""
+    dist = make_distribution(config)
+
+    def present(_, p, rng) -> overlay.OverlayGraph | None:
+        try:
+            return overlay.build_binomial_presence(config.n, p, dist, rng)
+        except ValueError:
+            return None
+
+    def setup(rng):
+        if config.failure_model == "binomial":
+            return [None], present
+        g = overlay.build(config.n, dist, rng)
+        # one uniform per node or per built slot, drawn from this state
+        # again at each p, so that none is held while routing
+        drawn = rng.bit_generator.state
+
+        def degrade(g, p, _):
+            rng.bit_generator.state = drawn
+            if config.failure_model == "node":
+                g.alive[:] = rng.random(config.n) >= p
+            else:  # p falls, so links only drop; ages number the built slots
+                g.retain_links((rng.random(g.sinks.size) < p)[g.ages])
+            return g
+        return [g], degrade
+
+    return _p_grid_sweep(config, config.trials, ["failures"], setup)
 
 
 def build_by_joins(n: int, links: int, policy: dynamics.ReplacementPolicy,
@@ -335,7 +344,7 @@ def run_scaling(config: ExperimentConfig) -> list[str]:
 
     rows = []
     for (_, cfg), stats in zip(cells, _sweep(config, cells, config.trials, trial)):
-        total = _total(stats)
+        total = TrialStats.total(stats)
         rows.append(",".join([
             "scaling", str(cfg.n), str(_nominal_links(cfg)), str(config.base), config.dist,
             str(config.trials), str(config.messages),
@@ -355,28 +364,15 @@ def run_compare(config: ExperimentConfig) -> list[str]:
     """Ideal-built vs join-built overlays under node failures, each failed
     graph routed under every listed strategy in turn."""
     policy = dynamics.ReplacementPolicy(config.policy)
-    labels = ("compare_ideal", "compare_heuristic")
 
-    def rep(_, r, rng) -> list[TrialStats]:
-        """Stats in row order: by p, then strategy, then graph."""
-        ideal = overlay.build(config.n, InversePowerLaw(config.links), rng)
-        grown = build_by_joins(config.n, config.links, policy, rng)
-        out = {}
-        for pi, p in enumerate(config.p_grid):
-            for k, g in enumerate((ideal, grown)):
-                g.alive[:] = True
-                p_rng = trial_rng(config.seed, "compare", r, pi, k)
-                overlay.apply_node_failures(g, p, p_rng)
-                for si, strat_name in enumerate(config.strategies):
-                    out[pi, si, k] = route_batch(g, STRATEGIES[strat_name](config),
-                                                 p_rng, config)
-        return [stats for _, stats in sorted(out.items())]
+    def degrade(g, p, rng):
+        g.alive[:] = True
+        return overlay.apply_node_failures(g, p, rng)
 
-    [reps] = _sweep(config, ONE_CELL, config.repetitions, rep)
-    cfg = replace(config, trials=config.repetitions)
-    return [_failures_row(cfg, label, p, strat_name, _total(stats[i] for stats in reps))
-            for i, (p, strat_name, label) in enumerate(
-                product(config.p_grid, config.strategies, labels))]
+    return _p_grid_sweep(config, config.repetitions, ("compare_ideal", "compare_heuristic"),
+                         lambda rng: ((overlay.build(config.n, InversePowerLaw(config.links), rng),
+                                       build_by_joins(config.n, config.links, policy, rng)),
+                                      degrade))
 
 
 def run_chains(config: ExperimentConfig) -> list[str]:
@@ -409,7 +405,7 @@ def run_bounds(config: ExperimentConfig) -> list[str]:
                                                 max_hops=config.max_hops))
 
     [stats] = _sweep(config, ONE_CELL, config.trials, trial)
-    total = _total(stats)
+    total = TrialStats.total(stats)
     return [",".join([
         "bounds", str(config.n), str(config.links), config.sidedness,
         _fmt(lower), _fmt(total.mean_hops), _fmt(upper),

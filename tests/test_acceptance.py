@@ -62,15 +62,10 @@ def verdict(num: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num}: {detail}"
 
 
-def random_pair(rng, count):
-    i = int(rng.integers(count))
-    j = int(rng.integers(count - 1))
-    return (i, j + 1) if j >= i else (i, j)
-
-
 def random_pairs(rng, count, size):
-    """`size` calls of `random_pair(rng, count)` in one draw, as two arrays:
-    an array-bounded draw takes one scalar draw per bound."""
+    """`size` pairs of distinct indices below `count`, as two arrays: per
+    pair, i below count, then j among the other count - 1.  One
+    array-bounded draw takes the stream of one scalar draw per bound."""
     i, j = rng.integers(np.tile([count, count - 1], size)).reshape(-1, 2).T
     return i, j + (j >= i)
 
@@ -111,11 +106,8 @@ def failed_fraction(n, ell, p_fail, strategy, routes, seed, graphs):
 def test_criterion_1_no_failure_delivery():
     n, ell, routes = 2 ** 14, 17, 100_000
     g = lw.build(n, InversePowerLaw(ell), np.random.default_rng([101]))
-    rng = np.random.default_rng([102])
-    fails = 0
-    for _ in range(routes):
-        s, d = random_pair(rng, n)
-        fails += not lw.route(g, s, d).delivered
+    s, d = random_pairs(np.random.default_rng([102]), n, routes)
+    fails = int(np.count_nonzero(~lw.route_many(g, s, d).delivered))
     verdict(1, fails == 0, f"{routes} routes at n=2^14, links=17: {fails} failed")
 
 
@@ -151,15 +143,14 @@ def test_criterion_3_multi_link_inverse_scaling():
 def test_criterion_4_deterministic_digit_exactness():
     n, b = 2 ** 10, 2
     g = lw.build(n, lw.DeterministicBaseB(b), np.random.default_rng([401]))
-    worst = 0
-    for s in range(n):
-        for d in range(n):
-            if s == d:
-                continue
-            res = lw.route(g, s, d, ONE)
-            if not res.delivered or res.hops != base_digits_nonzero(abs(s - d), b):
-                verdict(4, False, f"pair {s}->{d}: hops {res.hops}")
-            worst = max(worst, res.hops)
+    s, d = np.nonzero(~np.eye(n, dtype=bool))  # every pair s != d, s-major
+    res = lw.route_many(g, s, d, ONE)
+    digits = np.array([base_digits_nonzero(k, b) for k in range(n)])
+    wrong = np.flatnonzero(~res.delivered | (res.hops != digits[np.abs(s - d)]))
+    if wrong.size:
+        k = wrong[0]
+        verdict(4, False, f"pair {s[k]}->{d[k]}: hops {res.hops[k]}")
+    worst = int(res.hops.max())
     verdict(4, worst <= 10, f"all {n * (n - 1)} pairs match nonzero-digit "
                             f"counts; max hops {worst} <= 10")
 
@@ -182,19 +173,15 @@ def test_criterion_6_binomial_presence_matches_reduced_line():
     for _ in range(8):
         gb = lw.build_binomial_presence(n, p, InversePowerLaw(1), rng)
         live = gb.live_sorted()
-        for _ in range(1500):
-            i, j = random_pair(rng, len(live))
-            res = lw.route(gb, live[i], live[j], max_hops=cap)
-            if res.delivered:
-                sums["binomial"][0] += res.hops
-                sums["binomial"][1] += 1
+        i, j = random_pairs(rng, len(live), 1500)
+        res = lw.route_many(gb, live[i], live[j], max_hops=cap)
+        sums["binomial"][0] += int(res.hops[res.delivered].sum())
+        sums["binomial"][1] += int(np.count_nonzero(res.delivered))
         gi = lw.build(len(live), InversePowerLaw(1), rng)
-        for _ in range(1500):
-            s, d = random_pair(rng, len(live))
-            res = lw.route(gi, s, d, max_hops=cap)
-            if res.delivered:
-                sums["reduced"][0] += res.hops
-                sums["reduced"][1] += 1
+        s, d = random_pairs(rng, len(live), 1500)
+        res = lw.route_many(gi, s, d, max_hops=cap)
+        sums["reduced"][0] += int(res.hops[res.delivered].sum())
+        sums["reduced"][1] += int(np.count_nonzero(res.delivered))
     mb = sums["binomial"][0] / sums["binomial"][1]
     mi = sums["reduced"][0] / sums["reduced"][1]
     rel = abs(mb - mi) / mi
@@ -310,12 +297,10 @@ def test_criterion_12_bound_sandwich():
     cap = 8 * int(math.log2(n)) ** 2
     for _ in range(10):
         g = lw.build(n, InversePowerLaw(1), rng)
-        for _ in range(300):
-            src = int(rng.integers(1, n))
-            res = lw.route(g, src, 0, ONE, max_hops=cap)
-            if res.delivered:
-                total += res.hops
-                cnt += 1
+        src = rng.integers(1, np.full(300, n))  # one scalar draw each
+        res = lw.route_many(g, src, np.zeros_like(src), ONE, max_hops=cap)
+        total += int(res.hops[res.delivered].sum())
+        cnt += int(np.count_nonzero(res.delivered))
     sim = total / cnt
     ok = lower <= sim <= upper
     verdict(12, ok, f"{lower:.3f} <= simulated {sim:.2f} <= {upper:.2f} "

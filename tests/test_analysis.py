@@ -468,12 +468,10 @@ def _simulate_one_sided_to_zero(n, ell, graphs, routes_per_graph, seed):
     cap = 8 * int(math.log2(n)) ** 2
     for _ in range(graphs):
         g = lw.build(n, lw.InversePowerLaw(ell), rng)
-        for _ in range(routes_per_graph):
-            src = int(rng.integers(1, n))
-            res = lw.route(g, src, 0, ONE, max_hops=cap)
-            if res.delivered:
-                total += res.hops
-                cnt += 1
+        src = rng.integers(1, np.full(routes_per_graph, n))  # one scalar draw each
+        res = lw.route_many(g, src, np.zeros_like(src), ONE, max_hops=cap)
+        total += int(res.hops[res.delivered].sum())
+        cnt += int(np.count_nonzero(res.delivered))
     return total / cnt
 
 

@@ -1,8 +1,9 @@
 """Byte-identity of full-line builds, join-grown overlays and experiment
-CSV against recorded digests: the builds, the join growth and the first two
-failures sweeps were recorded before the 1/d samplers were merged into
-`linkgen.sample_line_links`, the rest of the experiment CSV before the
-harness runners were merged into one trial loop.  A change to any of these
+CSV against recorded digests: the builds and the join growth were recorded
+before the 1/d samplers were merged into `linkgen.sample_line_links`, the
+rest of the experiment CSV before the harness runners were merged into one
+trial loop, except the failures sweeps, recorded when a failures trial
+began routing every p and strategy on one graph.  A change to any of these
 digests is an RNG stream change and must be logged with before/after
 statistics."""
 
@@ -96,13 +97,14 @@ def test_churn_schedule(policy, digest):
     assert sha256(g.dump_text() + table_sha256(g)) == digest
 
 
-# node re-recorded when batches began routing in lockstep: only the restart
-# rows at p > 0 moved, since restart landings are now drawn after all of a
-# trial's pairs and step by step across its messages
+# both re-recorded, with failures-binomial and the four commit-* digests
+# below, when a failures trial began routing every p and strategy on one
+# graph: each trial draws its graph once and degrades it per p, so every
+# row's stream moved
 @pytest.mark.parametrize("model,p_grid,digest", [
-    ("node", (0.0, 0.3, 0.6), "bbd71febe70b547c00b51bc0679451496fc09377ac0a84509a4f6e394ddc3843"),
-    ("link", (1.0, 0.5, 0.2), "7836fd1079420be3b0707a1e228e9b1d6f8d76c346adc8cde1c278b1a5600ddf"),
-])
+    ("node", (0.0, 0.3, 0.6), "fa3f9599d01226a68bbb2a20210da6227faa10250131432c305c7fe3f9493950"),
+    ("link", (1.0, 0.5, 0.2), "1624da9c5ccab9abc8c37d27db927c1b6dfe4ea367991d145d3a902d0ce9b195"),
+], ids=["node", "link"])
 def test_failures_csv(model, p_grid, digest):
     cfg = ExperimentConfig("failures", n=2 ** 10, links=10, p_grid=p_grid, trials=3,
                            messages=30, seed=5, failure_model=model)
@@ -120,15 +122,15 @@ DISTRIBUTION = dict(experiment="distribution", n=2 ** 8, links=8, repetitions=3,
 @pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize("config,digest", [
     (dict(FAILURES, p_grid=(0.3, 0.7), seed=5, failure_model="binomial"),
-     "1a37c58c4495ae7e9d5d3543992e5510cfa2ba5d8bccde3bc90bf451ed9ff176"),
+     "68d5419bc6aa2c64c3a1571fba487e2c3296f50e4e7524091af92aaf11d96e97"),
     (dict(COMMIT, sidedness="one", link_mode="directed"),
-     "672ec818db6e1b3beaaf4d82af0fb53db4b69bb58198af8c6b0effbf6b84a150"),
+     "7707757f2e4988734dc003f31b98e768afb04bec2e7e42578f5d238859430186"),
     (dict(COMMIT, sidedness="one", link_mode="symmetric"),
-     "c8bf9bf023b1b92267ed64a37f052de4383efb46d0e2a24a4805474fe1edb06d"),
+     "bcdec0d0f87fddd9e947bb43f19ec69aa2f5cca33a99792223885175508b54d3"),
     (dict(COMMIT, sidedness="two", link_mode="directed"),
-     "0b354493e24184962efc59340983903efd7a9bd85b176e0492d59c0f7f6f1ba1"),
+     "07ebe3ee1d4812424558e85641c5c740b0d383357099ed33e1f043cf4222ef33"),
     (dict(COMMIT, sidedness="two", link_mode="symmetric"),
-     "c65ee66376c4e1e8c764edcd12f5e0328a4aa074098f233a14e05c5d1122d899"),
+     "9b278f42a465fd256cab5be8f8c1ef94f48f49c20a593dbbd3ba8685e33cced5"),
     (dict(SCALING, n_values=(256, 1024), link_values=(1, 4)),
      "b83c99f83eed2d848097d38a0259406daa0bf1ba7d2f70cb28f512668f803981"),
     # re-recorded when the links column stopped counting distances longer

@@ -1,11 +1,13 @@
 """Experiment orchestration: schemas, determinism, CLI plumbing."""
 
 import argparse
+import math
 import os
 import re
 import shlex
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -74,7 +76,7 @@ def test_worker_pool_is_one_and_capped_at_cpu_count(monkeypatch):
         return pool(max_workers=max_workers)
 
     monkeypatch.setattr(harness, "ThreadPoolExecutor", recording_pool)
-    cfg = tiny("failures", trials=1)  # 2 p values x 2 strategies: 4 jobs
+    cfg = tiny("failures", trials=4)  # one job per trial: 4 jobs
     serial = run_experiment(cfg)
     assert asked == []
     assert run_experiment(replace(cfg, workers=64)) == serial
@@ -235,6 +237,57 @@ def test_failure_model_variants():
     assert int(half[8]) + int(half[9]) == 3 * 40
     with pytest.raises(ValueError):
         tiny("failures", failure_model="cascade").validate()
+
+
+@pytest.mark.parametrize("model,build_fn,graphs_per_trial", [
+    ("node", "build", 1), ("link", "build", 1), ("binomial", "build_binomial_presence", 3),
+])
+def test_failures_build_one_graph_per_trial(monkeypatch, model, build_fn, graphs_per_trial):
+    calls = {"build": 0, "build_binomial_presence": 0}
+    for name in calls:
+        def counting(*args, _name=name, _real=getattr(harness.overlay, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(harness.overlay, name, counting)
+    cfg = tiny("failures", failure_model=model, trials=4, p_grid=(0.2, 0.5, 0.8))
+    run_experiment(cfg)
+    assert calls == {"build": 0, "build_binomial_presence": 0, build_fn: 4 * graphs_per_trial}
+
+
+@pytest.mark.parametrize("model", ["node", "link"])
+def test_failure_sets_nest_in_p(monkeypatch, model):
+    # the node model's dead set, and the link model's surviving links, at
+    # each p of each trial, recorded as routing sees them; p unsorted
+    seen = {}
+    route_batch = harness.route_batch
+
+    def recording(g, strategy, rng, config):
+        # the routing stream is trial_rng(seed, "failures", t, i, k)
+        t, i = rng.bit_generator.seed_seq.entropy[2:4]
+        links = [(u, v) for u in range(g.n) for v in g.long_links(u)]
+        seen[t, grid[i]] = set(np.flatnonzero(~g.alive)), Counter(links)
+        return route_batch(g, strategy, rng, config)
+
+    monkeypatch.setattr(harness, "route_batch", recording)
+    grid = (0.5, 0.1, 0.9, 0.3)
+    run_experiment(tiny("failures", failure_model=model, trials=2, p_grid=grid,
+                        strategies=("terminate",)))
+    assert len(seen) == 2 * len(grid)
+    for (t, p), (dead, links) in seen.items():
+        # each node dies, and each of the 256 * 4 links survives, w.p. p
+        frac, m = ((len(dead) / 256, 256) if model == "node"
+                   else (sum(links.values()) / 1024, 1024))
+        assert abs(frac - p) < 5 * math.sqrt(p * (1 - p) / m)
+    for t in (0, 1):
+        by_p = [seen[t, p] for p in sorted(grid)]
+        for (dead, links), (more_dead, more_links) in zip(by_p, by_p[1:]):
+            if model == "node":
+                assert dead <= more_dead and links == more_links
+            else:
+                assert not dead and not more_dead
+                assert not links - more_links  # links at p all survive at larger p
+        # the grid's ends differ: the sets really change with p
+        assert by_p[0] != by_p[-1]
 
 
 @pytest.mark.parametrize("config", [
@@ -542,9 +595,11 @@ def test_cli_rejects_counts_below_one(capsys, argv, message):
     ["route", "--n", "64", "--base", "0", "--history", "0", "--src", "1", "--dst", "50"],
     ["route", "--n", "64", "--history", "0", "--src", "1", "--dst", "50"],
     ["build", "--n", "64", "--base", "0"],
+    ["experiment", "failures", "--n", "64", "--trials", "1", "--messages",
+     "99999999999999999999"],
 ], ids=["bad_int", "missing_src", "unknown_command", "missing_kind", "unallocatable_n",
         "abbreviated_flag", "abbreviated_experiment_flag", "route_base", "route_history",
-        "build_base"])
+        "build_base", "messages_beyond_int64"])
 def test_cli_errors_exit_1_with_one_line(capsys, argv):
     assert main(argv) == 1
     captured = capsys.readouterr()
