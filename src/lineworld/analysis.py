@@ -16,7 +16,10 @@ estimates that equality).  A run's ends lie at the interval's ends, at an
 offset or one past it, or at a midpoint between neighbouring offsets, so
 `step_interval` finds the run of one uniform element by bisecting the
 offsets instead of enumerating the interval; `split_interval` enumerates
-the whole partition and is the reference it is tested against.  The size
+the whole partition and is the reference it is tested against.
+`chain_equivalence_tv` steps all its samples' intervals in lockstep, one
+array step per transition, and `step_interval` is the scalar reference that
+array step is tested against.  The size
 of the chosen run rarely drops by a large ratio, and that fact yields an
 explicit closed-form lower bound on the expected routing time
 (`mean_lower_bound`).
@@ -182,6 +185,65 @@ def step_interval(state: Interval, offsets, sidedness: Sidedness,
     return Interval(int(lo - d), int(hi - d))  # plain ints, also for array offsets
 
 
+def _step_intervals(lo: np.ndarray, hi: np.ndarray, deltas: np.ndarray, incl: np.ndarray,
+                    u: np.ndarray, sidedness: Sidedness) -> tuple[np.ndarray, np.ndarray]:
+    """`step_interval` for a batch of intervals: row r steps lo[r]..hi[r]
+    under the offsets deltas[incl[r]] (`deltas` sorted), its element x
+    chosen by the uniform u[r].  Returns the new (lo, hi) arrays; an
+    absorbed row stays {0}, whatever its offsets.
+
+    The included offsets of all rows, flattened row by row, form one sorted
+    array of flat positions, so one `searchsorted` per row finds the offsets
+    on either side of x, and their neighbours are the entries next to them.
+    Raises ValueError, as `step_interval` and `Interval` do, when some row's
+    lowest position has no usable offset or a result is not a valid interval.
+    """
+    rows, width = incl.shape
+    one_sided = sidedness is Sidedness.ONE_SIDED
+    pos = np.flatnonzero(incl)
+    # two pads at each end: an index up to two entries past either end of
+    # pos gives a column outside every row
+    padded = np.concatenate(([-1, -1], pos, [rows * width, rows * width]))
+    row_base = np.arange(rows) * width
+
+    def column(j):
+        """Column, in its row's mask, of pos[j]: < 0 or >= width when pos[j]
+        lies in an earlier or later row (j may run two past either end)."""
+        return padded[j + 2] - row_base
+
+    absorbed = lo == 0  # lo == 0 only for {0}
+    first = column(np.searchsorted(pos, row_base))
+    usable = np.searchsorted(deltas, lo, side="right") if one_sided else width
+    if ((first >= usable) & ~absorbed).any():
+        raise ValueError("no usable offset at some interval's lowest position")
+    x = lo + (u * (hi - lo + 1)).astype(np.int64)
+    if one_sided:  # the largest offset not exceeding x
+        j = np.searchsorted(pos, row_base + np.searchsorted(deltas, x, side="right")) - 1
+    else:  # the nearest offset, ties to the smaller
+        j = np.searchsorted(pos, row_base + np.searchsorted(deltas, x, side="left"))
+        below, above = column(j - 1), column(j)
+        gap_below = x - deltas[np.maximum(below, 0)]
+        gap_above = deltas[np.minimum(above, width - 1)] - x
+        j -= (below >= 0) & ((above >= width) | (gap_below <= gap_above))
+    d = deltas[np.where(absorbed, 0, column(j))]  # an absorbed row may have no offset
+    nxt = column(j + 1)
+    d_next = deltas[np.minimum(nxt, width - 1)]
+    if one_sided:
+        hi = np.where(nxt < width, np.minimum(hi, d_next - 1), hi)
+    else:
+        hi = np.where(nxt < width, np.minimum(hi, (d + d_next) // 2), hi)
+        prev = column(j - 1)
+        d_prev = deltas[np.maximum(prev, 0)]
+        lo = np.where(prev >= 0, np.maximum(lo, (d_prev + d) // 2 + 1), lo)
+    hi = np.where(x < d, np.minimum(hi, d - 1), hi)
+    lo = np.where(x > d, np.maximum(lo, d + 1), lo)
+    to_zero = absorbed | (x == d)
+    lo, hi = np.where(to_zero, 0, lo - d), np.where(to_zero, 0, hi - d)
+    if ((lo > hi) | ((lo <= 0) & (hi >= 0) & ((lo != 0) | (hi != 0)))).any():
+        raise ValueError("interval step left an empty or two-signed interval")
+    return lo, hi
+
+
 # ---------------------------------------------------------------------------
 # the closed-form mean lower bound
 
@@ -236,6 +298,40 @@ def mean_lower_bound(n: int, sidedness: Sidedness, inclusion: BernoulliOffsets |
 # chain equivalence oracle
 
 
+def _interval_marginals(n: int, dist: BernoulliOffsets, sidedness: Sidedness, t_max: int,
+                        samples: int, rng: np.random.Generator) -> np.ndarray:
+    """Law of the interval chain's uniform element over positions -n..n
+    after each step 0..t_max, estimated from `samples` runs from 1..n
+    stepped in lockstep, each with a fresh offset set per step.
+
+    Row t averages, over the runs, the uniform law on each run's interval;
+    an absorbed run's interval is {0}.
+    """
+    span = 2 * n + 1
+    hist = np.zeros((t_max + 1, span))
+    hist[0, n + 1:] = samples / n
+    lo = np.ones(samples, dtype=np.int64)
+    hi = np.full(samples, n, dtype=np.int64)
+    # Only unabsorbed runs draw, but absorbed ones stay in the batch (the
+    # step ignores their stale offsets and uniforms), so every array keeps
+    # the batch's size: numpy caches freed buffers under 1 KiB per size, and
+    # a batch shrinking through many sizes grows that cache.
+    incl = np.zeros((samples, dist.deltas.size), dtype=bool)
+    u = np.zeros(samples)
+    for t in range(1, t_max + 1):
+        live = lo != 0
+        active = np.count_nonzero(live)
+        incl[live] = sample_offsets(dist, rng, rows=active)
+        u[live] = rng.random(active)
+        lo, hi = _step_intervals(lo, hi, dist.deltas, incl, u, sidedness)
+        # 1/size over each run lo..hi: a difference array, summed
+        mass = 1.0 / (hi - lo + 1)
+        diff = (np.bincount(lo + n, mass, minlength=span + 1)
+                - np.bincount(hi + n + 1, mass, minlength=span + 1))
+        hist[t] = np.cumsum(diff[:span])
+    return hist / samples
+
+
 def chain_equivalence_tv(n: int, dist: BernoulliOffsets, sidedness: Sidedness,
                          t_max: int, samples: int, rng: np.random.Generator) -> np.ndarray:
     """Total-variation distance, per step, between the single-point chain
@@ -263,19 +359,7 @@ def chain_equivalence_tv(n: int, dist: BernoulliOffsets, sidedness: Sidedness,
         point_hist[t] = np.bincount(xs + n, minlength=span)
     point_hist /= samples
 
-    # interval chain, one run at a time with a fresh offset set per step
-    interval_hist = np.zeros((t_max + 1, span))
-    for _ in range(samples):
-        state = Interval(1, n)
-        for t in range(1, t_max + 1):
-            if state.absorbed:
-                interval_hist[t, n] += 1.0
-                continue
-            offs = deltas[sample_offsets(dist, rng)].tolist()
-            state = step_interval(state, offs, sidedness, rng)
-            interval_hist[t, state.lo + n: state.hi + n + 1] += 1.0 / state.size
-    interval_hist /= samples
-
+    interval_hist = _interval_marginals(n, dist, sidedness, t_max, samples, rng)
     tv = 0.5 * np.abs(point_hist - interval_hist).sum(axis=1)
     tv[0] = 0.0
     return tv

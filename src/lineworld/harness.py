@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from itertools import product
 
@@ -53,6 +52,8 @@ CHOICES = {
     "failure_model": ("node", "link", "binomial"),
     "policy": tuple(p.value for p in dynamics.ReplacementPolicy),
 }
+
+COUNT_MAX = 2 ** 63 - 1  # the largest int64
 
 FAILURES_HEADER = ("experiment,n,links,base,p,strategy,trials,messages,delivered,"
                    "failed,capped,mean_hops,std_hops,mean_backtracks,mean_restarts,seed")
@@ -101,6 +102,16 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be >= {least}")
         if any(ell < 1 for ell in self.link_values):
             raise ValueError("link grid entries must be >= 1")
+        # a count past int64 cannot size a numpy array; refuse it before any
+        # loop or job list is built from it
+        counts = [(name, getattr(self, name)) for name in (
+            "n", "links", "history", "max_hops", "trials", "messages", "repetitions",
+            "samples", "t_max")]
+        counts += [("n grid entries", v) for v in self.n_values]
+        counts += [("link grid entries", v) for v in self.link_values]
+        for name, value in counts:
+            if value is not None and value > COUNT_MAX:
+                raise ValueError(f"{name} must be <= 2**63 - 1")
         if self.max_hops is not None and self.max_hops < 1:
             raise ValueError("max_hops must be >= 1")
         if not self.p_grid or not self.strategies:
@@ -202,6 +213,8 @@ def _sweep(config: ExperimentConfig, cells: list[tuple[tuple[int, ...], object]]
     if workers <= 1:
         results = [run(job) for job in jobs]
     else:
+        # imported here: a serial run, the common case, needs no thread pool
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, jobs))
     return [results[i:i + count] for i in range(0, len(results), count)]

@@ -7,6 +7,8 @@ import pytest
 
 from lineworld.analysis import (
     Interval,
+    _interval_marginals,
+    _step_intervals,
     chain_equivalence_tv,
     mean_lower_bound,
     single_link_upper_bound,
@@ -207,6 +209,40 @@ def test_step_interval_takes_the_split_run_of_every_position():
                 assert got == Interval(lo - delta, hi - delta), (state, offs, side, x)
         checked[state.sign] += 1
     assert min(checked.values()) >= 2_000
+
+
+def test_step_intervals_matches_step_interval():
+    # every case that steps goes into one batch per sidedness, so the rows
+    # of a batch are checked against each other as well as against the
+    # scalar step; a case the scalar step rejects must fail alone too.  Some
+    # states are absorbed, which both steps must keep at {0} whatever the
+    # offsets, even none.
+    rng = np.random.default_rng(12)
+    deltas = np.array([d for d in range(-39, 40) if d != 0])  # all random_case can draw
+    cases = {ONE: [], TWO: []}
+    for _ in range(10_000):
+        state, offs, side = random_case(rng)
+        if rng.random() < 0.05:  # absorbed, with or without offsets
+            state = Interval(0, 0)
+            offs = offs if rng.random() < 0.5 else []
+        incl, u = np.isin(deltas, offs), rng.random()
+        try:
+            want = step_interval(state, offs, side, FixedDraw(u))
+        except ValueError:
+            with pytest.raises(ValueError):
+                _step_intervals(np.array([state.lo]), np.array([state.hi]), deltas,
+                                incl[None], np.array([u]), side)
+            continue
+        cases[side].append((state.lo, state.hi, incl, u, want.lo, want.hi))
+    for side, batch in cases.items():
+        lo, hi, incl, u, want_lo, want_hi = map(np.array, zip(*batch))
+        signs = np.sign(lo)
+        assert np.count_nonzero(signs) >= 2_000
+        assert min(np.count_nonzero(signs == 1), np.count_nonzero(signs == -1)) >= 100
+        assert np.count_nonzero((signs == 0) & ~incl.any(axis=1)) >= 50
+        got_lo, got_hi = _step_intervals(lo, hi, deltas, incl, u, side)
+        assert got_lo.tolist() == want_lo.tolist()
+        assert got_hi.tolist() == want_hi.tolist()
 
 
 def test_step_interval_matches_enumerating_step_on_one_stream():
@@ -515,3 +551,38 @@ def test_chain_equivalence_inverse_law_small():
     rng = np.random.default_rng(7)
     tv = chain_equivalence_tv(16, inverse_law(16), TWO, 6, 30_000, rng)
     assert tv.max() < 0.02
+
+
+def test_chain_equivalence_without_steps():
+    tv = chain_equivalence_tv(8, inverse_law(8), TWO, 0, 100, np.random.default_rng(13))
+    assert tv.tolist() == [0.0]
+
+
+def test_chain_equivalence_one_sample():
+    rng = np.random.default_rng(14)
+    for side in (ONE, TWO):
+        tv = chain_equivalence_tv(8, inverse_law(8), side, 4, 1, rng)
+        assert tv.shape == (5,) and tv[0] == 0.0
+        assert np.all((tv >= 0.0) & (tv <= 1.0 + 1e-12))
+
+
+def test_interval_chain_mass_stays_at_zero_once_absorbed():
+    # offsets +-1 only: every run from 1..4 reaches 0 within 4 steps
+    n, law = 4, offset_law({1: 1.0, -1: 1.0})
+    at_zero = np.zeros(2 * n + 1)
+    at_zero[n] = 1.0
+    for side in (ONE, TWO):
+        hist = _interval_marginals(n, law, side, 7, 500, np.random.default_rng(15))
+        assert hist[1, n] < 1.0
+        assert np.array_equal(hist[n:], np.tile(at_zero, (7 - n + 1, 1)))
+        tv = chain_equivalence_tv(n, law, side, 7, 500, np.random.default_rng(16))
+        assert np.all(tv[n:] == 0.0)
+
+
+def test_interval_marginals_rows_are_laws():
+    # the difference-array accumulation must leave each row a probability law
+    rng = np.random.default_rng(17)
+    for side in (ONE, TWO):
+        hist = _interval_marginals(16, inverse_law(16), side, 8, 5_000, rng)
+        assert np.abs(hist.sum(axis=1) - 1.0).max() <= 1e-12
+        assert hist.min() >= -1e-12

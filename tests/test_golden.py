@@ -154,8 +154,11 @@ DISTRIBUTION = dict(experiment="distribution", n=2 ** 8, links=8, repetitions=3,
      "93f4d3851a101d874d6deb07c477ce2c21d47b726eb76718a6c33b118aa5ba9d"),
     (dict(DISTRIBUTION, policy="oldest"),
      "6f4ba81c13f1fb925c6498039f4b8c6da3454b05527068c744e67509d68c698b"),
+    # re-recorded when the interval chain began stepping every sample in
+    # lockstep: each step draws the offset sets of all unabsorbed samples,
+    # then their uniforms
     (dict(experiment="chains", n=16, samples=500, t_max=4, seed=11),
-     "6945e8352ab0c4c8f903b1aacf6aa6779d52645193722615b78a075d787205b3"),
+     "af558d0fcc16b304c8b475a52d94abbfedf392456e71e86848fc98e62313a3a5"),
 ], ids=["failures-binomial", "commit-one-directed", "commit-one-symmetric",
         "commit-two-directed", "commit-two-symmetric", "scaling-power1-grid",
         "scaling-detbase", "scaling-powers", "scaling-bernoulli", "bounds-one-l1",

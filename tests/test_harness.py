@@ -1,6 +1,7 @@
 """Experiment orchestration: schemas, determinism, CLI plumbing."""
 
 import argparse
+import concurrent.futures
 import math
 import os
 import re
@@ -69,13 +70,13 @@ def test_failures_deterministic_across_workers():
 
 def test_worker_pool_is_one_and_capped_at_cpu_count(monkeypatch):
     asked = []
-    pool = harness.ThreadPoolExecutor
+    pool = concurrent.futures.ThreadPoolExecutor
 
     def recording_pool(max_workers):
         asked.append(max_workers)
         return pool(max_workers=max_workers)
 
-    monkeypatch.setattr(harness, "ThreadPoolExecutor", recording_pool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording_pool)
     cfg = tiny("failures", trials=4)  # one job per trial: 4 jobs
     serial = run_experiment(cfg)
     assert asked == []
@@ -210,6 +211,18 @@ def test_config_validation():
         ExperimentConfig("chains", n=8, samples=10, t_max=2, policy="bogus").validate()
     with pytest.raises(ValueError):
         ExperimentConfig("chains", n=8, samples=10, t_max=2, sidedness="three").validate()
+
+
+@pytest.mark.parametrize("field", ["n", "links", "history", "max_hops", "trials", "messages",
+                                   "repetitions", "samples", "t_max", "n_values",
+                                   "link_values"])
+def test_config_rejects_counts_beyond_int64(field):
+    # validation only: a rejected config never reaches an allocation
+    largest = 2 ** 63 - 1
+    grid = field in ("n_values", "link_values")
+    tiny("scaling", **{field: (64, largest) if grid else largest}).validate()
+    with pytest.raises(ValueError, match=r"must be <= 2\*\*63 - 1"):
+        tiny("scaling", **{field: (64, largest + 1) if grid else largest + 1}).validate()
 
 
 @pytest.mark.parametrize("experiment", ["build", "route"])
@@ -597,9 +610,12 @@ def test_cli_rejects_counts_below_one(capsys, argv, message):
     ["build", "--n", "64", "--base", "0"],
     ["experiment", "failures", "--n", "64", "--trials", "1", "--messages",
      "99999999999999999999"],
+    ["experiment", "failures", "--n", "64", "--trials", "99999999999999999999", "--messages",
+     "2"],
+    ["experiment", "compare", "--n", "64", "--reps", "99999999999999999999", "--messages", "2"],
 ], ids=["bad_int", "missing_src", "unknown_command", "missing_kind", "unallocatable_n",
         "abbreviated_flag", "abbreviated_experiment_flag", "route_base", "route_history",
-        "build_base", "messages_beyond_int64"])
+        "build_base", "messages_beyond_int64", "trials_beyond_int64", "reps_beyond_int64"])
 def test_cli_errors_exit_1_with_one_line(capsys, argv):
     assert main(argv) == 1
     captured = capsys.readouterr()
