@@ -248,15 +248,14 @@ def _step_intervals(lo: np.ndarray, hi: np.ndarray, deltas: np.ndarray, incl: np
 # the closed-form mean lower bound
 
 
-def mean_lower_bound(n: int, sidedness: Sidedness, inclusion: BernoulliOffsets | None = None,
-                     expected_degree: float | None = None) -> float:
+def mean_lower_bound(n: int, sidedness: Sidedness, inclusion: BernoulliOffsets) -> float:
     """Closed-form lower bound on expected greedy hops to reach the target
     from a uniform start on 1..n.
 
     `inclusion` is the law of independently included signed offsets
-    (both unit offsets present with probability 1); `expected_degree`
-    defaults to the sum of inclusion probabilities.  Two-sided use requires
-    a symmetric unimodal map.
+    (both unit offsets present with probability 1); its expected size is
+    the sum of inclusion probabilities.  Two-sided use requires a symmetric
+    unimodal map.
 
     With ell the expected offset-set size, the large-drop cutoff is
     a = 3 * ell * ln^3 n (drops of ratio a happen with probability at most
@@ -275,12 +274,8 @@ def mean_lower_bound(n: int, sidedness: Sidedness, inclusion: BernoulliOffsets |
     if n < 3:
         raise ValueError("n too small")
     if sidedness is Sidedness.TWO_SIDED:
-        if inclusion is None:
-            raise ValueError("two-sided bound needs the inclusion map")
         inclusion.validate_two_sided()
-    if inclusion is None and expected_degree is None:
-        raise ValueError("need inclusion map or expected_degree")
-    ell = inclusion.expected_size() if expected_degree is None else float(expected_degree)
+    ell = inclusion.expected_size()
     ln_n = math.log(n)
     a = 3.0 * ell * ln_n ** 3
     eps = ln_n ** -3

@@ -13,12 +13,15 @@ which telescopes exactly to the stationary inverse-distance law:
 
     p_i/sum_{j<=k} - p_i/sum_{j<=k+1} = (p_i/sum_{j<=k}) * (p_new/sum_{j<=k+1})
 
-The oldest-link variant keeps the same accept step but always evicts the
-link with the smallest age.  A departure takes the node off the line, so
-its line neighbours become each other's, and can optionally resample every
-link that pointed at the leaver.  Every write is a whole row (the
-joiner's) or one array write (accepted redirects in requester order,
-repairs in row-major slot order).
+One array step (`replacement_decision`) decides every requester of a
+join: one accept uniform per requester that holds a link, in requester
+order, then one victim uniform per accepted requester, in requester order.
+The oldest-link variant keeps the same accept step but evicts the link
+with the smallest age, with no victim draw.  A departure takes the node
+off the line, so its line neighbours become each other's, and can
+optionally resample every link that pointed at the leaver.  Every write is
+a whole row (the joiner's) or one array write (accepted redirects in
+requester order, repairs in row-major slot order).
 """
 
 from __future__ import annotations
@@ -36,48 +39,35 @@ class ReplacementPolicy(enum.Enum):
     OLDEST = "oldest"
 
 
-def replacement_decision(existing_distances, new_distance: float,
-                         rng: np.random.Generator, ages=None) -> int | None:
-    """Index of the link to replace with the newcomer, or None to keep all.
+def replacement_decision(rows, requesters, v: NodeId, rng: np.random.Generator,
+                         ages=None) -> np.ndarray:
+    """Slot each requester redirects to newcomer v, or -1 to keep its links.
 
-    Pr[accept] = p_new / sum_{j<=k+1} p_j with p = 1/distance.  The victim
-    is link i w.p. p_i / sum_{j<=k} p_j, so that
-    Pr[replace i] = (p_i / sum_{j<=k} p_j) * (p_new / sum_{j<=k+1} p_j);
-    given the links' `ages`, it is the oldest link instead (no second draw).
+    `rows` holds the requesters' long-link rows, left-packed and padded with
+    NO_NEIGHBOR.  A requester with k links accepts w.p.
+    p_new / sum_{j<=k+1} p_j with p = 1/distance, and evicts link i w.p.
+    p_i / sum_{j<=k} p_j; given the rows' `ages`, it evicts its oldest link
+    instead (pads, whose ages are stale, never count).  Draws follow the
+    module's order; a requester with an empty row draws nothing.
     """
-    dists = np.asarray(existing_distances, dtype=float)
-    if dists.size == 0:
-        raise ValueError("no existing links")
-    p = 1.0 / dists
-    p_new = 1.0 / float(new_distance)
-    if rng.random() >= p_new / (p.sum() + p_new):
-        return None
+    real = rows != NO_NEIGHBOR
+    p = np.where(real, 1.0 / np.abs(rows - requesters[:, None]), 0.0)
+    p_new = 1.0 / np.abs(requesters - v)
+    held = real.any(axis=1)
+    accept = np.zeros(requesters.size, dtype=bool)
+    accept[held] = rng.random(np.count_nonzero(held)) < (p_new / (p.sum(axis=1) + p_new))[held]
+    slots = np.full(requesters.size, -1)
+    if not accept.any():
+        return slots
     if ages is not None:
-        return int(np.argmin(ages))
-    cum = np.cumsum(p)
-    r = rng.random() * cum[-1]
-    return int(np.searchsorted(cum, r, side="right"))
-
-
-def _request_redirects(g: OverlayGraph, requesters: np.ndarray, v: NodeId,
-                       policy: ReplacementPolicy, rng: np.random.Generator) -> None:
-    """Each requester, in order, considers redirecting one of its long links
-    to newcomer v; the accepted redirects are written at once."""
-    rows = g.sinks[requesters]
-    ages = g.ages[requesters] if policy is ReplacementPolicy.OLDEST else None
-    widths = np.count_nonzero(rows != NO_NEIGHBOR, axis=1).tolist()
-    dists = np.abs(rows - requesters[:, None])
-    new_dists = np.abs(requesters - v).tolist()
-    hits, slots = [], []
-    for i, k in enumerate(widths):
-        if k:
-            idx = replacement_decision(dists[i, :k], new_dists[i], rng,
-                                       None if ages is None else ages[i, :k])
-            if idx is not None:
-                hits.append(i)
-                slots.append(idx)
-    if hits:
-        g.replace_link(requesters[hits], slots, v)
+        slots[accept] = np.where(real, ages, np.iinfo(ages.dtype).max)[accept].argmin(axis=1)
+    else:
+        cum = np.cumsum(p[accept], axis=1)
+        r = rng.random(cum.shape[0]) * cum[:, -1]
+        # slot i iff cum[i-1] <= r < cum[i]; the pads repeat the row total,
+        # which r (a uniform below 1 times the total) never reaches
+        slots[accept] = np.count_nonzero(cum <= r[:, None], axis=1)
+    return slots
 
 
 def _basin_owners(live: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -121,7 +111,11 @@ def join(g: OverlayGraph, v: NodeId, links: int, policy: ReplacementPolicy,
     if k > 0:
         w = 1.0 / np.abs(live_arr - v).astype(float)
         requesters = rng.choice(live_arr, size=k, replace=False, p=w / w.sum())
-        _request_redirects(g, requesters, v, policy, rng)
+        ages = g.ages[requesters] if policy is ReplacementPolicy.OLDEST else None
+        slots = replacement_decision(g.sinks[requesters], requesters, v, rng, ages)
+        hit = slots >= 0
+        if hit.any():
+            g.replace_link(requesters[hit], slots[hit], v)
     return g
 
 

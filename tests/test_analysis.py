@@ -432,16 +432,20 @@ def test_max_drop_probability_bound():
 
 
 def test_mean_lower_bound_positive_and_monotone():
+    # the ±1 units plus 0..16 further offsets: expected sizes 2..18
     values = []
     for ell in range(1, 18):
-        values.append(mean_lower_bound(2 ** 17, ONE, expected_degree=float(ell)))
+        law = offset_law({-1: 1.0, **{d: 1.0 for d in range(1, ell + 1)}})
+        assert law.expected_size() == ell + 1
+        values.append(mean_lower_bound(2 ** 17, ONE, law))
     assert all(v > 0 for v in values)
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
 
 def test_mean_lower_bound_two_sided_needs_valid_map():
+    bimodal = offset_law({1: 1.0, -1: 1.0, 2: 0.2, -2: 0.2, 3: 0.5, -3: 0.5})
     with pytest.raises(ValueError):
-        mean_lower_bound(1024, TWO, expected_degree=3.0)
+        mean_lower_bound(1024, TWO, bimodal)
     asym = offset_law({1: 1.0, -1: 1.0, 2: 0.5, -2: 0.2})
     with pytest.raises(ValueError):
         mean_lower_bound(1024, TWO, asym)
@@ -452,9 +456,9 @@ def test_mean_lower_bound_two_sided_needs_valid_map():
 def test_mean_lower_bound_denominator_shrinks():
     # the discount for rare large drops stays near 1 for large n
     for n in (2 ** 10, 2 ** 17):
-        ell, ln_n = 4.0, math.log(n)
+        ln_n = math.log(n)
         eps = ln_n ** -3
-        t_raw = mean_lower_bound(n, ONE, expected_degree=ell)
+        t_raw = mean_lower_bound(n, ONE, offset_law({-2: 1.0, -1: 1.0, 1: 1.0, 2: 1.0}))
         # recover T from bound = T/(eps*T + 1 - eps): bound <= T always
         assert eps * t_raw < 0.05
 

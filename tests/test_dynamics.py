@@ -5,16 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from lineworld.dynamics import (
-    ReplacementPolicy,
-    _basin_owners,
-    _request_redirects,
-    join,
-    leave,
-    replacement_decision,
-)
+from scipy.stats import chisquare
+
+from lineworld.dynamics import ReplacementPolicy, _basin_owners, join, leave, replacement_decision
 from lineworld.linkgen import InversePowerLaw
-from lineworld.overlay import OverlayGraph, build
+from lineworld.overlay import NO_NEIGHBOR, OverlayGraph, build
 from lineworld.routing import Sidedness, greedy_step
 from oracles import immediate_column, nearest_live
 
@@ -48,15 +43,95 @@ def test_basin_owners_examples():
 
 
 def test_replacement_decision_requires_links():
-    with pytest.raises(ValueError):
-        replacement_decision([], 1.0, np.random.default_rng(0))
+    # requesters without links draw nothing and are never redirected
+    rng = np.random.default_rng(0)
+    untouched = np.random.default_rng(0)
+    for width in (0, 3):
+        rows = np.full((4, width), NO_NEIGHBOR)
+        got = replacement_decision(rows, np.arange(4), 9, rng)
+        assert got.tolist() == [-1] * 4
+        got = replacement_decision(rows, np.arange(4), 9, rng, np.zeros_like(rows))
+        assert got.tolist() == [-1] * 4
+    assert rng.random() == untouched.random()
+
+
+def _shrunk_rows():
+    """Requester rows of mixed widths with their ages: an empty row,
+    duplicate sinks, and rows that shrank, whose pads hold stale ages below
+    every real one (`set_links` leaves the old tail's ages, `retain_links`
+    parks the dropped ones there)."""
+    g = OverlayGraph(128)
+    g.set_links(70, [10, 20, 90, 100])
+    g.set_links(70, [60, 100])
+    g.set_links(30, [31, 31, 90, 5, 29])
+    g.set_links(50, [40, 70, 52])
+    g.set_links(77, [60])
+    keep = np.ones(g.sinks.shape, dtype=bool)
+    keep[50, 0] = False
+    g.retain_links(keep)
+    requesters = np.array([50, 10, 30, 77, 70])
+    return g.sinks[requesters], g.ages[requesters], requesters
+
+
+def test_replacement_decision_law():
+    # every slot of every row is replaced w.p. (p_i/S_k)(p_new/S_{k+1})
+    rows, ages, requesters = _shrunk_rows()
+    v, trials = 64, 40_000
+    rng = np.random.default_rng(26)
+    got = replacement_decision(np.tile(rows, (trials, 1)), np.tile(requesters, trials), v, rng)
+    got = got.reshape(trials, -1)
+    draws = 0
+    for i, u in enumerate(requesters):
+        k = np.count_nonzero(rows[i] != NO_NEIGHBOR)
+        if k == 0:
+            assert (got[:, i] == -1).all()
+            continue
+        p = 1.0 / np.abs(rows[i, :k] - u)
+        p_new = 1.0 / abs(u - v)
+        accept = p_new / (p.sum() + p_new)
+        law = np.append(1 - accept, p / p.sum() * accept)  # keep, then each slot
+        observed = np.bincount(got[:, i] + 1, minlength=k + 1)
+        assert observed.size == k + 1  # no pad slot is ever chosen
+        assert chisquare(observed, law * trials).pvalue > 1e-3
+        draws += trials + np.count_nonzero(got[:, i] >= 0)
+    # one accept uniform per requester with links, one victim per accept
+    after = np.random.default_rng(26)
+    after.random(draws)
+    assert rng.random() == after.random()
+
+
+def test_replacement_decision_oldest_evicts_minimum_real_age():
+    rows, ages, requesters = _shrunk_rows()
+    v, trials = 64, 20_000
+    rng = np.random.default_rng(27)
+    got = replacement_decision(np.tile(rows, (trials, 1)), np.tile(requesters, trials), v, rng,
+                               np.tile(ages, (trials, 1))).reshape(trials, -1)
+    real = rows != NO_NEIGHBOR
+    assert (ages[~real & real.any(axis=1)[:, None]] < ages[real].min()).any()  # a stale pad
+    draws = 0
+    for i, u in enumerate(requesters):
+        hit = got[:, i] >= 0
+        k = np.count_nonzero(real[i])
+        if k:
+            oldest = int(np.argmin(ages[i, :k]))
+            assert set(got[hit, i].tolist()) == {oldest}
+            accept = (1.0 / abs(u - v)) / ((1.0 / np.abs(rows[i, :k] - u)).sum() + 1.0 / abs(u - v))
+            se = math.sqrt(accept * (1 - accept) / trials)
+            assert abs(hit.mean() - accept) < 3 * se
+            draws += trials
+        else:
+            assert not hit.any()
+    # no victim draw: the same stream as the accept uniforms alone
+    after = np.random.default_rng(27)
+    after.random(draws)
+    assert rng.random() == after.random()
 
 
 def test_replacement_decision_even_split():
     rng = np.random.default_rng(1)
     trials = 200_000
-    replaced = sum(replacement_decision([1.0], 1.0, rng) is not None
-                   for _ in range(trials))
+    got = replacement_decision(np.full((trials, 1), 6), np.full(trials, 5), 4, rng)
+    replaced = np.count_nonzero(got >= 0)
     se = math.sqrt(0.25 / trials)
     assert abs(replaced / trials - 0.5) < 3 * se
 
@@ -65,10 +140,8 @@ def test_replacement_decision_formula():
     # distances (1, 2), newcomer at 1: accept 0.4, replace-first 4/15
     rng = np.random.default_rng(2)
     trials = 1_000_000
-    outcomes = np.zeros(3)
-    for _ in range(trials):
-        idx = replacement_decision([1.0, 2.0], 1.0, rng)
-        outcomes[2 if idx is None else idx] += 1
+    got = replacement_decision(np.tile([11, 12], (trials, 1)), np.full(trials, 10), 9, rng)
+    outcomes = np.bincount(np.where(got < 0, 2, got), minlength=3)
     accept = (outcomes[0] + outcomes[1]) / trials
     se = math.sqrt(0.4 * 0.6 / trials)
     assert abs(accept - 0.4) < 3 * se
@@ -147,25 +220,28 @@ def test_join_replacements_redirect_to_newcomer():
 
 
 def test_oldest_policy_replaces_minimum_age():
-    g = OverlayGraph(64)
-    g.alive[:] = True
-    g.set_links(5, [10, 20, 30])
+    # every row shrank by its oldest link, so each pad holds an age below
+    # every real one; a redirect must still evict the oldest real link
+    g = small_graph(64, 3, seed=10)
+    keep = np.ones(g.sinks.shape, dtype=bool)
+    keep[:, 0] = False
+    g.retain_links(keep)
     rng = np.random.default_rng(10)
-    redirected = False
-    for _ in range(200):
-        before = g.long_links(5)
-        ages = g.ages[5, :3].copy()
-        _request_redirects(g, np.array([5]), 40, ReplacementPolicy.OLDEST, rng)
-        after = g.long_links(5)
-        if after != before:
-            redirected = True
-            changed = [i for i in range(3) if after[i] != before[i]]
-            assert changed == [after.index(40)]
-            # the evicted slot held the row's oldest link and now the freshest
-            assert ages[changed[0]] == ages.min()
-            assert g.ages[5, changed[0]] > ages.max()
-            break
-    assert redirected
+    redirected = 0
+    for v in range(0, 64, 4):
+        leave(g, v, repair=False, rng=rng)
+        ages = g.ages.copy()
+        join(g, v, 2, ReplacementPolicy.OLDEST, rng)
+        rows, slots = np.nonzero(g.ages[:, :3] != ages)
+        others = rows != v
+        rows, slots = rows[others], slots[others]
+        assert (slots < 2).all()
+        assert (ages[rows, slots] == ages[rows, :2].min(axis=1)).all()
+        # the evicted slot now holds the joiner, the freshest link
+        assert (g.sinks[rows, slots] == v).all()
+        assert (g.ages[rows, slots] > ages.max()).all()
+        redirected += rows.size
+    assert redirected > 0
 
 
 def test_rejoin_into_empty_grid_drops_stale_line_links():

@@ -3,7 +3,11 @@ CSV against recorded digests: the builds and the join growth were recorded
 before the 1/d samplers were merged into `linkgen.sample_line_links`, the
 rest of the experiment CSV before the harness runners were merged into one
 trial loop, except the failures sweeps, recorded when a failures trial
-began routing every p and strategy on one graph.  A change to any of these
+began routing every p and strategy on one graph.  Every inverse-distance
+join digest (the join dumps and tables, the churn schedule, compare and
+distribution) was re-recorded when one array step began deciding a join's
+redirects: all accept uniforms are drawn before any victim uniform; the
+oldest-link digests, which draw no victims, held.  A change to any of these
 digests is an RNG stream change and must be logged with before/after
 statistics."""
 
@@ -54,7 +58,7 @@ def test_deterministic_build_dump(make, seed, digest):
 
 def test_build_by_joins_dump():
     g = build_by_joins(2 ** 9, 9, ReplacementPolicy.INVERSE_DISTANCE, np.random.default_rng(4))
-    assert sha256(g.dump_text()) == "6628bfd67cfb8b9a22e5d61dd98dd9a3d8b05b4e4d9117c24f71b8f01b974c42"
+    assert sha256(g.dump_text()) == "4847b048ecb302296efb8cd38ffc45228d354ab7a43665b50356a5a8be0d0754"
 
 
 def table_sha256(g) -> str:
@@ -64,10 +68,11 @@ def table_sha256(g) -> str:
                           + g.ages.tobytes()).hexdigest()
 
 
-# recorded before the churn layer wrote whole rows
+# recorded before the churn layer wrote whole rows; inverse-distance
+# re-recorded when a join's redirects became one array decision
 @pytest.mark.parametrize("policy,digest", [
     (ReplacementPolicy.INVERSE_DISTANCE,
-     "38718e2e34f7cbf4433aaaf041857736ed7ae5c67ad3504d77f9ca380c648ea3"),
+     "5d5ee701f1a67b74116e19ec6255599068e681cb1bd9f12283fca0fcb729a67a"),
     (ReplacementPolicy.OLDEST,
      "9d7a4840822bca11285d1eab1751bfc86a4fbf537e47043b23fa8b17635fe272"),
 ], ids=["inverse-distance", "oldest"])
@@ -78,10 +83,12 @@ def test_build_by_joins_table(policy, digest):
 
 # re-recorded when the line became a membership mask: the 32 departed
 # positions' dump lines now list no immediate sinks; the live positions'
-# dump lines, every long-link column and table_sha256 are byte-identical
+# dump lines, every long-link column and table_sha256 are byte-identical;
+# inverse-distance re-recorded again when a join's redirects became one
+# array decision
 @pytest.mark.parametrize("policy,digest", [
     (ReplacementPolicy.INVERSE_DISTANCE,
-     "872edf90ff8523295bf5d97e9ca6037894f462811db060cbc4d669a6b3bace8f"),
+     "773e5c35eb1eae4bda1cd38ae43f89fe726aebf1d24d3375842dbac9e14eb2ab"),
     (ReplacementPolicy.OLDEST,
      "eda38b69d6aa63b2a6edb4821e65dfa0ef55594b6b58c8e0a7b1079dc792d0ea"),
 ], ids=["inverse-distance", "oldest"])
@@ -149,9 +156,9 @@ DISTRIBUTION = dict(experiment="distribution", n=2 ** 8, links=8, repetitions=3,
      "4916ce7eb2d7937d60e82dfabc6bc2d62a4da4d85f41a32f16373031f06e897b"),
     (dict(experiment="compare", n=2 ** 9, links=9, p_grid=(0.0, 0.5), strategies=("backtrack",),
           repetitions=3, messages=30, seed=9),
-     "6e8d216c9ff9dab44ccd2f726d82ed277d01828f8a51275b2bbe01104b546a87"),
+     "5efcacb2e7f4307b29fd57a09baedd472f891670a8bbf92817d4d461b31d79ab"),
     (dict(DISTRIBUTION, policy="inverse_distance"),
-     "93f4d3851a101d874d6deb07c477ce2c21d47b726eb76718a6c33b118aa5ba9d"),
+     "e5c79776db5e2109c3c4231ab56b8e769f86f470462a822c23e9303545594203"),
     (dict(DISTRIBUTION, policy="oldest"),
      "6f4ba81c13f1fb925c6498039f4b8c6da3454b05527068c744e67509d68c698b"),
     # re-recorded when the interval chain began stepping every sample in

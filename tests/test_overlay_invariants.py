@@ -35,7 +35,25 @@ class OverlayMachine(RuleBasedStateMachine):
     @precondition(lambda self: not self.g.alive.all())
     @rule(i=st.integers(0, N - 1), policy=st.sampled_from(list(ReplacementPolicy)))
     def join(self, i, policy):
-        join(self.g, self._pick(np.flatnonzero(~self.g.alive), i), LINKS, policy, self.rng)
+        v = self._pick(np.flatnonzero(~self.g.alive), i)
+        sinks, ages = self.g.sinks.copy(), self.g.ages.copy()
+        join(self.g, v, LINKS, policy, self.rng)
+        # other rows keep their widths; a redirect writes the joiner, freshly
+        # stamped, into one real slot of its row (the oldest, under OLDEST)
+        others = np.arange(N) != v
+        real = sinks != NO_NEIGHBOR
+        width = np.count_nonzero(self.g.sinks != NO_NEIGHBOR, axis=1)
+        assert (width[others] == real.sum(axis=1)[others]).all()
+        w = sinks.shape[1]
+        changed = ((self.g.sinks[:, :w] != sinks) | (self.g.ages[:, :w] != ages)) & others[:, None]
+        rows, slots = np.nonzero(changed)
+        assert np.unique(rows).size == rows.size and real[rows, slots].all()
+        assert (self.g.sinks[rows, slots] == v).all()
+        assert (self.g.ages[rows, slots] > ages.max(initial=-1)).all()
+        if policy is ReplacementPolicy.OLDEST:
+            never = np.iinfo(ages.dtype).max
+            oldest = np.where(real, ages, never).min(axis=1, initial=never)
+            assert (ages[rows, slots] == oldest[rows]).all()
 
     @precondition(lambda self: self.g.alive.any())
     @rule(i=st.integers(0, N - 1), repair=st.booleans())
