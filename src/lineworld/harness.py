@@ -6,8 +6,10 @@ indices; `_sweep` runs each cell's trials on one thread pool, each trial on
 its own rng stream derived from (master seed, experiment code, configuration
 indices, trial index), and hands back each cell's results in trial order.
 The failures and compare sweeps share one trial body, `_p_grid_sweep`: a
-trial draws its graphs, then degrades and routes them at every p under every
-strategy.  Runners reduce results in trial order, so output bytes are
+runner hands it a graph builder and a failure model, and a trial builds its
+graphs, then degrades them at every p through `overlay`'s failure injection,
+replaying its stream so that failure sets nest in p, and routes them under
+every strategy.  Runners reduce results in trial order, so output bytes are
 identical for any worker count.  Statistics (hop mean/stddev, backtrack and
 restart means) are computed over successful routes only.  README.md lists
 each experiment's CSV columns.
@@ -97,7 +99,8 @@ class ExperimentConfig:
         if self.experiment not in EXP_CODES:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         for name, least in dict(n=1, links=1, base=2, history=1, trials=1, messages=1,
-                                repetitions=1, samples=1, workers=1, t_max=0).items():
+                                repetitions=1, samples=1, workers=1, t_max=0,
+                                seed=0).items():
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}")
         if any(ell < 1 for ell in self.link_values):
@@ -248,24 +251,38 @@ def route_batch(g: overlay.OverlayGraph, strategy: routing.RecoveryStrategy,
 # experiments
 
 
-def _p_grid_sweep(config: ExperimentConfig, trials: int, labels, setup) -> list[str]:
+def _p_grid_sweep(config: ExperimentConfig, trials: int, labels, build, model: str) -> list[str]:
     """Rows by p, then strategy, then graph k, labelled `labels[k]`.
-    `setup(rng)` returns trial t's graphs, drawn on its `_sweep` stream, and
-    `degrade(graphs[k], p, rng)`, which gives the graph to route at the i-th
-    p (None if too few nodes exist) on the stream `trial_rng(seed,
-    experiment, t, i, k)`; every strategy then routes on it in turn.  A
-    trial visits p from high to low, so a degrade may build on the last."""
+    Trial t visits p from high to low.  Under the node or link `model`,
+    `build(rng)` draws its graphs once on the `_sweep` stream; at each p the
+    stream is restored to where the build left it and `overlay` degrades the
+    graphs in turn (the node model revives them first), so each graph's
+    failure set nests in p.  The binomial model builds graph k at the i-th p
+    on `trial_rng(seed, experiment, t, i, k)`, or none if too few nodes
+    exist.  Every strategy then routes graph k on that stream in turn."""
+    dist = make_distribution(config)
 
     def trial(_, t, rng) -> list[TrialStats]:
-        graphs, degrade = setup(rng)
+        graphs = [None] * len(labels) if model == "binomial" else build(rng)
+        built = rng.bit_generator.state
         out = {}
-        high_to_low = sorted(enumerate(config.p_grid), key=lambda ip: -ip[1])
-        for (i, p), (k, g) in product(high_to_low, enumerate(graphs)):
-            p_rng = trial_rng(config.seed, config.experiment, t, i, k)
-            at_p = degrade(g, p, p_rng)
-            for j, name in enumerate(config.strategies):
-                out[i, j, k] = (TrialStats(failed=config.messages) if at_p is None else
-                                route_batch(at_p, STRATEGIES[name](config), p_rng, config))
+        for i, p in sorted(enumerate(config.p_grid), key=lambda ip: -ip[1]):
+            rng.bit_generator.state = built
+            for k, g in enumerate(graphs):
+                p_rng = trial_rng(config.seed, config.experiment, t, i, k)
+                if model == "binomial":
+                    try:
+                        g = overlay.build_binomial_presence(config.n, p, dist, p_rng)
+                    except ValueError:
+                        g = None
+                elif model == "link":
+                    overlay.apply_link_failures(g, p, rng)
+                else:
+                    g.alive[:] = True
+                    overlay.apply_node_failures(g, p, rng)
+                for j, name in enumerate(config.strategies):
+                    out[i, j, k] = (TrialStats(failed=config.messages) if g is None else
+                                    route_batch(g, STRATEGIES[name](config), p_rng, config))
         return [stats for _, stats in sorted(out.items())]
 
     [per_trial] = _sweep(config, ONE_CELL, trials, trial)
@@ -285,32 +302,9 @@ def run_failures(config: ExperimentConfig) -> list[str]:
     """Failure sweep: each trial's graph is routed at every p under every
     strategy.  Failure sets nest in p; binomial presence, which decides
     where links may go, builds one graph per p."""
-    dist = make_distribution(config)
-
-    def present(_, p, rng) -> overlay.OverlayGraph | None:
-        try:
-            return overlay.build_binomial_presence(config.n, p, dist, rng)
-        except ValueError:
-            return None
-
-    def setup(rng):
-        if config.failure_model == "binomial":
-            return [None], present
-        g = overlay.build(config.n, dist, rng)
-        # one uniform per node or per built slot, drawn from this state
-        # again at each p, so that none is held while routing
-        drawn = rng.bit_generator.state
-
-        def degrade(g, p, _):
-            rng.bit_generator.state = drawn
-            if config.failure_model == "node":
-                g.alive[:] = rng.random(config.n) >= p
-            else:  # p falls, so links only drop; ages number the built slots
-                g.retain_links((rng.random(g.sinks.size) < p)[g.ages])
-            return g
-        return [g], degrade
-
-    return _p_grid_sweep(config, config.trials, ["failures"], setup)
+    return _p_grid_sweep(config, config.trials, ["failures"],
+                         lambda rng: [overlay.build(config.n, make_distribution(config), rng)],
+                         config.failure_model)
 
 
 def build_by_joins(n: int, links: int, policy: dynamics.ReplacementPolicy,
@@ -377,15 +371,10 @@ def run_compare(config: ExperimentConfig) -> list[str]:
     """Ideal-built vs join-built overlays under node failures, each failed
     graph routed under every listed strategy in turn."""
     policy = dynamics.ReplacementPolicy(config.policy)
-
-    def degrade(g, p, rng):
-        g.alive[:] = True
-        return overlay.apply_node_failures(g, p, rng)
-
     return _p_grid_sweep(config, config.repetitions, ("compare_ideal", "compare_heuristic"),
-                         lambda rng: ((overlay.build(config.n, InversePowerLaw(config.links), rng),
-                                       build_by_joins(config.n, config.links, policy, rng)),
-                                      degrade))
+                         lambda rng: (overlay.build(config.n, InversePowerLaw(config.links), rng),
+                                      build_by_joins(config.n, config.links, policy, rng)),
+                         "node")
 
 
 def run_chains(config: ExperimentConfig) -> list[str]:

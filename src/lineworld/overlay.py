@@ -87,12 +87,11 @@ class OverlayGraph:
         self._adjacency.clear()
 
     def replace_link(self, u, index, new_sink) -> None:
-        """Point slot `index` of u's row at `new_sink`.  Array arguments
-        broadcast to one write per element, stamped in element order."""
-        u, index, new_sink = np.broadcast_arrays(u, index, new_sink)
+        """Point slot `index[i]` of row `u[i]` at `new_sink` (one sink, or
+        one per slot) for each i: one write per slot, stamped in order."""
         self.sinks[u, index] = new_sink
-        self.ages[u, index] = self._clock + np.arange(u.size).reshape(u.shape)
-        self._clock += u.size
+        self.ages[u, index] = np.arange(self._clock, self._clock + len(u))
+        self._clock += len(u)
         self._adjacency.clear()
 
     def retain_links(self, keep: np.ndarray) -> None:
@@ -257,16 +256,14 @@ def build_binomial_presence(n: int, p_present: float, dist: LinkDistribution,
 
 def apply_link_failures(g: OverlayGraph, p_present: float, rng: np.random.Generator) -> OverlayGraph:
     """Retain each long link independently w.p. p_present, in place.
-    Immediate links always survive."""
+    Immediate links always survive.  One uniform is drawn per link ever
+    written (`_clock` of them) and each slot keeps its link if the uniform
+    of the slot's age is below p_present; so replaying one generator state
+    at a lower p_present drops a superset of the links."""
     if not 0.0 <= p_present <= 1.0:
         raise ValueError("p_present outside [0,1]")
-    if p_present == 1.0:
-        return g
-    # one draw per present slot in row-major order: the stream of one
-    # rng.random(len(row)) call per node
-    keep = g.sinks != NO_NEIGHBOR
-    keep[keep] = rng.random(np.count_nonzero(keep)) < p_present
-    g.retain_links(keep)
+    if p_present < 1.0:
+        g.retain_links(rng.random(g._clock)[g.ages] < p_present)
     return g
 
 
@@ -275,6 +272,5 @@ def apply_node_failures(g: OverlayGraph, p_fail: float, rng: np.random.Generator
     left untouched: routing discovers dead sinks."""
     if not 0.0 <= p_fail <= 1.0:
         raise ValueError("p_fail outside [0,1]")
-    dead = rng.random(g.n) < p_fail
-    g.alive[dead] = False
+    g.alive &= rng.random(g.n) >= p_fail
     return g

@@ -7,7 +7,10 @@ began routing every p and strategy on one graph.  Every inverse-distance
 join digest (the join dumps and tables, the churn schedule, compare and
 distribution) was re-recorded when one array step began deciding a join's
 redirects: all accept uniforms are drawn before any victim uniform; the
-oldest-link digests, which draw no victims, held.  A change to any of these
+oldest-link digests, which draw no victims, held.  Compare and the padded
+link-failure dump were re-recorded when failure injection moved wholly into
+`overlay`: compare's node failures now replay the trial stream, and a link
+failure draws one uniform per written link, pads' clock values included.  A change to any of these
 digests is an RNG stream change and must be logged with before/after
 statistics."""
 
@@ -42,13 +45,14 @@ def _link_failed_powers(rng):
     return apply_link_failures(build(2 ** 10, PowersOfB(2), rng), 0.5, rng)
 
 
-# recorded from the per-node set builders; the link failures pin slot order,
-# since they draw one keep flag per slot in row-major order
+# recorded from the per-node set builders; the link failures, re-recorded
+# when they began drawing one uniform per clock value (pads included) and
+# looking each slot's up by its age, pin slot order and ages
 @pytest.mark.parametrize("make,seed,digest", [
     (lambda rng: build(2 ** 10, DeterministicBaseB(3), rng), 12,
      "b8d90dcdd05c0128a0c19757d7ef7a9dd2da7e0601662af2796a0f1283d7d7fd"),
     (_link_failed_powers, 13,
-     "e99d3b971aa4d253f1e1c9d2c3f49a25a28cdc4885567960b626eb270f321d40"),
+     "e8b8714d668c5bbd0cd1b341d889eb0c6d8e230fe00521240e28e4380c21ecf7"),
     (lambda rng: build_binomial_presence(2 ** 10, 0.5, DeterministicBaseB(2), rng), 14,
      "270a8d61a6e5822919a13ce315c14cc3fcca451f6ccc33e6273c034e7f5c9299"),
 ], ids=["detbase3", "powers2-link-failures", "detbase2-binomial"])
@@ -154,9 +158,11 @@ DISTRIBUTION = dict(experiment="distribution", n=2 ** 8, links=8, repetitions=3,
      "a30c8469a08614fe30f0ba68070e21ea60b9ab300f43b43c99a96fd14bb42b16"),
     (dict(BOUNDS, links=3, sidedness="two"),
      "4916ce7eb2d7937d60e82dfabc6bc2d62a4da4d85f41a32f16373031f06e897b"),
+    # re-recorded when compare's node failures moved to the replayed trial
+    # stream: the (t, i, k) route streams no longer supply them first
     (dict(experiment="compare", n=2 ** 9, links=9, p_grid=(0.0, 0.5), strategies=("backtrack",),
           repetitions=3, messages=30, seed=9),
-     "5efcacb2e7f4307b29fd57a09baedd472f891670a8bbf92817d4d461b31d79ab"),
+     "3619a55a48ce551353c347e25ee0c6b621baa7942c140a029b2944889f15dcb7"),
     (dict(DISTRIBUTION, policy="inverse_distance"),
      "e5c79776db5e2109c3c4231ab56b8e769f86f470462a822c23e9303545594203"),
     (dict(DISTRIBUTION, policy="oldest"),

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from collections import Counter
 from dataclasses import fields, replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -267,32 +268,37 @@ def test_failures_build_one_graph_per_trial(monkeypatch, model, build_fn, graphs
     assert calls == {"build": 0, "build_binomial_presence": 0, build_fn: 4 * graphs_per_trial}
 
 
-@pytest.mark.parametrize("model", ["node", "link"])
-def test_failure_sets_nest_in_p(monkeypatch, model):
-    # the node model's dead set, and the link model's surviving links, at
+@pytest.mark.parametrize("experiment,model", [
+    ("failures", "node"), ("failures", "link"), ("compare", "node"),
+], ids=["node", "link", "compare"])
+def test_failure_sets_nest_in_p(monkeypatch, experiment, model):
+    # each graph's node-model dead set, or link-model surviving links, at
     # each p of each trial, recorded as routing sees them; p unsorted
     seen = {}
     route_batch = harness.route_batch
 
     def recording(g, strategy, rng, config):
-        # the routing stream is trial_rng(seed, "failures", t, i, k)
-        t, i = rng.bit_generator.seed_seq.entropy[2:4]
+        # the routing stream is trial_rng(seed, experiment, t, i, k)
+        t, i, k = rng.bit_generator.seed_seq.entropy[2:5]
         links = [(u, v) for u in range(g.n) for v in g.long_links(u)]
-        seen[t, grid[i]] = set(np.flatnonzero(~g.alive)), Counter(links)
+        seen[t, grid[i], k] = set(np.flatnonzero(~g.alive)), Counter(links)
         return route_batch(g, strategy, rng, config)
 
     monkeypatch.setattr(harness, "route_batch", recording)
     grid = (0.5, 0.1, 0.9, 0.3)
-    run_experiment(tiny("failures", failure_model=model, trials=2, p_grid=grid,
-                        strategies=("terminate",)))
-    assert len(seen) == 2 * len(grid)
-    for (t, p), (dead, links) in seen.items():
+    graphs = 2 if experiment == "compare" else 1
+    # compare takes node failures whatever `failure_model` says
+    failure_model = "link" if experiment == "compare" else model
+    run_experiment(tiny(experiment, failure_model=failure_model, trials=2, repetitions=2,
+                        p_grid=grid, strategies=("terminate",)))
+    assert len(seen) == 2 * len(grid) * graphs
+    for (t, p, k), (dead, links) in seen.items():
         # each node dies, and each of the 256 * 4 links survives, w.p. p
         frac, m = ((len(dead) / 256, 256) if model == "node"
                    else (sum(links.values()) / 1024, 1024))
         assert abs(frac - p) < 5 * math.sqrt(p * (1 - p) / m)
-    for t in (0, 1):
-        by_p = [seen[t, p] for p in sorted(grid)]
+    for t, k in product((0, 1), range(graphs)):
+        by_p = [seen[t, p, k] for p in sorted(grid)]
         for (dead, links), (more_dead, more_links) in zip(by_p, by_p[1:]):
             if model == "node":
                 assert dead <= more_dead and links == more_links
@@ -301,6 +307,8 @@ def test_failure_sets_nest_in_p(monkeypatch, model):
                 assert not links - more_links  # links at p all survive at larger p
         # the grid's ends differ: the sets really change with p
         assert by_p[0] != by_p[-1]
+    if experiment == "compare":  # the ideal and heuristic graphs fail apart
+        assert all(seen[t, p, 0][0] != seen[t, p, 1][0] for t, p in product((0, 1), grid))
 
 
 @pytest.mark.parametrize("config", [
@@ -587,6 +595,8 @@ FAILURES_SMALL = ["failures", "--n", "64", "--links", "2", "--trials", "1", "--m
                  "base must be >= 2", id="base"),
     pytest.param([*FAILURES_SMALL, "--p-grid", "0", "--strategy", "terminate", "--history", "0"],
                  "history must be >= 1", id="history"),
+    pytest.param([*FAILURES_SMALL, "--p-grid", "0", "--strategy", "terminate", "--seed", "-1"],
+                 "seed must be >= 0", id="seed_negative"),
 ])
 def test_cli_rejects_counts_below_one(capsys, argv, message):
     # each case passes only flags its kind offers, so it reaches `validate`
@@ -613,9 +623,11 @@ def test_cli_rejects_counts_below_one(capsys, argv, message):
     ["experiment", "failures", "--n", "64", "--trials", "99999999999999999999", "--messages",
      "2"],
     ["experiment", "compare", "--n", "64", "--reps", "99999999999999999999", "--messages", "2"],
+    ["route", "--n", "64", "--links", "2", "--src", "1", "--dst", "5", "--seed", "-3"],
 ], ids=["bad_int", "missing_src", "unknown_command", "missing_kind", "unallocatable_n",
         "abbreviated_flag", "abbreviated_experiment_flag", "route_base", "route_history",
-        "build_base", "messages_beyond_int64", "trials_beyond_int64", "reps_beyond_int64"])
+        "build_base", "messages_beyond_int64", "trials_beyond_int64", "reps_beyond_int64",
+        "route_seed_negative"])
 def test_cli_errors_exit_1_with_one_line(capsys, argv):
     assert main(argv) == 1
     captured = capsys.readouterr()

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from lineworld import overlay
-from lineworld.harness import power_law_inclusion
+from lineworld.dynamics import ReplacementPolicy, leave
+from lineworld.harness import build_by_joins, power_law_inclusion
 from lineworld.linkgen import DeterministicBaseB, InversePowerLaw, PowersOfB
 from lineworld.overlay import (
+    NO_NEIGHBOR,
     OverlayGraph,
     apply_link_failures,
     apply_node_failures,
@@ -94,14 +96,50 @@ def test_link_failures_identity_and_wipeout():
 
 
 def test_link_failures_survival_rate():
-    n, ell, p = 2 ** 12, 12, 0.5
+    # a full table, and a padded one whose pads hold clock values too
+    n, p = 2 ** 12, 0.5
     rng = np.random.default_rng(4)
-    g = build(n, InversePowerLaw(ell), rng)
-    apply_link_failures(g, p, rng)
-    survivors = sum(len(g.long_links(u)) for u in range(g.n))
-    total = n * ell
-    se = math.sqrt(total * p * (1 - p))
-    assert abs(survivors - p * total) < 3 * se
+    for dist, padded in ((InversePowerLaw(12), False), (PowersOfB(2), True)):
+        g = build(n, dist, rng)
+        total = int(np.count_nonzero(g.sinks != NO_NEIGHBOR))
+        assert (total < g.sinks.size) == padded
+        apply_link_failures(g, p, rng)
+        survivors = sum(len(g.long_links(u)) for u in range(g.n))
+        se = math.sqrt(total * p * (1 - p))
+        assert abs(survivors - p * total) < 3 * se
+
+
+def _joined_then_repaired(rng):
+    g = build_by_joins(2 ** 9, 9, ReplacementPolicy.INVERSE_DISTANCE, rng)
+    for v in rng.choice(2 ** 9, size=8, replace=False):
+        leave(g, int(v), True, rng)
+    return g
+
+
+@pytest.mark.parametrize("make", [lambda rng: build(2 ** 10, PowersOfB(2), rng),
+                                  _joined_then_repaired], ids=["powers2", "joins-and-leaves"])
+def test_link_failures_replayed_at_falling_p_nest(make):
+    # one saved generator state replayed at each lower p drops a superset
+    # of links; a link is its (holder, sink, age), ages being unique
+    rng = np.random.default_rng(30)
+    g = make(rng)
+    assert (g.sinks == NO_NEIGHBOR).any()
+
+    def links():
+        real = g.sinks != NO_NEIGHBOR
+        return set(zip(np.nonzero(real)[0].tolist(), g.sinks[real].tolist(),
+                       g.ages[real].tolist()))
+
+    before = links()
+    total = len(before)
+    drawn = rng.bit_generator.state
+    for p in (0.9, 0.6, 0.3, 0.1):
+        rng.bit_generator.state = drawn
+        apply_link_failures(g, p, rng)
+        now = links()
+        assert now <= before
+        assert abs(len(now) / total - p) < 5 * math.sqrt(p * (1 - p) / total)
+        before = now
 
 
 def test_link_failures_preserve_immediate_adjacency():
@@ -184,7 +222,7 @@ def test_symmetric_neighbors_include_in_links():
     assert 2 not in g.neighbors(9)
     assert 2 in g.neighbors(9, symmetric=True)
     # cache invalidation on replacement
-    g.replace_link(2, 0, 7)
+    g.replace_link([2], [0], 7)
     assert 2 not in g.neighbors(9, symmetric=True)
     assert 2 in g.neighbors(7, symmetric=True)
 

@@ -68,7 +68,7 @@ class OverlayMachine(RuleBasedStateMachine):
     def replace_link(self, u, i, v):
         k = len(self.g.long_links(u))
         if k and u != v:
-            self.g.replace_link(u, i % k, v)
+            self.g.replace_link([u], [i % k], v)
 
     @rule(p=st.sampled_from([0.0, 0.5, 0.9]))
     def link_failures(self, p):
