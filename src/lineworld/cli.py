@@ -7,8 +7,8 @@ stdout).  Each experiment kind offers the flags of the config fields that
 can change its CSV, and no other; `lineworld experiment <kind> --help`
 lists them.  Exit status 0 on success (and for --help), 1 with one
 `lineworld: error: ...` line on a bad command line, a configuration or I/O
-error, a graph too large to allocate, or a count too large for numpy's
-integers.
+error, a graph too large to allocate, a count too large for numpy's
+integers, or a worker process that died.
 """
 
 from __future__ import annotations
@@ -154,7 +154,12 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         commands = {"build": cmd_build, "route": cmd_route, "experiment": cmd_experiment}
         return commands[args.command](args)
-    except (ValueError, OSError, MemoryError, OverflowError) as exc:
+    except Exception as exc:
+        # a worker process that dies breaks its pool; the pool's module is
+        # imported only by a run that started one
+        from concurrent.futures import BrokenExecutor
+        if not isinstance(exc, (ValueError, OSError, MemoryError, OverflowError, BrokenExecutor)):
+            raise
         print(f"lineworld: error: {exc}", file=sys.stderr)
         return 1
 

@@ -2,9 +2,10 @@
 
 Every experiment runs through one trial loop, `_sweep`.  A runner lists its
 cells (an (n, links) pair, or a single cell) with their configuration
-indices; `_sweep` runs each cell's trials on one thread pool, each trial on
-its own rng stream derived from (master seed, experiment code, configuration
-indices, trial index), and hands back each cell's results in trial order.
+indices; `_sweep` runs each cell's trials, each on its own rng stream from
+(master seed, experiment code, configuration indices, trial index), serially
+with no pool or on a pool forked (POSIX) with no more processes than usable
+CPUs or jobs, and hands back each cell's results in trial order.
 The failures and compare sweeps share one trial body, `_p_grid_sweep`: a
 runner hands it a graph builder and a failure model, and a trial builds its
 graphs, then degrades them at every p through `overlay`'s failure injection,
@@ -56,6 +57,7 @@ CHOICES = {
 }
 
 COUNT_MAX = 2 ** 63 - 1  # the largest int64
+_POOL_RUN = None  # the job runner of the last sweep that started a process pool
 
 FAILURES_HEADER = ("experiment,n,links,base,p,strategy,trials,messages,delivered,"
                    "failed,capped,mean_hops,std_hops,mean_backtracks,mean_restarts,seed")
@@ -108,7 +110,7 @@ class ExperimentConfig:
         # a count past int64 cannot size a numpy array; refuse it before any
         # loop or job list is built from it
         counts = [(name, getattr(self, name)) for name in (
-            "n", "links", "history", "max_hops", "trials", "messages", "repetitions",
+            "n", "links", "base", "history", "max_hops", "trials", "messages", "repetitions",
             "samples", "t_max")]
         counts += [("n grid entries", v) for v in self.n_values]
         counts += [("link grid entries", v) for v in self.link_values]
@@ -200,26 +202,34 @@ def power_law_inclusion(n: int, links: int) -> BernoulliOffsets:
                             np.concatenate((p[::-1], [1.0, 1.0], p)))
 
 
+def _pool_run(i: int):
+    return _POOL_RUN(i)
+
+
 def _sweep(config: ExperimentConfig, cells: list[tuple[tuple[int, ...], object]], count: int,
            task) -> list[list]:
     """Run `task(cell, t, rng)` for every `(indices, cell)` pair and t < count,
-    rng being the stream of trial t under the cell's indices, on one pool of
-    at most `config.workers` threads (and no more than there are CPUs).
-    Returns each cell's results in trial order."""
+    rng being the stream of trial t under the cell's indices; return each cell's
+    results in trial order.  Jobs go by index to no more processes than
+    `config.workers`, the CPUs this process may use or the jobs; they fork (POSIX)
+    and inherit `_POOL_RUN`, closures and all.  A serial run imports and starts no pool."""
+    global _POOL_RUN
     jobs = [(indices, cell, t) for indices, cell in cells for t in range(count)]
 
-    def run(job):
-        indices, cell, t = job
+    def run(i):
+        indices, cell, t = jobs[i]
         return task(cell, t, trial_rng(config.seed, config.experiment, *indices, t))
 
-    workers = min(config.workers, os.cpu_count() or 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(config.workers, cpus or 1, len(jobs))
     if workers <= 1:
-        results = [run(job) for job in jobs]
+        results = [run(i) for i in range(len(jobs))]
     else:
-        # imported here: a serial run, the common case, needs no thread pool
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, jobs))
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        _POOL_RUN = run
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            results = list(pool.map(_pool_run, range(len(jobs))))
     return [results[i:i + count] for i in range(0, len(results), count)]
 
 

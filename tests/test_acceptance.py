@@ -312,14 +312,14 @@ def test_criterion_13_reproducible_csv():
                 p_grid=(0.0, 0.4, 0.8), strategies=("terminate", "restart", "backtrack"),
                 seed=1301)
     serial = run_experiment(ExperimentConfig(**base))
-    threaded = run_experiment(ExperimentConfig(**base, workers=4))
+    pooled = run_experiment(ExperimentConfig(**base, workers=4))
     again = run_experiment(ExperimentConfig(**base, workers=2))
-    ok = serial == threaded == again
+    ok = serial == pooled == again
     cmp_base = dict(experiment="compare", n=2 ** 9, links=6, repetitions=4,
                     messages=40, p_grid=(0.0, 0.5), strategies=("terminate",),
                     seed=1302)
     cmp_serial = run_experiment(ExperimentConfig(**cmp_base))
-    cmp_threaded = run_experiment(ExperimentConfig(**cmp_base, workers=4))
-    ok &= cmp_serial == cmp_threaded
+    cmp_pooled = run_experiment(ExperimentConfig(**cmp_base, workers=4))
+    ok &= cmp_serial == cmp_pooled
     verdict(13, ok, "byte-identical CSV for 1, 2, 4 workers (failures) and "
                     "1, 4 workers (compare)")

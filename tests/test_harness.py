@@ -3,6 +3,7 @@
 import argparse
 import concurrent.futures
 import math
+import multiprocessing
 import os
 import re
 import shlex
@@ -26,6 +27,10 @@ from lineworld.harness import (
     run_experiment,
 )
 from lineworld.routing import Routes, Sidedness, Terminate
+
+
+USABLE_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
 
 
 def tiny(experiment, **kw):
@@ -71,19 +76,48 @@ def test_failures_deterministic_across_workers():
 
 def test_worker_pool_is_one_and_capped_at_cpu_count(monkeypatch):
     asked = []
-    pool = concurrent.futures.ThreadPoolExecutor
+    pool = concurrent.futures.ProcessPoolExecutor
 
-    def recording_pool(max_workers):
-        asked.append(max_workers)
-        return pool(max_workers=max_workers)
+    def recording_pool(max_workers, mp_context):
+        asked.append((max_workers, mp_context.get_start_method()))
+        return pool(max_workers, mp_context=mp_context)
 
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
     cfg = tiny("failures", trials=4)  # one job per trial: 4 jobs
     serial = run_experiment(cfg)
     assert asked == []
     assert run_experiment(replace(cfg, workers=64)) == serial
-    cpus = os.cpu_count() or 1
-    assert asked == ([cpus] if cpus > 1 else [])
+    cpus = min(USABLE_CPUS, 4)
+    assert asked == ([(cpus, "fork")] if cpus > 1 else [])
+    asked.clear()
+    run_experiment(tiny("chains", workers=4))  # one cell, one trial: one job
+    assert asked == []
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_trial_error_reaches_cli_unchanged_at_any_worker_count(capsys, workers):
+    # the n=1 cell's build raises in whichever process runs it
+    assert main(["experiment", "scaling", "--n-grid", "1,4", "--trials", "1", "--messages", "2",
+                 "--workers", workers]) == 1
+    assert capsys.readouterr().err == "lineworld: error: need at least 2 positions\n"
+
+
+@pytest.mark.skipif(USABLE_CPUS < 2, reason="a pool needs two usable CPUs")
+def test_dead_worker_ends_in_one_error_line(capsys, monkeypatch):
+    parent, route_batch = os.getpid(), harness.route_batch
+
+    def dies_in_a_worker(*args):
+        if os.getpid() != parent:  # forked workers inherit this patch
+            os._exit(1)
+        return route_batch(*args)
+
+    monkeypatch.setattr(harness, "route_batch", dies_in_a_worker)
+    assert main(["experiment", *FAILURES_SMALL, "--trials", "2", "--workers", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("lineworld: error: ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert multiprocessing.active_children() == []
 
 
 def test_failures_backtracking_beats_terminate():
@@ -214,8 +248,8 @@ def test_config_validation():
         ExperimentConfig("chains", n=8, samples=10, t_max=2, sidedness="three").validate()
 
 
-@pytest.mark.parametrize("field", ["n", "links", "history", "max_hops", "trials", "messages",
-                                   "repetitions", "samples", "t_max", "n_values",
+@pytest.mark.parametrize("field", ["n", "links", "base", "history", "max_hops", "trials",
+                                   "messages", "repetitions", "samples", "t_max", "n_values",
                                    "link_values"])
 def test_config_rejects_counts_beyond_int64(field):
     # validation only: a rejected config never reaches an allocation
@@ -597,6 +631,8 @@ FAILURES_SMALL = ["failures", "--n", "64", "--links", "2", "--trials", "1", "--m
                  "history must be >= 1", id="history"),
     pytest.param([*FAILURES_SMALL, "--p-grid", "0", "--strategy", "terminate", "--seed", "-1"],
                  "seed must be >= 0", id="seed_negative"),
+    pytest.param([*FAILURES_SMALL, "--p-grid", "0", "--strategy", "terminate",
+                  "--base", str(2 ** 63)], "base must be <= 2**63 - 1", id="base_beyond_int64"),
 ])
 def test_cli_rejects_counts_below_one(capsys, argv, message):
     # each case passes only flags its kind offers, so it reaches `validate`
@@ -653,10 +689,12 @@ def test_cli_entrypoint_subprocess():
 
 
 def test_import_leaves_scipy_out():
-    # A fresh interpreter: this one has already imported scipy.stats.
+    # A fresh interpreter: this one has already imported scipy.stats.  Only a
+    # sweep that starts a process pool imports the pool's modules.
     proc = subprocess.run(
-        [sys.executable, "-c", "import lineworld, sys; print(sorted("
-         "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        [sys.executable, "-c", "import lineworld, lineworld.cli, sys; print(sorted("
+         "m for m in sys.modules if m.split('.')[0] in "
+         "('scipy', 'concurrent', 'multiprocessing')))"],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
