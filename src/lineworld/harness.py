@@ -57,6 +57,8 @@ CHOICES = {
 }
 
 COUNT_MAX = 2 ** 63 - 1  # the largest int64
+# the most uniforms a chains step may draw, samples x 2n of them (2 GiB)
+CHAIN_DRAWS_MAX = 2 ** 28
 _POOL_RUN = None  # the job runner of the last sweep that started a process pool
 
 FAILURES_HEADER = ("experiment,n,links,base,p,strategy,trials,messages,delivered,"
@@ -130,6 +132,15 @@ class ExperimentConfig:
             for value in given if name == "strategies" else (given,):
                 if value not in allowed:
                     raise ValueError(f"{name} must be one of {', '.join(allowed)}, not {value!r}")
+        if self.experiment in EXPERIMENTS:
+            used = EXPERIMENTS[self.experiment][2]
+            for f in fields(self)[1:]:  # every field but `experiment`
+                if f.name not in used and getattr(self, f.name) != f.default:
+                    raise ValueError(f"{self.experiment} does not use {f.name}; "
+                                     f"leave it at {f.default!r}")
+        if self.experiment == "chains" and self.samples * 2 * self.n > CHAIN_DRAWS_MAX:
+            raise ValueError(f"chains would draw {self.samples} x {2 * self.n} uniforms per "
+                             "step, more than 2**28; lower --n or --samples")
 
 
 @dataclass

@@ -20,12 +20,16 @@ Recovery strategies on a stuck search: terminate, restart at a random
 live node, or backtrack through recently visited nodes, excluding the
 choice that led into the dead end and taking the next-best link.
 
-`route` routes one message and records its path; `route_many` routes a
-batch in lockstep, one array step per hand-off for every message still in
-flight, and returns the same counts without paths.  The two take the same
+`route` routes one message and records its path, one scalar step per
+hand-off; `route_many` routes a batch in lockstep and returns the same
+counts without paths.  While more than `SCALAR_TAIL` messages are in
+flight, one array step makes every one's hand-off at once; the last few
+then take `route`'s scalar step in turn, since an array step over a few
+rows costs about as much as that many scalar ones.  The two take the same
 decisions in the same order, so terminate and backtrack results agree
 message for message; restart results agree for a batch of one, while a
-larger batch draws its restart landings step by step across messages.
+larger batch draws its restart landings step by step across messages, in
+message order within a step, whichever kernel takes the step.
 Digit routing needs no router of its own: on the deterministic base-b and
 powers-of-b schemes one-sided greedy takes the longest link that does not
 cross the target, which strips the leading base-b digit of the distance
@@ -37,6 +41,7 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -97,14 +102,14 @@ class RouteResult:
         return self.status is Status.DELIVERED
 
 
-def _best_candidate(adj: np.ndarray, cur: int, dst: int, sidedness: Sidedness) -> int | None:
+def _best_candidate(adj: list[int], cur: int, dst: int, sidedness: Sidedness) -> int | None:
     """Best sink by the greedy rule among `adj` (sorted), ignoring liveness.
 
     Returns None when no candidate strictly improves on cur's distance.
     """
-    i = int(adj.searchsorted(dst))
-    lo = int(adj[i - 1]) if i > 0 else None
-    hi = int(adj[i]) if i < len(adj) else None
+    i = bisect_left(adj, dst)
+    lo = adj[i - 1] if i > 0 else None
+    hi = adj[i] if i < len(adj) else None
     if sidedness is Sidedness.ONE_SIDED:
         # never cross dst: nearest candidate on cur's side of it
         if cur > dst:
@@ -153,8 +158,8 @@ def greedy_step(g: OverlayGraph, cur: NodeId, dst: NodeId, sidedness: Sidedness,
     if exclude:
         adj = adj[[v not in exclude for v in adj.tolist()]]
     if probe:
-        return _best_candidate(adj[g.alive[adj]], cur, dst, sidedness)
-    best = _best_candidate(adj, cur, dst, sidedness)
+        return _best_candidate(adj[g.alive[adj]].tolist(), cur, dst, sidedness)
+    best = _best_candidate(adj.tolist(), cur, dst, sidedness)
     return best if best is not None and g.alive[best] else None
 
 
@@ -173,6 +178,63 @@ def _hop_cap(g: OverlayGraph, strategy: RecoveryStrategy, max_hops: int | None,
     if isinstance(strategy, RandomRestart) and rng is None:
         raise ValueError("RandomRestart needs an rng")
     return max_hops
+
+
+def _trail_length(strategy: RecoveryStrategy, max_hops: int) -> int:
+    """The most moves a trail keeps: `history`, or none without
+    backtracking; a route makes at most max_hops moves in all."""
+    return min(getattr(strategy, "history", 0), max_hops)
+
+
+@dataclass(slots=True)
+class _Walk:
+    """One message in flight under `_step`: where it is and where it goes,
+    its tallies, its backtrack trail of (node, chosen sink) moves, most
+    recent last, the sinks excluded at each node it backed up to, and the
+    nodes it visited if a path is kept."""
+
+    cur: int
+    dst: int
+    trail: deque
+    hops: int = 0
+    backtracks: int = 0
+    restarts: int = 0
+    excluded: dict[int, set[int]] = field(default_factory=dict)
+    path: list[int] | None = None
+    capped: bool = False
+
+
+def _step(w: _Walk, g: OverlayGraph, sidedness: Sidedness, probe: bool, symmetric: bool,
+          max_restarts: int, max_hops: int, live: np.ndarray | None,
+          rng: np.random.Generator | None) -> Status | None:
+    """One pass of `route`'s loop for a message not at its target: a
+    hand-off, a restart landing (one draw from `live`), a back-up, or the
+    end.  Returns the final status, or None while the message is in flight;
+    a capped end also sets `w.capped`."""
+    cur = w.cur
+    nxt = greedy_step(g, cur, w.dst, sidedness, exclude=w.excluded.get(cur, frozenset()),
+                      probe=probe, symmetric=symmetric)
+    if nxt is None and w.restarts < max_restarts:
+        cur = int(live[rng.integers(live.size)])
+        w.restarts += 1
+    elif nxt is None and not w.trail:
+        return Status.FAILED
+    elif w.hops >= max_hops:
+        w.capped = True
+        return Status.FAILED
+    else:
+        if nxt is None:
+            cur, choice = w.trail.pop()
+            w.excluded.setdefault(cur, set()).add(choice)
+            w.backtracks += 1
+        else:
+            w.trail.append((cur, nxt))
+            cur = nxt
+        w.hops += 1
+    w.cur = cur
+    if w.path is not None:
+        w.path.append(cur)
+    return Status.DELIVERED if cur == w.dst else None
 
 
 def route(g: OverlayGraph, src: NodeId, dst: NodeId, sidedness: Sidedness = Sidedness.TWO_SIDED,
@@ -197,36 +259,13 @@ def route(g: OverlayGraph, src: NodeId, dst: NodeId, sidedness: Sidedness = Side
     if not (g.alive[src] and g.alive[dst]):
         raise ValueError("endpoint dead")
     max_hops = _hop_cap(g, strategy, max_hops, rng)
-
     max_restarts = getattr(strategy, "max_restarts", 0)
-    # (node, chosen sink) moves, most recent last; empty unless backtracking
-    trail: deque[tuple[int, int]] = deque(maxlen=getattr(strategy, "history", 0))
-    excluded: dict[int, set[int]] = {}
-    cur, path, hops, backtracks, restarts = src, [src], 0, 0, 0
-    while cur != dst:
-        nxt = greedy_step(g, cur, dst, sidedness,
-                          exclude=excluded.get(cur, frozenset()), probe=probe,
-                          symmetric=symmetric)
-        if nxt is None and restarts < max_restarts:
-            live = g.live_sorted()
-            cur = int(live[rng.integers(len(live))])
-            restarts += 1
-            path.append(cur)
-            continue
-        if nxt is None and not trail:
-            return RouteResult(Status.FAILED, hops, backtracks, restarts, path=path)
-        if hops >= max_hops:
-            return RouteResult(Status.FAILED, hops, backtracks, restarts, True, path)
-        if nxt is None:
-            cur, choice = trail.pop()
-            excluded.setdefault(cur, set()).add(choice)
-            backtracks += 1
-        else:
-            trail.append((cur, nxt))
-            cur = nxt
-        hops += 1
-        path.append(cur)
-    return RouteResult(Status.DELIVERED, hops, backtracks, restarts, path=path)
+    live = g.live_sorted() if max_restarts else None
+    w = _Walk(src, dst, deque(maxlen=_trail_length(strategy, max_hops)), path=[src])
+    status = Status.DELIVERED if src == dst else None
+    while status is None:
+        status = _step(w, g, sidedness, probe, symmetric, max_restarts, max_hops, live, rng)
+    return RouteResult(status, w.hops, w.backtracks, w.restarts, w.capped, w.path)
 
 
 @dataclass(frozen=True)
@@ -244,6 +283,9 @@ class Routes:
 # messages stepped together at most: each step holds a few (messages, W)
 # arrays, W being the adjacency width
 ROUTE_CHUNK = 4096
+# messages in flight at or below which a batch finishes with `route`'s
+# scalar step: an array step costs about as much as this many scalar ones
+SCALAR_TAIL = 16
 # the key of a candidate that may not be chosen: above every real key and
 # every progress limit
 _FAR = 1 << 60
@@ -258,9 +300,10 @@ def route_many(g: OverlayGraph, src, dst, sidedness: Sidedness = Sidedness.TWO_S
 
     Messages run in lockstep, ROUTE_CHUNK at a time: each step takes the
     greedy choice of every message in flight at once, then applies the
-    recovery rule to the stuck ones.  Restart landings are drawn in message
-    order within each step, so only a batch of one reproduces `route`'s
-    restart stream."""
+    recovery rule to the stuck ones, as one array step while more than
+    SCALAR_TAIL messages are in flight and as `route`'s scalar step per
+    message after.  Restart landings are drawn in message order within each
+    step, so only a batch of one reproduces `route`'s restart stream."""
     src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
     if src.shape != dst.shape or src.ndim != 1:
         raise ValueError("src and dst must be 1-D arrays of one length")
@@ -280,7 +323,7 @@ def route_many(g: OverlayGraph, src, dst, sidedness: Sidedness = Sidedness.TWO_S
     for start in range(0, src.size, ROUTE_CHUNK):
         part = slice(start, start + ROUTE_CHUNK)
         _lockstep(g, table, usable, src[part], dst[part], sidedness, strategy, max_hops, rng,
-                  probe, Routes(**{name: a[part] for name, a in vars(out).items()}))
+                  probe, symmetric, Routes(**{name: a[part] for name, a in vars(out).items()}))
     return out
 
 
@@ -291,20 +334,24 @@ MSG, CUR, DST, HOPS, BACKTRACKS, RESTARTS, TOP, LENGTH, TRAIL = range(9)
 
 def _lockstep(g: OverlayGraph, table: np.ndarray, usable: np.ndarray, src: np.ndarray,
               dst: np.ndarray, sidedness: Sidedness, strategy: RecoveryStrategy, max_hops: int,
-              rng: np.random.Generator | None, probe: bool, out: Routes) -> None:
+              rng: np.random.Generator | None, probe: bool, symmetric: bool, out: Routes) -> None:
     """Route one chunk for `route_many`, writing its outcomes into `out`
-    (views of the batch's arrays).  The branches follow `route`'s loop."""
+    (views of the batch's arrays).  Array steps, whose branches follow
+    `_step`'s, run while more than SCALAR_TAIL messages are in flight; the
+    rest become `_Walk`s and finish with `_step`, one call per message per
+    step in row (message) order."""
     n, width = g.n, table.shape[1]
     one_sided = sidedness is Sidedness.ONE_SIDED
     budget = getattr(strategy, "max_restarts", 0)
-    history = getattr(strategy, "history", 0)
+    history = _trail_length(strategy, max_hops)
     live = g.live_sorted() if budget else None
     out.delivered[src == dst] = True  # arrived without a hop
     msg = np.flatnonzero(src != dst)
     # One row per message in flight, so that dropping the finished ones is
     # one gather.  The trail is a ring of `history` + 1 (node, choice) column
-    # pairs, its newest move in pair (TOP - 1) % ring and LENGTH <= history
-    # moves long, so the pair at TOP % ring is always free to write.
+    # pairs (`history` capped at max_hops), its newest move in pair
+    # (TOP - 1) % ring and LENGTH <= history moves long, so the pair at
+    # TOP % ring is always free to write.
     ring = history + 1
     state = np.zeros((msg.size, TRAIL + 2 * ring), dtype=np.int64)
     state[:, MSG], state[:, CUR], state[:, DST] = msg, src[msg], dst[msg]
@@ -315,7 +362,7 @@ def _lockstep(g: OverlayGraph, table: np.ndarray, usable: np.ndarray, src: np.nd
     # the steps reuse: fresh ones each step leave a sweep's heap fragmented
     cand_buf = np.empty((msg.size, width), dtype=np.int64)
     blocked_buf = np.empty((msg.size, width), dtype=bool)
-    while state.size:
+    while len(state) > SCALAR_TAIL:
         msg, cur, dst, hops = state[:, MSG], state[:, CUR], state[:, DST], state[:, HOPS]
         cand = table.take(cur, axis=0, out=cand_buf[:len(state)])
         blocked = usable.take(cand, out=blocked_buf[:len(state)])
@@ -401,3 +448,29 @@ def _lockstep(g: OverlayGraph, table: np.ndarray, usable: np.ndarray, src: np.nd
             out.backtracks[ids] = ended[:, BACKTRACKS]
             out.restarts[ids] = ended[:, RESTARTS]
             state = state[~done]
+
+    # the last few messages, as `route`'s walks: trails oldest move first,
+    # exclusions by node
+    bounds = excluded.searchsorted(state[:, MSG, None] * n * n + [0, n * n]).tolist()
+    walks = []
+    for row, (lo, hi) in zip(state.tolist(), bounds):
+        slots = (TRAIL + 2 * (j % ring) for j in range(row[TOP] - row[LENGTH], row[TOP]))
+        trail = deque(((row[p], row[p + 1]) for p in slots), maxlen=history)
+        walk = _Walk(row[CUR], row[DST], trail, row[HOPS], row[BACKTRACKS], row[RESTARTS])
+        for key in excluded[lo:hi].tolist():
+            node, sink = divmod(key % (n * n), n)
+            walk.excluded.setdefault(node, set()).add(sink)
+        walks.append((row[MSG], walk))
+    # one `_step` per walk per step, in row order, so that restart landings
+    # draw as the array step's would
+    while walks:
+        going = []
+        for i, walk in walks:
+            status = _step(walk, g, sidedness, probe, symmetric, budget, max_hops, live, rng)
+            if status is None:
+                going.append((i, walk))
+                continue
+            out.delivered[i], out.capped[i] = status is Status.DELIVERED, walk.capped
+            out.hops[i], out.backtracks[i], out.restarts[i] = (walk.hops, walk.backtracks,
+                                                                walk.restarts)
+        walks = going

@@ -34,11 +34,14 @@ USABLE_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 
 
 def tiny(experiment, **kw):
+    """A small config of `experiment`: `kw` over small sizes for the fields
+    it uses."""
     defaults = dict(n=256, links=4, trials=3, messages=40,
                     p_grid=(0.0, 0.5), strategies=("terminate", "backtrack"),
                     repetitions=2, samples=2000, t_max=3, seed=9)
-    defaults.update(kw)
-    return ExperimentConfig(experiment=experiment, **defaults)
+    *_, used = harness.EXPERIMENTS[experiment]
+    return ExperimentConfig(experiment=experiment,
+                            **{k: v for k, v in defaults.items() if k in used} | kw)
 
 
 def test_trial_stats_accounting():
@@ -252,12 +255,20 @@ def test_config_validation():
                                    "messages", "repetitions", "samples", "t_max", "n_values",
                                    "link_values"])
 def test_config_rejects_counts_beyond_int64(field):
-    # validation only: a rejected config never reaches an allocation
+    # validation only: a rejected config never reaches an allocation; each
+    # field is set on a kind that uses it
     largest = 2 ** 63 - 1
     grid = field in ("n_values", "link_values")
-    tiny("scaling", **{field: (64, largest) if grid else largest}).validate()
+    kind = dict(history="failures", repetitions="distribution", samples="chains",
+                t_max="chains").get(field, "scaling")
+    at_largest = tiny(kind, **{field: (64, largest) if grid else largest})
+    if field == "samples":  # so many samples draw more than a chains step may
+        with pytest.raises(ValueError, match=r"more than 2\*\*28"):
+            at_largest.validate()
+    else:
+        at_largest.validate()
     with pytest.raises(ValueError, match=r"must be <= 2\*\*63 - 1"):
-        tiny("scaling", **{field: (64, largest + 1) if grid else largest + 1}).validate()
+        tiny(kind, **{field: (64, largest + 1) if grid else largest + 1}).validate()
 
 
 @pytest.mark.parametrize("experiment", ["build", "route"])
@@ -321,10 +332,10 @@ def test_failure_sets_nest_in_p(monkeypatch, experiment, model):
     monkeypatch.setattr(harness, "route_batch", recording)
     grid = (0.5, 0.1, 0.9, 0.3)
     graphs = 2 if experiment == "compare" else 1
-    # compare takes node failures whatever `failure_model` says
-    failure_model = "link" if experiment == "compare" else model
-    run_experiment(tiny(experiment, failure_model=failure_model, trials=2, repetitions=2,
-                        p_grid=grid, strategies=("terminate",)))
+    # compare always takes node failures, and refuses a `failure_model`
+    sizes = dict(repetitions=2) if experiment == "compare" else dict(trials=2,
+                                                                     failure_model=model)
+    run_experiment(tiny(experiment, p_grid=grid, strategies=("terminate",), **sizes))
     assert len(seen) == 2 * len(grid) * graphs
     for (t, p, k), (dead, links) in seen.items():
         # each node dies, and each of the 256 * 4 links survives, w.p. p
@@ -382,7 +393,8 @@ OTHER = dict(n=48, links=3, base=3, dist="detbase", p_grid=(0.6,), strategies=("
 @pytest.mark.parametrize("kind", sorted(harness.EXPERIMENTS))
 def test_experiment_fields_are_the_ones_that_change_its_csv(kind):
     # every field but `workers`, which must not change the CSV (see
-    # test_failures_deterministic_across_workers)
+    # test_failures_deterministic_across_workers); a field the kind does not
+    # use is refused, naming it
     small = ExperimentConfig(kind, **SMALL[kind])
     csv = run_experiment(small)
     *_, config_fields = harness.EXPERIMENTS[kind]
@@ -391,8 +403,11 @@ def test_experiment_fields_are_the_ones_that_change_its_csv(kind):
         value = OTHER[name] if name != "link_mode" else (
             "directed" if small.symmetric_links() else "symmetric")
         assert value not in (getattr(small, name), getattr(ExperimentConfig(kind), name))
-        changed = run_experiment(replace(small, **{name: value})) != csv
-        assert changed == (name in config_fields), name
+        if name in config_fields:
+            assert run_experiment(replace(small, **{name: value})) != csv, name
+        else:
+            with pytest.raises(ValueError, match=f"^{kind} does not use {name};"):
+                run_experiment(replace(small, **{name: value}))
 
 
 def test_link_mode_defaults():
@@ -439,6 +454,9 @@ def _capture(seen):
 def test_cli_experiment_without_flags_runs_the_dataclass_defaults(monkeypatch, kind):
     seen = []
     monkeypatch.setattr(harness, "run_experiment", _capture(seen))
+    if kind == "chains":  # refused: see test_cli_rejects_counts_below_one[chains_draws]
+        assert main(["experiment", kind]) == 1 and not seen
+        return
     with pytest.raises(_Captured):
         main(["experiment", kind])
     [((config,), _)] = seen
@@ -633,6 +651,11 @@ FAILURES_SMALL = ["failures", "--n", "64", "--links", "2", "--trials", "1", "--m
                  "seed must be >= 0", id="seed_negative"),
     pytest.param([*FAILURES_SMALL, "--p-grid", "0", "--strategy", "terminate",
                   "--base", str(2 ** 63)], "base must be <= 2**63 - 1", id="base_beyond_int64"),
+    pytest.param(["chains"], "chains would draw 100000 x 32768 uniforms per step, more than "
+                 "2**28; lower --n or --samples", id="chains_draws"),
+    pytest.param(["chains", "--n", "64", "--samples", str(2 ** 21 + 1)],
+                 "chains would draw 2097153 x 128 uniforms per step, more than 2**28; lower "
+                 "--n or --samples", id="chains_draws_just_beyond"),
 ])
 def test_cli_rejects_counts_below_one(capsys, argv, message):
     # each case passes only flags its kind offers, so it reaches `validate`

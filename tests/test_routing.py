@@ -346,13 +346,21 @@ def outcomes(routes):
                     routes.capped.tolist()))
 
 
+# `SCALAR_TAIL` values that make `route_many` step only in arrays, or only
+# with `route`'s scalar step; TAILS adds the default, which hands a batch of
+# more messages over from one to the other
+STEP_KERNELS = (0, routing.ROUTE_CHUNK)
+TAILS = (0, routing.SCALAR_TAIL, routing.ROUTE_CHUNK)
+
+
 @pytest.mark.parametrize("graph", GRAPHS)
 @pytest.mark.parametrize("strategy", [Terminate(), Backtrack(1), Backtrack(5)],
                          ids=["terminate", "backtrack1", "backtrack5"])
-def test_route_many_matches_route(graph, strategy):
+def test_route_many_matches_route(monkeypatch, graph, strategy):
     """One batch per mode gives every message `route`'s outcome, on the
     golden route graphs under every sidedness x choice rule x link mode x
-    max_hops in {None, 3}; the last pair starts at its target."""
+    max_hops in {None, 3}, with either step kernel and with the hand-over
+    from one to the other; the last pair starts at its target."""
     make, seed = GRAPHS[graph]
     rng = np.random.default_rng(seed)
     g = make(rng)
@@ -361,11 +369,45 @@ def test_route_many_matches_route(graph, strategy):
     src, dst = np.array(pairs).T
     for side, probe, symmetric, max_hops in product(Sidedness, (True, False), (False, True),
                                                     (None, 3)):
-        many = route_many(g, src, dst, side, strategy, max_hops, probe=probe,
-                          symmetric=symmetric)
-        assert outcomes(many) == [
-            outcome(route(g, s, d, side, strategy, max_hops, probe=probe, symmetric=symmetric))
-            for s, d in pairs]
+        want = [outcome(route(g, s, d, side, strategy, max_hops, probe=probe,
+                              symmetric=symmetric)) for s, d in pairs]
+        for tail in TAILS:
+            monkeypatch.setattr(routing, "SCALAR_TAIL", tail)
+            assert outcomes(route_many(g, src, dst, side, strategy, max_hops, probe=probe,
+                                       symmetric=symmetric)) == want
+
+
+@pytest.mark.parametrize("graph", GRAPHS)
+def test_route_many_restart_lands_alike_at_any_tail(monkeypatch, graph):
+    """A restart batch draws the same landings, in the same order, whether
+    its last messages finish in the array step or in the scalar one."""
+    make, seed = GRAPHS[graph]
+    rng = np.random.default_rng(seed)
+    g = make(rng)
+    src, dst = np.array([rng.choice(g.live_sorted(), 2, replace=False) for _ in range(40)]).T
+    for side, probe, symmetric, max_hops in product(Sidedness, (True, False), (False, True),
+                                                    (None, 3)):
+        runs = []
+        for tail in TAILS:
+            monkeypatch.setattr(routing, "SCALAR_TAIL", tail)
+            many = np.random.default_rng(seed)
+            runs.append((outcomes(route_many(g, src, dst, side, RandomRestart(), max_hops,
+                                             many, probe, symmetric)),
+                         many.bit_generator.state))
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def test_route_many_trail_of_huge_history_matches_route():
+    # a trail never holds more than max_hops moves, so its ring needs no more
+    make, seed = GRAPHS["node-failed"]
+    rng = np.random.default_rng(seed)
+    g = make(rng)
+    pairs = [rng.choice(g.live_sorted(), 2, replace=False).tolist() for _ in range(40)]
+    src, dst = np.array(pairs).T
+    for max_hops in (None, 3):
+        many = route_many(g, src, dst, TWO, Backtrack(10 ** 12), max_hops, symmetric=True)
+        assert outcomes(many) == [outcome(route(g, s, d, TWO, Backtrack(10 ** 12), max_hops,
+                                                symmetric=True)) for s, d in pairs]
 
 
 @pytest.mark.parametrize("graph", GRAPHS)
@@ -389,14 +431,18 @@ def test_route_many_restart_batch_of_one_matches_route(graph):
 
 @pytest.mark.parametrize("strategy", [Terminate(), Backtrack(5)], ids=["terminate", "backtrack5"])
 def test_route_many_chunks_route_alike(monkeypatch, strategy):
-    # chunks of 7 split the 40 pairs unevenly; every message still routes alone
+    # chunks of 7 split the 40 pairs unevenly; every message still routes
+    # alone, with either step kernel
     make, seed = GRAPHS["node-failed"]
     rng = np.random.default_rng(seed)
     g = make(rng)
     src, dst = np.array([rng.choice(g.live_sorted(), 2, replace=False) for _ in range(40)]).T
-    whole = route_many(g, src, dst, TWO, strategy, symmetric=True)
-    monkeypatch.setattr(routing, "ROUTE_CHUNK", 7)
-    assert outcomes(route_many(g, src, dst, TWO, strategy, symmetric=True)) == outcomes(whole)
+    for tail in STEP_KERNELS:
+        monkeypatch.setattr(routing, "SCALAR_TAIL", tail)
+        monkeypatch.setattr(routing, "ROUTE_CHUNK", STEP_KERNELS[1])
+        whole = route_many(g, src, dst, TWO, strategy, symmetric=True)
+        monkeypatch.setattr(routing, "ROUTE_CHUNK", 7)
+        assert outcomes(route_many(g, src, dst, TWO, strategy, symmetric=True)) == outcomes(whole)
 
 
 def test_route_many_checks_its_arguments():
@@ -447,7 +493,8 @@ def test_tiled_pair_draw_matches_scalar_draws(count):
        seed=st.integers(0, 2 ** 32 - 1))
 def test_route_matches_reference(n, links, p_link, p_node, cap, seed):
     """`route` and `route_many` return what the brute-force router over the
-    dump returns, in every mode, with the default hop cap and a small one."""
+    dump returns, in every mode, with the default hop cap and a small one;
+    `route_many` with either step kernel."""
     rng = np.random.default_rng(seed)
     g = apply_link_failures(build(n, InversePowerLaw(links), rng), p_link, rng)
     apply_node_failures(g, p_node, rng)
@@ -471,14 +518,18 @@ def test_route_matches_reference(n, links, p_link, p_node, cap, seed):
             assert (res.status.value, res.hops, res.backtracks, res.restarts, res.capped,
                     res.path) == expect
             expected.append((expect[0] == "delivered", *expect[1:5]))
-        # route_many routes the pairs as one batch; a restart batch draws its
-        # landings in another order, so it routes the first pair alone
-        if isinstance(strategy, RandomRestart):
-            (s, d), = pairs[:1]
-            assert outcomes(route_many(g, [s], [d], side, strategy, max_hops,
-                                       np.random.default_rng(seed), probe,
-                                       symmetric)) == expected[:1]
-        else:
-            src, dst = np.array(pairs).T
-            assert outcomes(route_many(g, src, dst, side, strategy, max_hops, None, probe,
-                                       symmetric)) == expected
+        # route_many routes the pairs as one batch, with either step kernel; a
+        # restart batch draws its landings in another order, so it routes the
+        # first pair alone
+        for tail in STEP_KERNELS:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(routing, "SCALAR_TAIL", tail)
+                if isinstance(strategy, RandomRestart):
+                    (s, d), = pairs[:1]
+                    assert outcomes(route_many(g, [s], [d], side, strategy, max_hops,
+                                               np.random.default_rng(seed), probe,
+                                               symmetric)) == expected[:1]
+                else:
+                    src, dst = np.array(pairs).T
+                    assert outcomes(route_many(g, src, dst, side, strategy, max_hops, None,
+                                               probe, symmetric)) == expected
