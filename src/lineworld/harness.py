@@ -40,6 +40,7 @@ DISTRIBUTIONS = {
     "powers": lambda c: PowersOfB(c.base),
     "bernoulli": lambda c: power_law_inclusion(c.n, c.links),
 }
+DIGIT_SCHEMES = ("detbase", "powers")  # the deterministic base-b link schemes
 STRATEGIES = {
     "terminate": lambda c: Terminate(),
     "restart": lambda c: RandomRestart(),
@@ -56,6 +57,10 @@ CHOICES = {
     "policy": tuple(p.value for p in dynamics.ReplacementPolicy),
 }
 
+# count field -> least value; `validate` also holds each count, and each n and
+# link grid entry (least 1), to COUNT_MAX, as past int64 no numpy array fits it
+COUNT_FLOORS = dict(n=1, links=1, base=2, history=1, max_hops=1, trials=1, messages=1,
+                    repetitions=1, samples=1, workers=1, t_max=0)
 COUNT_MAX = 2 ** 63 - 1  # the largest int64
 # the most uniforms a chains step may draw, samples x 2n of them (2 GiB)
 CHAIN_DRAWS_MAX = 2 ** 28
@@ -102,25 +107,18 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.experiment not in EXP_CODES:
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        for name, least in dict(n=1, links=1, base=2, history=1, trials=1, messages=1,
-                                repetitions=1, samples=1, workers=1, t_max=0,
-                                seed=0).items():
-            if getattr(self, name) < least:
+        counts = [(name, getattr(self, name), least) for name, least in COUNT_FLOORS.items()]
+        counts += [("n grid entries", v, 1) for v in self.n_values]
+        counts += [("link grid entries", v, 1) for v in self.link_values]
+        for name, value, least in counts:
+            if value is None:  # max_hops: the default cap
+                continue
+            if value < least:
                 raise ValueError(f"{name} must be >= {least}")
-        if any(ell < 1 for ell in self.link_values):
-            raise ValueError("link grid entries must be >= 1")
-        # a count past int64 cannot size a numpy array; refuse it before any
-        # loop or job list is built from it
-        counts = [(name, getattr(self, name)) for name in (
-            "n", "links", "base", "history", "max_hops", "trials", "messages", "repetitions",
-            "samples", "t_max")]
-        counts += [("n grid entries", v) for v in self.n_values]
-        counts += [("link grid entries", v) for v in self.link_values]
-        for name, value in counts:
-            if value is not None and value > COUNT_MAX:
+            if value > COUNT_MAX:
                 raise ValueError(f"{name} must be <= 2**63 - 1")
-        if self.max_hops is not None and self.max_hops < 1:
-            raise ValueError("max_hops must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not self.p_grid or not self.strategies:
             raise ValueError("p grid and strategy list must not be empty")
         if any(not 0.0 <= p <= 1.0 for p in self.p_grid):
@@ -257,7 +255,7 @@ def route_batch(g: overlay.OverlayGraph, strategy: routing.RecoveryStrategy,
     live = g.live_sorted()
     if live.size < 2:
         return TrialStats(failed=config.messages)
-    digits = config.experiment == "scaling" and config.dist in ("detbase", "powers")
+    digits = config.experiment == "scaling" and config.dist in DIGIT_SCHEMES
     side = Sidedness.ONE_SIDED if digits else Sidedness(config.sidedness)
     # source i, then destination j of the others, per message: one
     # array-bounded draw gives the stream of one scalar draw per bound
@@ -383,7 +381,7 @@ def run_scaling(config: ExperimentConfig) -> list[str]:
 
 
 def _nominal_links(config: ExperimentConfig) -> int:
-    if config.dist in ("detbase", "powers"):
+    if config.dist in DIGIT_SCHEMES:
         return len(linkgen.scheme_distances(make_distribution(config), config.n))
     return config.links
 
@@ -445,7 +443,7 @@ ROUTING_FIELDS = ("history", "max_hops", "sidedness", "probe", "link_mode")
 EXPERIMENTS = {
     "failures": (FAILURES_HEADER, run_failures, GRAPH_FIELDS + ROUTING_FIELDS + (
         "p_grid", "strategies", "trials", "messages", "workers", "failure_model")),
-    "compare": (FAILURES_HEADER, run_compare, ("n", "links", "base", "seed") + ROUTING_FIELDS + (
+    "compare": (FAILURES_HEADER, run_compare, ("n", "links", "seed") + ROUTING_FIELDS + (
         "p_grid", "strategies", "messages", "workers", "repetitions", "policy")),
     "distribution": ("experiment,n,links,seed,distance,ideal,derived,abs_error", run_distribution,
                      ("n", "links", "seed", "workers", "repetitions", "policy")),

@@ -230,8 +230,9 @@ def scheme_distances(dist: DeterministicBaseB | PowersOfB, n: int) -> np.ndarray
     powers = b ** np.arange(ceil_log(n, b))  # b^i <= n - 1
     if isinstance(dist, PowersOfB):
         return powers
-    # row i holds b^i, ..., (b-1)*b^i: row-major order is already ascending
-    d = (powers[:, None] * np.arange(1, b)).ravel()
+    # row i holds b^i, ..., (b-1)*b^i, with no multiplier past n - 1 (a base
+    # at or above n gives 1..n-1): row-major order is already ascending
+    d = (powers[:, None] * np.arange(1, min(b, n))).ravel()
     return d[d < n]
 
 

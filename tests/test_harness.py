@@ -161,6 +161,17 @@ def test_scaling_deterministic_digit_cap():
     assert int(row[9]) <= 8  # max hops observed <= log2 n
 
 
+def test_scaling_detbase_base_beyond_n(capsys):
+    # the widest base the table allows builds the base-64 graph: 1..63
+    rows = {}
+    for base in ("64", str(2 ** 63 - 1)):
+        assert main(["experiment", "scaling", "--dist", "detbase", "--base", base,
+                     "--n", "64", "--trials", "1", "--messages", "2"]) == 0
+        rows[base] = capsys.readouterr().out.splitlines()[1].split(",")
+        assert rows[base].pop(3) == base
+    assert rows["64"] == rows[str(2 ** 63 - 1)]
+
+
 def test_scaling_sweeps_grid():
     cfg = tiny("scaling", n_values=(64, 128), link_values=(1, 2), trials=2, messages=30)
     out = run_experiment(cfg)
@@ -493,7 +504,7 @@ EXPERIMENT_FLAGS = {
     "failures": GRAPH_FLAGS | ROUTING_FLAGS | {
         "--p-grid", "--strategy", "--trials", "--messages", "--workers", "--failure-model"},
     "compare": ROUTING_FLAGS | {
-        "--n", "--links", "--base", "--seed", "--p-grid", "--strategy", "--messages",
+        "--n", "--links", "--seed", "--p-grid", "--strategy", "--messages",
         "--workers", "--reps", "--policy"},
     "scaling": GRAPH_FLAGS | {
         "--trials", "--messages", "--max-hops", "--sidedness", "--link-mode", "--workers",
@@ -639,6 +650,13 @@ FAILURES_SMALL = ["failures", "--n", "64", "--links", "2", "--trials", "1", "--m
                   "--trials", "1", "--messages", "2"], "link grid entries must be >= 1",
                  id="link_grid"),
     pytest.param(["chains", "--n", "0"], "n must be >= 1", id="n"),
+    pytest.param(["scaling", "--n-grid", "0", "--trials", "1", "--messages", "2"],
+                 "n grid entries must be >= 1", id="n_grid"),
+    pytest.param([*FAILURES_SMALL, "--trials", "0"], "trials must be >= 1", id="trials"),
+    pytest.param([*FAILURES_SMALL, "--workers", str(2 ** 63)], "workers must be <= 2**63 - 1",
+                 id="workers_beyond_int64"),
+    pytest.param([*FAILURES_SMALL, "--max-hops", str(2 ** 63)], "max_hops must be <= 2**63 - 1",
+                 id="max_hops_beyond_int64"),
     pytest.param([*FAILURES_SMALL, "--p-grid", ","], "p grid and strategy list must not be empty",
                  id="p_grid_empty"),
     pytest.param([*FAILURES_SMALL, "--strategy", ","],

@@ -191,6 +191,13 @@ def test_scheme_distances_are_the_lengths_nodes_hold(n, b):
         assert scheme_distances(dist, n).tolist() == sorted(held)
 
 
+@pytest.mark.parametrize("b", [64, 2 ** 40, 2 ** 63 - 1])
+def test_scheme_distances_of_a_base_at_or_above_n(b):
+    # as j*b^0 alone: no array is sized by the base
+    assert scheme_distances(DeterministicBaseB(b), 64).tolist() == list(range(1, 64))
+    assert scheme_distances(PowersOfB(b), 64).tolist() == [1]
+
+
 def test_base_must_exceed_one():
     with pytest.raises(ValueError):
         DeterministicBaseB(1)
