@@ -120,54 +120,70 @@ def _line_prefix(n: int) -> np.ndarray:
     return harmonic_numbers(n - 1)
 
 
-# batches smaller than this go to np.searchsorted: below it the guess and
-# fix-up passes cost more than the binary search they replace
+# batches smaller than this go to np.searchsorted: below it the table
+# lookup and step passes cost more than the binary search they replace
 _GUESS_MIN_DRAWS = 1024
+
+
+# guide-table buckets per line position: about 1/8 of a step per draw
+# beyond the first comparison, against 1/2 at one bucket per position
+_GUIDE_BUCKETS = 4
+
+
+@lru_cache(maxsize=4)
+def _guide_table(n: int) -> tuple[float, np.ndarray]:
+    """Guide table of the line 0..n-1's 1/d law: `scale` splits
+    [0, H_{n-1}] into m = _GUIDE_BUCKETS * n equal buckets, a draw r landing
+    in bucket int(r * scale), and entry j is the smallest d >= 1 whose
+    prefix h[d] lands in bucket j or later, so it never exceeds the answer
+    of a draw in bucket j.  Bucketing h through the same rounded product as
+    the draws makes that hold to the last ulp."""
+    h = _line_prefix(n)
+    m = _GUIDE_BUCKETS * n
+    scale = m / h[-1]
+    guide = np.searchsorted((h[1:] * scale).astype(np.int64), np.arange(m + 1)) + 1
+    return scale, guide[:int(h[-1] * scale) + 1]
 
 
 def _harmonic_index(h: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Inverse CDF of the 1/d law: the smallest d >= 1 with h[d] >= r, for
-    r in [0, h[-1]], equal to max(np.searchsorted(h, r, "left"), 1).
+    r in [0, h[-1]] and h the line's harmonic prefix, equal to
+    max(np.searchsorted(h, r, "left"), 1).
 
-    Large batches guess d = ceil(exp(r - gamma) - 1/2), since
-    H_d = ln(d + 1/2) + gamma + O(1/d^2), clip it to [1, n - 1] and step it
-    one index at a time to the exact answer, O(1) per draw."""
+    Large batches start each draw at its guide-table entry, a lower bound
+    on d (Chen and Asau's index table; Devroye 1986, III.2.4), and step it
+    up until h[d] >= r: one comparison per draw and about 1/8 of a step
+    more on average, O(1)."""
     if r.size < _GUESS_MIN_DRAWS:
         d = np.searchsorted(h, r, side="left")
         return np.maximum(d, 1, out=d)
     shape, r = r.shape, r.ravel()
-    guess = np.exp(r - np.euler_gamma)
-    guess -= 0.5
-    np.ceil(guess, out=guess)
-    np.clip(guess, 1, h.size - 1, out=guess)
-    d = guess.astype(np.int64)
-    step = _harmonic_step(h, d, r)
+    scale, guide = _guide_table(h.size)
+    d = guide[(r * scale).astype(np.int64)]
+    step = h[d] < r
     d += step
     moving = np.flatnonzero(step)
     while moving.size:
-        step = _harmonic_step(h, d[moving], r[moving])
+        step = h[d[moving]] < r[moving]
         d[moving] += step
-        moving = moving[step != 0]
+        moving = moving[step]
     return d.reshape(shape)
-
-
-def _harmonic_step(h: np.ndarray, d: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Move of each index d toward the smallest d >= 1 with h[d] >= r: +1
-    where h[d] < r, -1 where d > 1 and h[d - 1] >= r, else 0."""
-    return np.subtract(h[d] < r, (d > 1) & (h[d - 1] >= r), dtype=np.int64)
 
 
 def _grid_draws(us: np.ndarray, n: int, draws: int, h: np.ndarray,
                 rng: np.random.Generator) -> np.ndarray:
     """`draws` sinks per source over the whole line, ~ 1/|u-v|, by inverse
-    CDF against the harmonic prefix h; one row per source."""
+    CDF against the harmonic prefix h; one row per source.  A draw beyond
+    the left mass goes right: it subtracts that mass and flips d's sign."""
     u = us[:, None]
     mass_left = h[u]
     r = rng.random((us.size, draws))
     r *= mass_left + h[n - 1 - u]
-    on_left = r < mass_left
-    d = _harmonic_index(h, np.where(on_left, r, r - mass_left))
-    sinks = np.where(on_left, u - d, u + d)
+    right = r >= mass_left
+    r -= right * mass_left
+    sinks = _harmonic_index(h, r)
+    sinks *= 2 * right - 1
+    sinks += u
     np.clip(sinks, 0, n - 1, out=sinks)
     return sinks
 
@@ -177,12 +193,15 @@ def sample_line_links(sources, n: int, links: int, rng: np.random.Generator,
     """Draw `links` sinks per source ~ 1/|u-v|, one row per source.
 
     Inverse-CDF sampling against the shared harmonic prefix of the line
-    0..n-1: O(1) per draw in large batches (`_harmonic_index`), a binary
-    search in small ones.  With a boolean `present` mask the law is
-    1/|u-v| restricted to present positions: each row keeps its first
-    `links` grid draws that land on a present position (rejection, exact),
-    and short rows draw again in batches that double in size.  Duplicates
-    are returned as drawn; deduplication is the graph layer's concern.
+    0..n-1: a guide-table lookup and O(1) steps per draw in large batches
+    (`_harmonic_index`), a binary search in small ones.  With a boolean
+    `present` mask the law is 1/|u-v| restricted to present positions: each
+    row keeps its first `links` grid draws that land on a present position
+    (rejection, exact), and short rows draw again in batches that double in
+    size.  One scatter writes every draw of a batch: into its row's next
+    free slot if it is accepted and fits, else into a spare trash column.
+    Duplicates are returned as drawn; deduplication is the graph
+    layer's concern.
     """
     if links < 1:
         raise ValueError("links must be >= 1")
@@ -194,22 +213,28 @@ def sample_line_links(sources, n: int, links: int, rng: np.random.Generator,
         return _grid_draws(us, n, links, h, rng)
     if np.any(np.count_nonzero(present) - present[us] < 1):
         raise ValueError("a source has no other present position")
-    out = np.empty((us.size, links), dtype=np.int64)
+    # row-major (sources, links + 1): column `links` of each row is trash
+    out = np.empty(us.size * (links + 1), dtype=np.int64)
     filled = np.zeros(us.size, dtype=np.int64)
     rows = np.arange(us.size)
     batch = links
     while rows.size:
         sinks = _grid_draws(us[rows], n, batch, h, rng)
         ok = present[sinks]
-        # slot (1-based) each accepted draw would take in its row
-        slot = np.cumsum(ok, axis=1) + filled[rows, None]
-        i, j = np.nonzero(ok & (slot <= links))
-        out[rows[i], slot[i, j] - 1] = sinks[i, j]
+        # slot (1-based) each accepted draw would take in its row; a rejected
+        # draw's 0 and an overflow's links + 1 both map to the trash column
+        slot = np.cumsum(ok, axis=1)
+        slot += filled[rows, None]
         filled[rows] = np.minimum(slot[:, -1], links)
+        np.minimum(slot, links + 1, out=slot)
+        slot *= ok
+        slot += (rows * (links + 1) - 1)[:, None]
+        # a rejected draw at row 0 lands on the last row's trash column
+        out[slot] = sinks
         rows = rows[filled[rows] < links]
         # bound one batch's memory when acceptance is tiny
         batch = min(2 * batch, max(links, (1 << 22) // max(rows.size, 1)))
-    return out
+    return out.reshape(us.size, links + 1)[:, :links]
 
 
 def ceil_log(n: int, b: int) -> int:

@@ -77,9 +77,10 @@ class OverlayGraph:
         sinks = np.asarray(sinks, dtype=np.int64)
         k, width = sinks.shape[-1], self.sinks.shape[1]
         if k > width:
-            pad = ((0, 0), (0, k - width))
-            self.sinks = np.pad(self.sinks, pad, constant_values=NO_NEIGHBOR)
-            self.ages = np.pad(self.ages, pad)
+            sinks_wide = np.full((self.n, k), NO_NEIGHBOR, dtype=np.int64)
+            ages_wide = np.zeros((self.n, k), dtype=np.int64)
+            sinks_wide[:, :width], ages_wide[:, :width] = self.sinks, self.ages
+            self.sinks, self.ages = sinks_wide, ages_wide
         self.sinks[u, k:] = NO_NEIGHBOR
         self.sinks[u, :k] = sinks
         self.ages[u, :k] = np.arange(self._clock, self._clock + sinks.size).reshape(sinks.shape)
@@ -96,16 +97,30 @@ class OverlayGraph:
 
     def retain_links(self, keep: np.ndarray) -> None:
         """Drop every long link whose slot is False in `keep` (shaped like
-        the table); survivors stay left-packed in their old order."""
-        # row-major boolean indexing walks each row in slot order, so the
-        # first count slots of a row take its kept links and the rest its
-        # dropped ones: a stable sort of each row on ~keep
-        head = np.arange(keep.shape[1]) < np.count_nonzero(keep, axis=1)[:, None]
-        self.sinks[head] = self.sinks[keep]
-        self.sinks[~head] = NO_NEIGHBOR
-        kept, dropped = self.ages[keep], self.ages[~keep]
-        self.ages[head] = kept
-        self.ages[~head] = dropped
+        the table); survivors stay left-packed in their old order, and the
+        dropped slots' ages follow them in theirs: a stable sort of each row
+        on ~keep.  One row cumsum gives each slot its new column, kept slots
+        counting up from 0 and dropped ones from the row's kept count, and
+        one scatter per table moves every slot there."""
+        n, width = keep.shape
+        if width:
+            kept = np.cumsum(keep, axis=1)
+            # flat target of dropped slot i: row start + kept count + i - kept up to i
+            start = np.arange(0, n * width, width)
+            to = (start + kept[:, -1])[:, None] - kept
+            to += np.arange(width)
+            # flat target of kept slot i: row start + kept up to i - 1; a kept
+            # slot adds (its target - the dropped one) to `to`, a dropped 0
+            kept += (start - 1)[:, None]
+            kept -= to
+            kept *= keep
+            to += kept
+            sinks = self.sinks - NO_NEIGHBOR
+            sinks *= keep
+            sinks += NO_NEIGHBOR
+            moved = np.empty((2, n * width), dtype=np.int64)
+            moved[0, to], moved[1, to] = sinks, self.ages
+            self.sinks, self.ages = moved.reshape(2, n, width)
         self._adjacency.clear()
 
     def neighbors(self, u: NodeId, symmetric: bool = False) -> np.ndarray:

@@ -3,7 +3,7 @@
 import numpy as np
 
 from lineworld.analysis import _choose
-from lineworld.linkgen import BernoulliOffsets, sample_offsets
+from lineworld.linkgen import BernoulliOffsets, harmonic_numbers, sample_offsets
 from lineworld.overlay import NO_NEIGHBOR, OverlayGraph
 from lineworld.routing import Backtrack, RandomRestart, Sidedness
 
@@ -79,14 +79,56 @@ def reference_offset_build(n: int, law: BernoulliOffsets, rng) -> OverlayGraph:
     return g
 
 
+def reference_line_links(sources, n: int, links: int, rng,
+                         present: np.ndarray | None = None) -> np.ndarray:
+    """`linkgen.sample_line_links` with masked selects, drawing the same
+    uniforms: a binary search for d, a side chosen by `np.where`, and a
+    rejection pass that scatters the accepted draws it finds by `nonzero`
+    into their rows' next free slots; short rows draw again in batches
+    that double in size."""
+    h = harmonic_numbers(n - 1)
+    us = np.asarray(sources, dtype=np.int64).reshape(-1)
+
+    def grid(us, draws):
+        u = us[:, None]
+        mass_left = h[u]
+        r = rng.random((us.size, draws))
+        r *= mass_left + h[n - 1 - u]
+        on_left = r < mass_left
+        d = np.maximum(np.searchsorted(h, np.where(on_left, r, r - mass_left), "left"), 1)
+        return np.clip(np.where(on_left, u - d, u + d), 0, n - 1)
+
+    if present is None:
+        return grid(us, links)
+    out = np.empty((us.size, links), dtype=np.int64)
+    filled = np.zeros(us.size, dtype=np.int64)
+    rows = np.arange(us.size)
+    batch = links
+    while rows.size:
+        sinks = grid(us[rows], batch)
+        ok = present[sinks]
+        slot = np.cumsum(ok, axis=1) + filled[rows, None]
+        i, j = np.nonzero(ok & (slot <= links))
+        out[rows[i], slot[i, j] - 1] = sinks[i, j]
+        filled[rows] = np.minimum(slot[:, -1], links)
+        rows = rows[filled[rows] < links]
+        batch = min(2 * batch, max(links, (1 << 22) // max(rows.size, 1)))
+    return out
+
+
 def reference_retain_links(sinks: np.ndarray, ages: np.ndarray,
                            keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`OverlayGraph.retain_links` as a stable per-row sort on ~keep: kept
-    sinks left-packed in slot order, NO_NEIGHBOR after them, and ages
-    moved with their slots, the dropped slots' ages in the tail."""
-    order = np.argsort(~keep, axis=1, kind="stable")
-    return (np.take_along_axis(np.where(keep, sinks, NO_NEIGHBOR), order, axis=1),
-            np.take_along_axis(ages, order, axis=1))
+    """`OverlayGraph.retain_links` one row at a time: each row's kept
+    slots in slot order, then its dropped ones in slot order; dropped sinks
+    become NO_NEIGHBOR, and every age moves with its slot."""
+    out_sinks, out_ages = [], []
+    for sink_row, age_row, keep_row in zip(sinks.tolist(), ages.tolist(), keep.tolist()):
+        kept = [i for i, k in enumerate(keep_row) if k]
+        dropped = [i for i, k in enumerate(keep_row) if not k]
+        out_sinks.append([sink_row[i] for i in kept] + [NO_NEIGHBOR] * len(dropped))
+        out_ages.append([age_row[i] for i in kept + dropped])
+    return (np.array(out_sinks, dtype=np.int64).reshape(sinks.shape),
+            np.array(out_ages, dtype=np.int64).reshape(ages.shape))
 
 
 def nearest_members(member) -> list[list[int]]:

@@ -19,7 +19,13 @@ from lineworld.linkgen import (
 )
 from lineworld.harness import power_law_inclusion
 from lineworld.overlay import build
-from oracles import deterministic_links, draw_offsets, offset_law, power_links
+from oracles import (
+    deterministic_links,
+    draw_offsets,
+    offset_law,
+    power_links,
+    reference_line_links,
+)
 
 
 def harmonic_weights(u, population) -> dict[int, float]:
@@ -129,11 +135,15 @@ def test_sample_line_links_off_center():
 @pytest.mark.parametrize("n", [2, 3, 17, 2 ** 10, 2 ** 14, 2 ** 17, 2 ** 20])
 def test_harmonic_index_matches_binary_search(monkeypatch, n):
     # every prefix value, both float neighbours of each, 0, the smallest
-    # subnormal, the top of the prefix and 10^5 uniforms, through the
-    # guess-and-fix-up path and through the batch-size selection
+    # subnormal, the top of the prefix, every guide bucket's lower edge and
+    # both float neighbours of each, and 10^5 uniforms, through the
+    # guide-table path and through the batch-size selection
     h = harmonic_numbers(n - 1)
+    scale, guide = linkgen._guide_table(n)
+    edges = np.arange(guide.size) / scale
     r = np.concatenate((h, np.nextafter(h, -np.inf), np.nextafter(h, np.inf),
                         [0.0, np.nextafter(0.0, 1.0), h[-1]],
+                        edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
                         np.random.default_rng(n).random(10 ** 5) * h[-1]))
     r = r[(r >= 0.0) & (r <= h[-1])]
     want = np.maximum(np.searchsorted(h, r, "left"), 1)
@@ -142,6 +152,37 @@ def test_harmonic_index_matches_binary_search(monkeypatch, n):
     monkeypatch.setattr(linkgen, "_GUESS_MIN_DRAWS", 0)
     for batch in (r, r[:11]):
         assert np.array_equal(linkgen._harmonic_index(h, batch), want[:batch.size])
+    # O(n) entries: one per bucket, the buckets a fixed multiple of n
+    assert guide.size <= linkgen._GUIDE_BUCKETS * n + 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 2 ** 11, 2 ** 14])
+@pytest.mark.parametrize("mask", [None, 1.0, 0.5, 0.05, "pair"])
+@pytest.mark.parametrize("large", [False, True], ids=["small-batch", "large-batch"])
+def test_sample_line_links_matches_reference(n, mask, large):
+    # the branch-free sampler draws the same uniforms and returns the same
+    # sinks as the masked-select reference, on the whole line or restricted
+    # to present positions (a fraction of the line, or just two neighbours,
+    # so that each source has one candidate), in batches below and above
+    # the guide-table threshold
+    rng = np.random.default_rng(n)
+    if mask is None:
+        present = None
+    elif mask == "pair":
+        present = np.zeros(n, dtype=bool)
+        present[[n // 3, n // 3 + 1]] = True
+    else:
+        present = rng.random(n) < mask
+        present[[0, n - 1]] = True
+    sources = np.arange(n) if present is None else np.flatnonzero(present)
+    if large:
+        links = max(2, -(-2 * linkgen._GUESS_MIN_DRAWS // sources.size))
+    else:
+        sources, links = sources[:5], 3
+    a, b = np.random.default_rng(7), np.random.default_rng(7)
+    got = sample_line_links(sources, n, links, a, present=present)
+    assert np.array_equal(got, reference_line_links(sources, n, links, b, present=present))
+    assert a.bit_generator.state == b.bit_generator.state
 
 
 def test_sample_line_links_full_present_mask_draws_as_none():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lineworld import overlay
-from lineworld.dynamics import ReplacementPolicy, leave
+from lineworld.dynamics import ReplacementPolicy, join, leave
 from lineworld.harness import build_by_joins, power_law_inclusion
 from lineworld.linkgen import DeterministicBaseB, InversePowerLaw, PowersOfB
 from lineworld.overlay import (
@@ -311,11 +311,66 @@ def test_retain_links_matches_stable_sort_reference(n):
     rng = np.random.default_rng(n)
     g = build(n, InversePowerLaw(6), rng)
     g.ages[:] = rng.permutation(g.ages.size).reshape(g.ages.shape)
+    clock = g._clock
     for p in (0.5, 0.7):
         keep = rng.random(g.sinks.shape) < p
         sinks, ages = reference_retain_links(g.sinks, g.ages, keep)
         g.retain_links(keep)
         assert np.array_equal(g.sinks, sinks) and np.array_equal(g.ages, ages)
+        assert g._clock == clock
+
+
+def _random_keep(g, rng):
+    return rng.random(g.sinks.shape) < 0.5
+
+
+def _whole_rows_keep(g, rng):
+    # a third of the rows keep every slot, a third drop every slot
+    keep = rng.random(g.sinks.shape) < 0.5
+    which = rng.integers(3, size=g.n)
+    keep[which == 0] = True
+    keep[which == 1] = False
+    return keep
+
+
+def _scrambled_build(n, rng):
+    g = build(n, InversePowerLaw(6), rng)
+    g.ages[:] = rng.permutation(g.ages.size).reshape(g.ages.shape)
+    return g
+
+
+def _join_grown(n, rng):
+    # rejoins write rows narrower than the table and leave the old ages in
+    # their pad slots
+    g = build_by_joins(n, 5, ReplacementPolicy.INVERSE_DISTANCE, rng)
+    for v in rng.choice(n, size=n // 3, replace=False).tolist():
+        leave(g, v, True, rng)
+        join(g, v, 2, ReplacementPolicy.INVERSE_DISTANCE, rng)
+    pads = g.sinks == NO_NEIGHBOR
+    assert pads.any() and (g.ages[pads] > 0).any()
+    return g
+
+
+@pytest.mark.parametrize("make, keep_of", [
+    (_scrambled_build, _whole_rows_keep),
+    (lambda n, rng: OverlayGraph(n), _random_keep),
+    (_join_grown, _random_keep),
+    (_join_grown, _whole_rows_keep),
+], ids=["whole-rows", "width-0", "join-grown", "join-grown-whole-rows"])
+@pytest.mark.parametrize("n", [17, 300])
+def test_retain_links_matches_row_reference(make, keep_of, n):
+    # tables that random masks over a full build miss: rows kept or dropped
+    # whole, no columns at all, and rows narrower than the table whose pad
+    # slots hold stale ages
+    rng = np.random.default_rng(n)
+    g = make(n, rng)
+    clock = g._clock
+    for _ in range(2):
+        keep = keep_of(g, rng)
+        sinks, ages = reference_retain_links(g.sinks, g.ages, keep)
+        g.retain_links(keep)
+        assert np.array_equal(g.sinks, sinks) and np.array_equal(g.ages, ages)
+        assert g.sinks.shape == keep.shape and g._clock == clock
 
 
 def _link_failed(n, links, rng):
