@@ -3,12 +3,13 @@
 Subcommands: `build` (construct and dump a graph), `route` (build, route
 one message, print the result), and `experiment {failures|distribution|
 scaling|compare|chains|bounds}` (batch runs emitting CSV to --out or
-stdout).  Each experiment kind offers the flags of the config fields that
-can change its CSV, and no other; `lineworld experiment <kind> --help`
-lists them.  Exit status 0 on success (and for --help), 1 with one
-`lineworld: error: ...` line on a bad command line, a configuration or I/O
-error, a graph too large to allocate, a count too large for numpy's
-integers, or a worker process that died.
+stdout).  Each command offers the flags of the config fields it can read,
+and no other (`lineworld experiment <kind> --help` lists a kind's); its
+config refuses one that its link law or strategy leaves unread.  Exit
+status 0 on success (and for --help), 1 with one `lineworld: error: ...`
+line on a bad command line, a configuration or I/O error, a graph too
+large to allocate, a count too large for numpy's integers, or a worker
+process that died.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import argparse
 import sys
 
 from . import harness, overlay, routing
-from .harness import CHOICES, GRAPH_FIELDS, ROUTING_FIELDS, ExperimentConfig
+from .harness import CHOICES, ExperimentConfig
 
 
 def _list_of(kind):
@@ -62,13 +63,13 @@ FLAGS = {
 }
 
 
-def _add_parser(sub, name: str, config_fields: tuple[str, ...], **kwargs):
-    """A subcommand parser with the flags of `config_fields`.  A flag the
-    user leaves out is absent from the namespace, so `config_from_args`
-    keeps the field's `ExperimentConfig` default."""
+def _add_parser(sub, name: str, flags=FLAGS, **kwargs):
+    """A parser for command `name` with the `flags` of its COMMAND_FIELDS.  A
+    flag the user leaves out is absent from the namespace, so
+    `config_from_args` keeps the field's `ExperimentConfig` default."""
     p = sub.add_parser(name, argument_default=argparse.SUPPRESS, **kwargs)
-    for field in config_fields:
-        flag, flag_kwargs = FLAGS[field]
+    for field in harness.COMMAND_FIELDS[name]:
+        flag, flag_kwargs = flags[field]
         p.add_argument(flag, dest=field, **flag_kwargs)
     return p
 
@@ -89,21 +90,22 @@ def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="lineworld", description="Line-embedded small-world overlay simulator")
     sub = top.add_subparsers(dest="command", required=True)
 
-    b = _add_parser(sub, "build", GRAPH_FIELDS, help="construct a graph and dump it")
+    b = _add_parser(sub, "build", help="construct a graph and dump it")
     b.add_argument("--out", default="-", help="dump path, - for stdout")
 
-    r = _add_parser(sub, "route", GRAPH_FIELDS + ROUTING_FIELDS,
-                    help="route one message on a fresh graph")
+    # one strategy name, kept as a list of one so that `validate` checks it
+    r = _add_parser(sub, "route", FLAGS | {"strategies": ("--strategy", dict(
+        type=lambda name: (name,), metavar="STRATEGY", help="recovery strategy"))},
+        help="route one message on a fresh graph")
     r.add_argument("--src", type=int, required=True)
     r.add_argument("--dst", type=int, required=True)
     r.add_argument("--p-fail", type=float, default=0.0, help="node failure fraction")
-    r.add_argument("--strategy", choices=CHOICES["strategies"], default="terminate")
-    r.set_defaults(link_mode="symmetric")
+    r.set_defaults(strategies=("terminate",))
 
     kinds = sub.add_parser("experiment", help="batch experiments emitting CSV").add_subparsers(
         dest="kind", required=True)
-    for kind, (_, _, config_fields) in sorted(harness.EXPERIMENTS.items()):
-        e = _add_parser(kinds, kind, config_fields)
+    for kind in sorted(harness.EXPERIMENTS):
+        e = _add_parser(kinds, kind)
         e.add_argument("--out", default="-", help="CSV path, - for stdout")
     return top
 
@@ -135,7 +137,7 @@ def cmd_route(args) -> int:
     if args.p_fail:
         overlay.apply_node_failures(g, args.p_fail, rng)
     res = routing.route(g, args.src, args.dst, routing.Sidedness(cfg.sidedness),
-                        harness.STRATEGIES[args.strategy](cfg),
+                        harness.STRATEGIES[cfg.strategies[0]](cfg),
                         max_hops=cfg.max_hops, rng=rng, probe=cfg.probe,
                         symmetric=cfg.symmetric_links())
     print(f"status={res.status.value} hops={res.hops} backtracks={res.backtracks} "

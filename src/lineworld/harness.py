@@ -97,12 +97,26 @@ class ExperimentConfig:
     policy: str = "inverse_distance"
 
     def symmetric_links(self) -> bool:
-        """Failure experiments treat links as connections (usable both
-        ways); scaling and bound validation keep the directed model the
+        """Failure experiments and `route` treat links as connections (usable
+        both ways); scaling and bound validation keep the directed model the
         theory analyzes."""
         if self.link_mode is not None:
             return self.link_mode == "symmetric"
-        return self.experiment in ("failures", "compare")
+        return self.experiment in ("failures", "compare", "route")
+
+    def unread(self) -> dict[str, str]:
+        """Each field this config's run does not read -> why: '' if its command
+        never does, else the link law or strategy list that leaves it unread."""
+        law, plan = f" under dist {self.dist}", f" under strategy {','.join(self.strategies)}"
+        digits = self.dist in DIGIT_SCHEMES
+        # field -> (unread, why); the digit schemes link both ways at every
+        # distance, so only link failures make them one-way
+        rules = {"base": (not digits, law), "links": (digits, law), "link_values": (digits, law),
+                 "sidedness": (digits and self.experiment == "scaling", law),  # routed one-sided
+                 "link_mode": (digits and self.failure_model != "link", law),
+                 "history": ("backtrack" not in self.strategies, plan)}
+        return {name: why for name, (unread, why) in rules.items() if unread} | {
+            f.name: "" for f in fields(self)[1:] if f.name not in COMMAND_FIELDS[self.experiment]}
 
     def validate(self) -> None:
         if self.experiment not in EXP_CODES:
@@ -130,12 +144,11 @@ class ExperimentConfig:
             for value in given if name == "strategies" else (given,):
                 if value not in allowed:
                     raise ValueError(f"{name} must be one of {', '.join(allowed)}, not {value!r}")
-        if self.experiment in EXPERIMENTS:
-            used = EXPERIMENTS[self.experiment][2]
-            for f in fields(self)[1:]:  # every field but `experiment`
-                if f.name not in used and getattr(self, f.name) != f.default:
-                    raise ValueError(f"{self.experiment} does not use {f.name}; "
-                                     f"leave it at {f.default!r}")
+        unread = self.unread()
+        for f in fields(self)[1:]:  # every field but `experiment`
+            if f.name in unread and getattr(self, f.name) != f.default:
+                raise ValueError(f"{self.experiment} does not use {f.name}{unread[f.name]}; "
+                                 f"leave it at {f.default!r}")
         if self.experiment == "chains" and self.samples * 2 * self.n > CHAIN_DRAWS_MAX:
             raise ValueError(f"chains would draw {self.samples} x {2 * self.n} uniforms per "
                              "step, more than 2**28; lower --n or --samples")
@@ -438,8 +451,8 @@ GRAPH_FIELDS = ("n", "links", "base", "dist", "seed")
 ROUTING_FIELDS = ("history", "max_hops", "sidedness", "probe", "link_mode")
 
 # experiment -> (CSV header, runner, the config fields that can change its
-# CSV); the CLI offers each experiment the flags of its fields.  No node dies
-# in scaling or bounds, so probing and committing route alike there.
+# CSV).  No node dies in scaling or bounds, so probing and committing route
+# alike there.
 EXPERIMENTS = {
     "failures": (FAILURES_HEADER, run_failures, GRAPH_FIELDS + ROUTING_FIELDS + (
         "p_grid", "strategies", "trials", "messages", "workers", "failure_model")),
@@ -457,6 +470,9 @@ EXPERIMENTS = {
                "upper_bound,trials,messages,seed", run_bounds,
                ("n", "links", "seed", "trials", "messages", "max_hops", "sidedness", "workers")),
 }
+# command -> the config fields it can read, and the CLI offers flags for
+COMMAND_FIELDS = {"build": GRAPH_FIELDS, "route": GRAPH_FIELDS + ROUTING_FIELDS + ("strategies",),
+                  **{kind: used for kind, (_, _, used) in EXPERIMENTS.items()}}
 
 
 def run_experiment(config: ExperimentConfig) -> str:

@@ -409,13 +409,10 @@ def _lockstep(g: OverlayGraph, table: np.ndarray, usable: np.ndarray, src: np.nd
                 cur[jump] = live[rng.integers(np.full(np.count_nonzero(jump), live.size))]
                 state[:, RESTARTS] += jump
                 stuck &= ~jump
-        # a stuck row fails without a trail to back up along, else it is
-        # capped like a move when the hop would pass max_hops; a jump is no hop
-        if history:
-            failed = stuck & (state[:, LENGTH] == 0)
-            capped = (hops >= max_hops) & ~failed
-        else:
-            failed, capped = stuck, (hops >= max_hops) & moving
+        # a stuck row fails with an empty trail (always, without one), else it
+        # is capped like a move when the hop would pass max_hops; a jump is no hop
+        failed = stuck & (state[:, LENGTH] == 0)
+        capped = (hops >= max_hops) & (moving | stuck) & ~failed
         moving &= ~capped
         if history:
             # every row writes its move to its free pair; a move keeps it

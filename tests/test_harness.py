@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from lineworld import harness, routing
-from lineworld.cli import build_parser, main
+from lineworld.cli import build_parser, config_from_args, main
 from lineworld.harness import (
     ExperimentConfig,
     FAILURES_HEADER,
@@ -35,13 +35,13 @@ USABLE_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 
 def tiny(experiment, **kw):
     """A small config of `experiment`: `kw` over small sizes for the fields
-    it uses."""
+    its run reads under `kw`'s link law."""
     defaults = dict(n=256, links=4, trials=3, messages=40,
                     p_grid=(0.0, 0.5), strategies=("terminate", "backtrack"),
                     repetitions=2, samples=2000, t_max=3, seed=9)
-    *_, used = harness.EXPERIMENTS[experiment]
+    unread = ExperimentConfig(experiment, **kw).unread()
     return ExperimentConfig(experiment=experiment,
-                            **{k: v for k, v in defaults.items() if k in used} | kw)
+                            **{k: v for k, v in defaults.items() if k not in unread} | kw)
 
 
 def test_trial_stats_accounting():
@@ -267,19 +267,20 @@ def test_config_validation():
                                    "link_values"])
 def test_config_rejects_counts_beyond_int64(field):
     # validation only: a rejected config never reaches an allocation; each
-    # field is set on a kind that uses it
+    # field is set on a kind, and `base` under a link law, that reads it
     largest = 2 ** 63 - 1
     grid = field in ("n_values", "link_values")
     kind = dict(history="failures", repetitions="distribution", samples="chains",
                 t_max="chains").get(field, "scaling")
-    at_largest = tiny(kind, **{field: (64, largest) if grid else largest})
+    law = dict(dist="detbase") if field == "base" else {}
+    at_largest = tiny(kind, **law, **{field: (64, largest) if grid else largest})
     if field == "samples":  # so many samples draw more than a chains step may
         with pytest.raises(ValueError, match=r"more than 2\*\*28"):
             at_largest.validate()
     else:
         at_largest.validate()
     with pytest.raises(ValueError, match=r"must be <= 2\*\*63 - 1"):
-        tiny(kind, **{field: (64, largest + 1) if grid else largest + 1}).validate()
+        tiny(kind, **law, **{field: (64, largest + 1) if grid else largest + 1}).validate()
 
 
 @pytest.mark.parametrize("experiment", ["build", "route"])
@@ -381,44 +382,64 @@ def test_trials_without_two_live_nodes_fail_every_message(config):
         assert delivered + failed == trials * messages
 
 
-# a small config per kind; failures and compare route backtrack at p > 0,
-# where `history` matters
+# a small config per kind; failures and compare route backtrack at a p where
+# searches get stuck (0.5: at 0.3 none do under detbase), so that `history`
+# matters, and bounds takes the least n (2^13 at one link, 2^14 at two)
+# whose lower bound depends on `sidedness`
 SMALL = {
-    "failures": dict(n=64, links=2, trials=2, messages=10, p_grid=(0.3,),
+    "failures": dict(n=64, links=2, trials=2, messages=10, p_grid=(0.5,),
                      strategies=("backtrack",)),
     "compare": dict(n=64, links=2, repetitions=1, messages=20, p_grid=(0.5,),
                     strategies=("backtrack",)),
     "scaling": dict(n=64, links=2, trials=2, messages=10),
-    "bounds": dict(n=64, links=2, trials=2, messages=10),
+    "bounds": dict(n=2 ** 14, links=2, trials=2, messages=10),
     "distribution": dict(n=32, links=2, repetitions=1),
     "chains": dict(n=8, samples=200, t_max=2),
 }
-# a valid value per field, other than its default and its SMALL value;
-# `link_mode` takes the mode a kind does not default to
-OTHER = dict(n=48, links=3, base=3, dist="detbase", p_grid=(0.6,), strategies=("restart",),
+# a valid value per field, other than its default and its value in any
+# config below; `link_mode` takes the mode a kind does not default to
+OTHER = dict(n=48, links=3, base=3, dist="bernoulli", p_grid=(0.6,), strategies=("restart",),
              history=1, trials=3, messages=7, max_hops=3, seed=5, repetitions=2,
              n_values=(32, 48), link_values=(1, 3), samples=300, t_max=3, sidedness="one",
              probe=False, failure_model="link", policy="oldest")
+# the CSV columns that echo the config, or a p grid or strategy entry, back
+ECHOED = {"experiment", "n", "links", "base", "dist", "p", "strategy", "trials", "messages",
+          "sidedness", "samples", "seed"}
+
+
+def _measured(csv):
+    """The rows of `csv` without its ECHOED columns."""
+    header, *rows = [line.split(",") for line in csv.splitlines()]
+    keep = [i for i, name in enumerate(header) if name not in ECHOED]
+    return [[row[i] for i in keep] for row in rows]
 
 
 @pytest.mark.parametrize("kind", sorted(harness.EXPERIMENTS))
 def test_experiment_fields_are_the_ones_that_change_its_csv(kind):
     # every field but `workers`, which must not change the CSV (see
-    # test_failures_deterministic_across_workers); a field the kind does not
-    # use is refused, naming it
-    small = ExperimentConfig(kind, **SMALL[kind])
-    csv = run_experiment(small)
+    # test_failures_deterministic_across_workers), from SMALL's config and,
+    # where the kind takes them, from a digit scheme's (which reads no links)
+    # and from one without backtrack: a field the run reads changes a
+    # measured column, and a field it does not read is refused, naming it
     *_, config_fields = harness.EXPERIMENTS[kind]
-    for name in [f.name for f in fields(ExperimentConfig)
-                 if f.name not in ("experiment", "workers")]:
-        value = OTHER[name] if name != "link_mode" else (
-            "directed" if small.symmetric_links() else "symmetric")
-        assert value not in (getattr(small, name), getattr(ExperimentConfig(kind), name))
-        if name in config_fields:
-            assert run_experiment(replace(small, **{name: value})) != csv, name
-        else:
-            with pytest.raises(ValueError, match=f"^{kind} does not use {name};"):
-                run_experiment(replace(small, **{name: value}))
+    smalls = [ExperimentConfig(kind, **SMALL[kind])]
+    if "dist" in config_fields:
+        smalls.append(replace(smalls[0], links=ExperimentConfig(kind).links, dist="detbase"))
+    if "strategies" in config_fields:
+        smalls.append(replace(smalls[0], strategies=("terminate",)))
+    for small in smalls:
+        measured, unread = _measured(run_experiment(small)), small.unread()
+        for name in [f.name for f in fields(ExperimentConfig)
+                     if f.name not in ("experiment", "workers")]:
+            value = OTHER[name] if name != "link_mode" else (
+                "directed" if small.symmetric_links() else "symmetric")
+            assert value not in (getattr(small, name), getattr(ExperimentConfig(kind), name))
+            if name in unread:
+                with pytest.raises(ValueError, match=f"^{kind} does not use {name}[; ]"):
+                    run_experiment(replace(small, **{name: value}))
+            else:
+                assert _measured(run_experiment(replace(small, **{name: value}))) != measured, (
+                    small.dist, small.strategies, name)
 
 
 def test_link_mode_defaults():
@@ -570,17 +591,27 @@ def test_cli_every_experiment_flag_sets_its_field(monkeypatch, kind):
         f.name for f in fields(ExperimentConfig) if f.name != "experiment"}
     default = ExperimentConfig(kind)
     assert all(getattr(default, field) != value for _, field, value in FLAG_VALUES.values())
-    seen = []
+    seen, set_flags = [], set()
     monkeypatch.setattr(harness, "run_experiment", _capture(seen))
-    argv = ["experiment", kind]
-    for flag in sorted(EXPERIMENT_FLAGS[kind]):
-        argv += [flag, FLAG_VALUES[flag][0]]
-    with pytest.raises(_Captured):
-        main(argv)
-    [((config,), _)] = seen
-    assert config == ExperimentConfig(kind, **{
-        field: value for flag, (_, field, value) in FLAG_VALUES.items()
-        if flag in EXPERIMENT_FLAGS[kind]})
+    # a digit scheme reads no --links or --l-grid, and scaling no --sidedness
+    # under one, while the other laws read no --base: one argv per law that
+    # gives every flag its law reads
+    for dist in ("powers", "bernoulli"):
+        flags = {flag: FLAG_VALUES[flag] for flag in sorted(EXPERIMENT_FLAGS[kind])}
+        if "--dist" in flags:
+            flags["--dist"] = (dist, "dist", dist)
+        unread = ExperimentConfig(kind, **{f: v for _, f, v in flags.values()}).unread()
+        flags = {flag: fv for flag, fv in flags.items() if fv[1] not in unread}
+        argv = ["experiment", kind]
+        for flag, (arg, _, _) in flags.items():
+            argv += [flag, arg]
+        with pytest.raises(_Captured):
+            main(argv)
+        [((config,), _)] = seen
+        assert config == ExperimentConfig(kind, **{f: v for _, f, v in flags.values()})
+        seen.clear()
+        set_flags |= flags.keys()
+    assert set_flags == EXPERIMENT_FLAGS[kind]
 
 
 @pytest.mark.parametrize("kind", sorted(EXPERIMENT_FLAGS))
@@ -603,11 +634,44 @@ def _readme_commands():
 
 
 def test_readme_cli_commands_parse():
+    # and each builds a config that validates, so none sets a refused field
     commands = _readme_commands()
     assert {argv[1] for argv in commands if argv[0] == "experiment"} == set(EXPERIMENT_FLAGS)
     assert {"build", "route"} <= {argv[0] for argv in commands}
     for argv in commands:
-        build_parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
+        config_from_args(args, getattr(args, "kind", args.command))
+
+
+@pytest.mark.parametrize("argv, refused, message", [
+    pytest.param(["experiment", "scaling", "--dist", "detbase", "--n", "64", "--trials", "2",
+                  "--messages", "20"], ["--l-grid", "1,2,3"],
+                 "scaling does not use link_values under dist detbase; leave it at ()",
+                 id="scaling_l_grid_detbase"),
+    pytest.param(["experiment", "scaling", "--dist", "powers", "--n", "64", "--trials", "2",
+                  "--messages", "20"], ["--sidedness", "one"],
+                 "scaling does not use sidedness under dist powers; leave it at 'two'",
+                 id="scaling_sidedness_powers"),
+    pytest.param(["build", "--n", "64"], ["--base", "3"],
+                 "build does not use base under dist power1; leave it at 2", id="build_base"),
+    pytest.param(["build", "--n", "64", "--dist", "detbase"], ["--links", "5"],
+                 "build does not use links under dist detbase; leave it at 14",
+                 id="build_links_detbase"),
+    pytest.param(["route", "--n", "64", "--src", "1", "--dst", "5", "--strategy", "restart"],
+                 ["--history", "3"],
+                 "route does not use history under strategy restart; leave it at 5",
+                 id="route_history_restart"),
+    pytest.param(["experiment", "failures", "--n", "64", "--links", "3", "--p-grid", "0.5",
+                  "--trials", "1", "--messages", "2", "--dist", "bernoulli"], ["--base", "7"],
+                 "failures does not use base under dist bernoulli; leave it at 2",
+                 id="failures_base_bernoulli"),
+])
+def test_cli_refuses_a_flag_its_run_does_not_read(capsys, argv, refused, message):
+    assert main(argv + refused) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"lineworld: error: {message}\n"
+    assert captured.out == ""
+    assert main(argv) == 0  # the same command without the refused flag runs
 
 
 def test_cli_rejects_bad_config(capsys):
