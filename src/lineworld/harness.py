@@ -425,7 +425,9 @@ def run_chains(config: ExperimentConfig) -> list[str]:
 
 def run_bounds(config: ExperimentConfig) -> list[str]:
     """Bound sandwich: closed-form lower bound, simulated mean hops to a
-    boundary target, and the drift-sum upper bound (single link)."""
+    boundary target, and the drift-sum upper bound (single link).  Routes
+    end at position 0, where two-sided greedy cannot overshoot, so
+    `sidedness` moves only the lower bound (from n = 2**13 at one link)."""
     side = Sidedness(config.sidedness)
     lower = analysis.mean_lower_bound(config.n, side,
                                       power_law_inclusion(config.n, config.links))

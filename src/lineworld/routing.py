@@ -329,7 +329,7 @@ def route_many(g: OverlayGraph, src, dst, sidedness: Sidedness = Sidedness.TWO_S
 
 # columns of `_lockstep`'s state, one row per message in flight; the
 # backtrack trail follows them
-MSG, CUR, DST, HOPS, BACKTRACKS, RESTARTS, TOP, LENGTH, TRAIL = range(9)
+MSG, CUR, DST, HOPS, BACKTRACKS, RESTARTS, LENGTH, TRAIL = range(8)
 
 
 def _lockstep(g: OverlayGraph, table: np.ndarray, usable: np.ndarray, src: np.ndarray,
@@ -341,22 +341,23 @@ def _lockstep(g: OverlayGraph, table: np.ndarray, usable: np.ndarray, src: np.nd
     rest become `_Walk`s and finish with `_step`, one call per message per
     step in row (message) order."""
     n, width = g.n, table.shape[1]
-    one_sided = sidedness is Sidedness.ONE_SIDED
+    two = int(sidedness is Sidedness.TWO_SIDED)
     budget = getattr(strategy, "max_restarts", 0)
     history = _trail_length(strategy, max_hops)
     live = g.live_sorted() if budget else None
     out.delivered[src == dst] = True  # arrived without a hop
     msg = np.flatnonzero(src != dst)
     # One row per message in flight, so that dropping the finished ones is
-    # one gather.  The trail is a ring of `history` + 1 (node, choice) column
-    # pairs (`history` capped at max_hops), its newest move in pair
-    # (TOP - 1) % ring and LENGTH <= history moves long, so the pair at
-    # TOP % ring is always free to write.
+    # one gather.  A move from node u through slot j of u's table row has the
+    # key (msg * n + u) * width + j, msg being the message's row in the chunk.
+    # The trail is a ring of `history` + 1 move keys (`history` capped at
+    # max_hops), LENGTH <= history moves long.  A move pushes a key and a
+    # back-up pops one, each a hop, so the ring's top is HOPS - 2 * BACKTRACKS:
+    # the newest key is at (top - 1) % ring and top % ring is free to write.
     ring = history + 1
-    state = np.zeros((msg.size, TRAIL + 2 * ring), dtype=np.int64)
+    state = np.zeros((msg.size, TRAIL + ring), dtype=np.int64)
     state[:, MSG], state[:, CUR], state[:, DST] = msg, src[msg], dst[msg]
-    # backtrack exclusions: sorted keys (msg * n + node) * n + excluded sink,
-    # within int64 while ROUTE_CHUNK * n * n is
+    # backtrack exclusions: the sorted keys of the moves backed out of
     excluded = np.zeros(0, dtype=np.int64)
     # every step's candidate rows and their blocked flags, in buffers that
     # the steps reuse: fresh ones each step leave a sweep's heap fragmented
@@ -367,33 +368,29 @@ def _lockstep(g: OverlayGraph, table: np.ndarray, usable: np.ndarray, src: np.nd
         cand = table.take(cur, axis=0, out=cand_buf[:len(state)])
         blocked = usable.take(cand, out=blocked_buf[:len(state)])
         np.invert(blocked, out=blocked)  # pads, and dead candidates under the probe rule
-        if history:  # a message has exclusions once it has backed up
+        if history:
+            moves = (msg * n + cur) * width  # each row's slot-0 move key
+            # a message has exclusions once it has backed up
             has = np.flatnonzero(state[:, BACKTRACKS])
-            holder = (msg[has] * n + cur[has]) * n
-            here = excluded.searchsorted(holder + n) > excluded.searchsorted(holder)
+            here = excluded.searchsorted(moves[has] + width) > excluded.searchsorted(moves[has])
             if here.any():
                 has = has[here]
-                keys = holder[here, None] + cand[has]
+                keys = moves[has, None] + np.arange(width)
                 blocked[has] |= excluded[np.minimum(excluded.searchsorted(keys),
                                                     excluded.size - 1)] == keys
-        gap = cur - dst
-        above = gap > 0
-        np.abs(gap, out=gap)
         # each candidate's key, in place: the least key wins, and only a key
-        # below the row's limit makes progress
-        if one_sided:
-            # the distance left short of dst; candidates across it wrap to huge
-            sign = np.where(above, 1, -1)
-            cand *= sign[:, None]
-            cand -= (sign * dst)[:, None]
-            key, limit = cand.view(np.uint64), gap.view(np.uint64)
+        # below the row's limit, cur's own, makes progress.  With s the side
+        # of dst that cur is on, the key is 4 s (c - dst) - [two-sided]; read
+        # unsigned one-sided, so that candidates across dst wrap to huge, and
+        # as its absolute value two-sided, ranking like 2 |c - dst| + [c overshoots]
+        sign = np.where(cur > dst, 4, -4)
+        cand *= sign[:, None]
+        cand -= (sign * dst + two)[:, None]
+        limit = sign * (cur - dst) - two
+        if two:
+            key = np.abs(cand, out=cand)
         else:
-            # ranks like 2 |c - dst| + [c overshoots]: |4 s (c - dst) - 1|, s
-            # the side of dst that cur is on
-            sign = np.where(above, 4, -4)
-            cand *= sign[:, None]
-            cand -= (sign * dst + 1)[:, None]
-            key, limit = np.abs(cand, out=cand), 4 * gap - 1
+            key, limit = cand.view(np.uint64), limit.view(np.uint64)
         key[blocked] = _FAR
         at = np.arange(len(state))
         pick = key.argmin(axis=1)
@@ -415,23 +412,20 @@ def _lockstep(g: OverlayGraph, table: np.ndarray, usable: np.ndarray, src: np.nd
         capped = (hops >= max_hops) & (moving | stuck) & ~failed
         moving &= ~capped
         if history:
-            # every row writes its move to its free pair; a move keeps it
-            pair = at * state.shape[1] + TRAIL + 2 * (state[:, TOP] % ring)
-            state.put(pair, cur)
-            state.put(pair + 1, nxt)
-            state[:, TOP] += moving
+            # every row writes its move to the ring's top; a move keeps it
+            top = hops - 2 * state[:, BACKTRACKS]
+            ring_at = at * state.shape[1] + TRAIL
+            state.put(ring_at + top % ring, moves + pick)
             state[:, LENGTH] = np.minimum(state[:, LENGTH] + moving, history)
             backing = stuck & ~failed & ~capped
             if backing.any():
-                state[:, TOP] -= backing
                 state[:, LENGTH] -= backing
                 state[:, BACKTRACKS] += backing
                 hops += backing
                 back = np.flatnonzero(backing)
-                pair = back * state.shape[1] + TRAIL + 2 * (state[back, TOP] % ring)
-                node, choice = state.take(pair), state.take(pair + 1)
-                excluded = np.sort(np.concatenate((excluded, (msg[back] * n + node) * n + choice)))
-                cur[back] = node
+                popped = state.take(ring_at[back] + (top[back] - 1) % ring)
+                excluded = np.sort(np.concatenate((excluded, popped)))
+                cur[back] = popped // width - msg[back] * n
         np.copyto(cur, nxt, where=moving)
         hops += moving
 
@@ -446,16 +440,20 @@ def _lockstep(g: OverlayGraph, table: np.ndarray, usable: np.ndarray, src: np.nd
             out.restarts[ids] = ended[:, RESTARTS]
             state = state[~done]
 
-    # the last few messages, as `route`'s walks: trails oldest move first,
-    # exclusions by node
-    bounds = excluded.searchsorted(state[:, MSG, None] * n * n + [0, n * n]).tolist()
+    # the last few messages, as `route`'s walks: each move key read back as
+    # (node, sink), trails oldest move first, exclusions by node
+    def move(key: int) -> tuple[int, int]:
+        node, slot = divmod(key % (n * width), width)
+        return node, table.item(node, slot)
+
+    bounds = excluded.searchsorted(state[:, MSG, None] * n * width + [0, n * width]).tolist()
     walks = []
     for row, (lo, hi) in zip(state.tolist(), bounds):
-        slots = (TRAIL + 2 * (j % ring) for j in range(row[TOP] - row[LENGTH], row[TOP]))
-        trail = deque(((row[p], row[p + 1]) for p in slots), maxlen=history)
+        top = row[HOPS] - 2 * row[BACKTRACKS]
+        trail = deque((move(row[TRAIL + j % ring]) for j in range(top - row[LENGTH], top)),
+                      maxlen=history)
         walk = _Walk(row[CUR], row[DST], trail, row[HOPS], row[BACKTRACKS], row[RESTARTS])
-        for key in excluded[lo:hi].tolist():
-            node, sink = divmod(key % (n * n), n)
+        for node, sink in map(move, excluded[lo:hi].tolist()):
             walk.excluded.setdefault(node, set()).add(sink)
         walks.append((row[MSG], walk))
     # one `_step` per walk per step, in row order, so that restart landings

@@ -167,6 +167,24 @@ def reference_adjacency(g: OverlayGraph, symmetric: bool) -> tuple[np.ndarray, n
     return np.searchsorted(key, np.arange(n + 1) * n), key % n
 
 
+def exact_mean_hops_to_zero(n: int, links: int) -> np.ndarray:
+    """E[x], the expected greedy hops from x to target 0 on a full line of
+    n positions where every node holds `links` directed 1/d long links, for
+    x = 0..n-1.  Greedy toward the line's end takes the lowest candidate,
+    never overshooting, so each hop leaves x for its best position k:
+    one link lands in [0, k] w.p. F_x(k) = (H_x - H_{x-k-1}) / (H_x +
+    H_{n-1-x}), so P(best <= k) = 1 - (1 - F_x(k))**links for k <= x - 2,
+    and the immediate neighbour x - 1 takes the rest.  Solved in
+    increasing x from E[0] = 0 by E[x] = 1 + sum_k P(best = k) E[k]."""
+    h = harmonic_numbers(n)
+    e = np.zeros(n)
+    for x in range(1, n):
+        reach = (h[x] - h[x - 1:0:-1]) / (h[x] + h[n - 1 - x])
+        at_most = np.append(1.0 - (1.0 - reach) ** links, 1.0)  # P(best <= k), k < x
+        e[x] = 1.0 + np.diff(at_most, prepend=0.0) @ e[:x]
+    return e
+
+
 def step_point(x: int, offsets, sidedness: Sidedness) -> int:
     """Greedy successor of position x given the sorted available offsets.
 

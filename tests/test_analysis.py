@@ -15,9 +15,17 @@ from lineworld.analysis import (
     split_interval,
     step_interval,
 )
-from lineworld.linkgen import harmonic_numbers
-from lineworld.routing import Sidedness
-from oracles import draw_offsets, harmonic_number, offset_law, step_point
+from lineworld.harness import power_law_inclusion
+from lineworld.linkgen import InversePowerLaw, harmonic_numbers
+from lineworld.overlay import build
+from lineworld.routing import Sidedness, route_many
+from oracles import (
+    draw_offsets,
+    exact_mean_hops_to_zero,
+    harmonic_number,
+    offset_law,
+    step_point,
+)
 
 ONE = Sidedness.ONE_SIDED
 TWO = Sidedness.TWO_SIDED
@@ -530,6 +538,40 @@ def test_mean_lower_bound_below_simulation():
     lower = mean_lower_bound(n, ONE, power_law_inclusion(n, ell))
     sim = _simulate_one_sided_to_zero(n, ell, graphs=3, routes_per_graph=400, seed=55)
     assert 0 < lower <= sim
+
+
+@pytest.mark.parametrize("ell", [1, 2, 4])
+def test_exact_hop_law_lies_inside_the_bounds(ell):
+    """The exact hop law to target 0 sits inside the bound sandwich: its
+    mean over starts 1..n-1 is at least the closed-form lower bound under
+    either sidedness, and at one link E[n - 1] is at most Karp's bound."""
+    for n in 2 ** np.arange(4, 13):
+        e = exact_mean_hops_to_zero(n, ell)
+        for side in Sidedness:
+            assert mean_lower_bound(n, side, power_law_inclusion(n, ell)) <= e[1:].mean()
+        if ell == 1:
+            assert e[-1] <= single_link_upper_bound(n - 1, 0)
+
+
+@pytest.mark.parametrize("ell", [1, 2, 4])
+def test_route_many_to_zero_follows_the_exact_hop_law(ell):
+    """`route_many`'s mean hops to 0 from uniform starts on built graphs
+    lies within 3 standard errors (from per-graph means) of the exact law's
+    mean.  Greedy cannot overshoot the line's end, so two-sided batches to 0
+    route exactly as one-sided ones."""
+    n, graphs, messages = 2 ** 7, 40, 100
+    rng = np.random.default_rng(ell)
+    means = []
+    for _ in range(graphs):
+        g = build(n, InversePowerLaw(ell), rng)
+        src = rng.integers(1, np.full(messages, n))
+        one, two = (route_many(g, src, np.zeros_like(src), side) for side in (ONE, TWO))
+        assert one.delivered.all()
+        for name, a in vars(one).items():
+            assert np.array_equal(getattr(two, name), a), name
+        means.append(one.hops.mean())
+    se = np.std(means, ddof=1) / math.sqrt(graphs)
+    assert abs(np.mean(means) - exact_mean_hops_to_zero(n, ell)[1:].mean()) <= 3 * se
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Overlay invariants after any sequence of joins, leaves, link writes and
-failures, checked against references built from the graph's text dump."""
+failures, checked against references built from the graph's text dump, and
+routes on those graphs checked against the reference router."""
 
 import numpy as np
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
+from lineworld import routing
 from lineworld.dynamics import ReplacementPolicy, join, leave
 from lineworld.linkgen import InversePowerLaw
 from lineworld.overlay import (
@@ -15,7 +18,21 @@ from lineworld.overlay import (
     apply_node_failures,
     build,
 )
-from oracles import immediate_column, nearest_members, reference_neighbors
+from lineworld.routing import (
+    Backtrack,
+    RandomRestart,
+    Sidedness,
+    Terminate,
+    default_max_hops,
+    route_many,
+)
+from oracles import (
+    immediate_column,
+    nearest_members,
+    parse_dump,
+    reference_neighbors,
+    reference_route,
+)
 
 N = 24
 LINKS = 3
@@ -78,6 +95,43 @@ class OverlayMachine(RuleBasedStateMachine):
     def node_failures(self, p):
         apply_node_failures(self.g, p, self.rng)
         self.churn_only = False
+
+    @precondition(lambda self: np.count_nonzero(self.g.alive) >= 2)
+    @rule(ends=st.lists(st.tuples(st.integers(0, N - 1), st.integers(0, N - 1)), min_size=1,
+                        max_size=6),
+          side=st.sampled_from(list(Sidedness)), probe=st.booleans(), symmetric=st.booleans(),
+          max_hops=st.sampled_from([None, 3]), seed=st.integers(0, 2 ** 32 - 1))
+    def route(self, ends, side, probe, symmetric, max_hops, seed):
+        """`route_many` routes live pairs as the reference router does over
+        the dump, with either step kernel and with a batch handed over
+        from one to the other (SCALAR_TAIL 2): terminate and backtrack as
+        one batch, restart one message at a time from one generator state.
+        Churned rows can be wider than their degree and carry departed
+        members, so move keys meet pads and dead sinks here."""
+        live = self.g.live_sorted()
+        pairs = [(self._pick(live, i), self._pick(live, j)) for i, j in ends]
+        dump = self.g.dump_text()
+        alive, _, _ = parse_dump(dump)
+        cands = reference_neighbors(dump, symmetric)
+        for strategy in (Terminate(), RandomRestart(2), Backtrack(2)):
+            want = [reference_route(alive, cands, s, d, side, strategy,
+                                    max_hops or default_max_hops(N),
+                                    np.random.default_rng(seed), probe)[:5] for s, d in pairs]
+            want = [(status == "delivered", *counts) for status, *counts in want]
+            batches = ([[pair] for pair in pairs] if isinstance(strategy, RandomRestart)
+                       else [pairs])
+            for tail in (0, 2, routing.SCALAR_TAIL):
+                got = []
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(routing, "SCALAR_TAIL", tail)
+                    for batch in batches:
+                        src, dst = np.array(batch).T
+                        out = route_many(self.g, src, dst, side, strategy, max_hops,
+                                         np.random.default_rng(seed), probe, symmetric)
+                        got += zip(out.delivered.tolist(), out.hops.tolist(),
+                                   out.backtracks.tolist(), out.restarts.tolist(),
+                                   out.capped.tolist())
+                assert got == want
 
     @invariant()
     def adjacency_matches_dump(self):

@@ -445,6 +445,45 @@ def test_route_many_chunks_route_alike(monkeypatch, strategy):
         assert outcomes(route_many(g, src, dst, TWO, strategy, symmetric=True)) == outcomes(whole)
 
 
+class Stretched:
+    """A graph that declares `n` positions over a small graph's adjacency:
+    the positions past the small graph's are dead and have no links."""
+
+    def __init__(self, small, n):
+        self.small, self.n = small, n
+        self.alive = np.zeros(n, dtype=bool)
+        self.alive[:small.n] = small.alive
+
+    def adjacency(self, symmetric=False):
+        return self.small.adjacency(symmetric)
+
+    def neighbors(self, u, symmetric=False):
+        return self.small.neighbors(u, symmetric)
+
+    def live_sorted(self):
+        return self.small.live_sorted()
+
+
+@pytest.mark.parametrize("tail", TAILS[:2])
+def test_route_many_backtracks_alike_on_a_long_line(monkeypatch, tail):
+    """A backtrack batch routes alike on a 64-position graph and on the
+    same graph declared n positions long.  Every row routes from 2 to 8 and
+    backs up to 2.  At this n, exclusion keys (row * n + node) * n + sink
+    would pass 2**63 inside row 2,331's range for node 2, so an int64 key
+    of that form would wrap and that row would never find its exclusion."""
+    n, row = 62_903_343, 2_331
+    assert (row * n + 2) * n < 2 ** 63 < (row * n + 2) * n + n
+    rng = np.random.default_rng(0)
+    small = apply_node_failures(build(64, InversePowerLaw(2), rng), 0.5, rng)
+    src, dst = np.full(4096, 2), np.full(4096, 8)
+    monkeypatch.setattr(routing, "SCALAR_TAIL", tail)
+    want, got = (route_many(g, src, dst, TWO, Backtrack(5), 200, symmetric=True)
+                 for g in (small, Stretched(small, n)))
+    assert want.backtracks[row] > 0
+    for name, a in vars(want).items():
+        assert np.array_equal(getattr(got, name), a), name
+
+
 def test_route_many_checks_its_arguments():
     g = line_graph(8)
     g.alive[7] = False
