@@ -27,6 +27,7 @@ requester order, repairs in row-major slot order).
 from __future__ import annotations
 
 import enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -66,18 +67,50 @@ def replacement_decision(rows, requesters, v: NodeId, rng: np.random.Generator,
         r = rng.random(cum.shape[0]) * cum[:, -1]
         # slot i iff cum[i-1] <= r < cum[i]; the pads repeat the row total,
         # which r (a uniform below 1 times the total) never reaches
-        slots[accept] = np.count_nonzero(cum <= r[:, None], axis=1)
+        slots[accept] = (cum <= r[:, None]).sum(axis=1)
     return slots
 
 
 def _basin_owners(live: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Nearest element of the sorted, non-empty `live` to each target; ties
     go to the lower position."""
+    # the live pair around each target, or the outer pair beyond an end (a
+    # line of one: its node twice); a target outside the pair is nearer its end
     i = np.searchsorted(live, targets)
-    lower = live[np.maximum(i - 1, 0)]
-    upper = live[np.minimum(i, live.size - 1)]
-    return np.where((i == live.size) | ((i > 0) & (targets - lower <= upper - targets)),
-                    lower, upper)
+    np.maximum(i, 1, out=i)
+    np.minimum(i, live.size - 1, out=i)
+    lower, upper = live[i - 1], live[i]
+    return np.where(targets - lower <= upper - targets, lower, upper)
+
+
+@lru_cache(maxsize=4)
+def _workspace(n: int) -> np.ndarray:
+    """Two float rows that the joins on an n-position grid reuse for their
+    O(live) weights and cdf, so that no join faults in fresh pages."""
+    return np.empty((2, n))
+
+
+def _requesters(live: np.ndarray, v: NodeId, k: int, n: int,
+                rng: np.random.Generator) -> np.ndarray:
+    """k distinct nodes of `live` ~1/|u - v|, taken as and with the stream of
+    rng.choice(live, k, replace=False, p=w / w.sum()): each round draws a
+    uniform per node still missing, zeroes the taken weights, inverts their
+    normalised cumsum and keeps each new node at its first draw."""
+    w, cdf = _workspace(n)[:, :live.size]
+    np.subtract(live, v, out=w)
+    np.abs(w, out=w)
+    np.divide(1.0, w, out=w)
+    w /= w.sum()
+    found: list[int] = []
+    while len(found) < k:
+        x = rng.random(k - len(found))
+        w[found] = 0.0
+        # np.cumsum's own ufunc, without its wrapper: a quarter of the pass
+        np.add.accumulate(w, out=cdf)
+        cdf /= cdf[-1]
+        # a taken node's cdf step is empty, so only new nodes come back
+        found += dict.fromkeys(cdf.searchsorted(x, side="right").tolist())
+    return live[found]
 
 
 def join(g: OverlayGraph, v: NodeId, links: int, policy: ReplacementPolicy,
@@ -87,9 +120,9 @@ def join(g: OverlayGraph, v: NodeId, links: int, policy: ReplacementPolicy,
     The node draws `links` outgoing sinks over the whole grid (~1/distance)
     and maps each to its basin owner, the nearest node live before the
     join; then K ~ Poisson(links) distinct existing nodes, chosen
-    ~1/distance from v (K capped one below the pre-join live count), are
-    asked to redirect one link to v.  A join into an empty grid just seeds
-    the line.
+    ~1/distance from v by successive sampling on Generator.choice's stream
+    (K capped one below the pre-join live count), are asked to redirect
+    one link to v.  A join into an empty grid just seeds the line.
     """
     if g.alive[v]:
         raise ValueError("position already live")
@@ -109,8 +142,7 @@ def join(g: OverlayGraph, v: NodeId, links: int, policy: ReplacementPolicy,
     # distinct requesters ~ 1/distance
     k = min(int(rng.poisson(links)), live_arr.size - 1)
     if k > 0:
-        w = 1.0 / np.abs(live_arr - v).astype(float)
-        requesters = rng.choice(live_arr, size=k, replace=False, p=w / w.sum())
+        requesters = _requesters(live_arr, v, k, g.n, rng)
         ages = g.ages[requesters] if policy is ReplacementPolicy.OLDEST else None
         slots = replacement_decision(g.sinks[requesters], requesters, v, rng, ages)
         hit = slots >= 0

@@ -155,7 +155,7 @@ def _harmonic_index(h: np.ndarray, r: np.ndarray) -> np.ndarray:
     up until h[d] >= r: one comparison per draw and about 1/8 of a step
     more on average, O(1)."""
     if r.size < _GUESS_MIN_DRAWS:
-        d = np.searchsorted(h, r, side="left")
+        d = h.searchsorted(r, side="left")
         return np.maximum(d, 1, out=d)
     shape, r = r.shape, r.ravel()
     scale, guide = _guide_table(h.size)
@@ -175,7 +175,8 @@ def _grid_draws(us: np.ndarray, n: int, draws: int, h: np.ndarray,
     """`draws` sinks per source over the whole line, ~ 1/|u-v|, by inverse
     CDF against the harmonic prefix h; one row per source.  A draw beyond
     the left mass goes right: it subtracts that mass and flips d's sign."""
-    u = us[:, None]
+    # one source (a join's row) reads h by scalar index, not by fancy index
+    u = int(us[0]) if us.size == 1 else us[:, None]
     mass_left = h[u]
     r = rng.random((us.size, draws))
     r *= mass_left + h[n - 1 - u]
@@ -184,8 +185,9 @@ def _grid_draws(us: np.ndarray, n: int, draws: int, h: np.ndarray,
     sinks = _harmonic_index(h, r)
     sinks *= 2 * right - 1
     sinks += u
-    np.clip(sinks, 0, n - 1, out=sinks)
-    return sinks
+    # a left draw (r < h[u]) takes d <= u; only a right draw that rounds up
+    # to the whole mass can pass the line's end
+    return np.minimum(sinks, n - 1, out=sinks)
 
 
 def sample_line_links(sources, n: int, links: int, rng: np.random.Generator,

@@ -23,8 +23,6 @@ it; readers filter dead sinks themselves.
 
 from __future__ import annotations
 
-import io
-
 import numpy as np
 
 from .linkgen import (
@@ -188,16 +186,23 @@ class OverlayGraph:
         """Stable line dump: position, liveness, immediate sinks (none off
         the line), sorted long sinks.  Equal dumps mean equal topology and
         liveness."""
-        line = np.flatnonzero(self.member).tolist()
-        immediate = [""] * self.n
-        for i, u in enumerate(line):
-            immediate[u] = ",".join(map(str, line[max(i - 1, 0):i] + line[i + 1:i + 2]))
-        out = io.StringIO()
-        out.write(f"{DUMP_HEADER}\nn={self.n}\n")
-        for u in range(self.n):
-            longs = ",".join(str(v) for v in sorted(self.long_links(u)))
-            out.write(f"{u}\t{int(self.alive[u])}\t{immediate[u]}\t{longs}\n")
-        return out.getvalue()
+        n = self.n
+        # a row of cells per position: itself, liveness, the members before
+        # and after it on the line, its long sinks sorted; n marks an empty cell
+        line = np.flatnonzero(self.member)
+        near = np.full((n, 2), n)
+        near[line[1:], 0], near[line[:-1], 1] = line[:-1], line[1:]
+        longs = np.sort(np.where(self.sinks == NO_NEIGHBOR, n, self.sinks), axis=1)
+        cells = np.column_stack((np.arange(n), self.alive, near, longs))
+        # each cell's text ("" if empty) and what follows it: a comma between
+        # full cells, a tab after each of the first three fields, a newline
+        text = np.full(cells.shape + (2,), "", dtype=object)
+        text[..., 0] = np.array([*map(str, range(n)), ""], dtype=object)[cells]
+        full = cells != n
+        text[:, :-1, 1] = np.where(full[:, :-1] & full[:, 1:], ",", "")
+        text[:, [0, 1, 3], 1] = "\t"
+        text[:, -1, 1] += "\n"
+        return f"{DUMP_HEADER}\nn={n}\n" + "".join(text.ravel().tolist())
 
 
 # most offsets one chunk of the offset-table build draws and filters at a

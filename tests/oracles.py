@@ -3,6 +3,7 @@
 import numpy as np
 
 from lineworld.analysis import _choose
+from lineworld.dynamics import ReplacementPolicy, replacement_decision
 from lineworld.linkgen import BernoulliOffsets, harmonic_numbers, sample_offsets
 from lineworld.overlay import NO_NEIGHBOR, OverlayGraph
 from lineworld.routing import Backtrack, RandomRestart, Sidedness
@@ -208,6 +209,39 @@ def nearest_live(live, target: int) -> int:
         raise ValueError("no live positions")
     return int(best)
 
+
+def reference_join(g: OverlayGraph, v: int, links: int, policy: ReplacementPolicy,
+                   rng) -> OverlayGraph:
+    """`dynamics.join` in its plain form: `Generator.choice` draws the
+    requesters from freshly computed weights, the joiner's row is one call
+    of the reference 1/d draw (a binary search and `np.clip`), and the
+    basin owners take their masked selects.  It draws the same uniforms
+    and writes the same rows."""
+    if g.alive[v]:
+        raise ValueError("position already live")
+    live_arr = g.live_sorted()
+    g.set_member(v, True)
+    row = ()
+    if live_arr.size >= 2:
+        targets = reference_line_links([v], g.n, links, rng)[0]
+        i = np.searchsorted(live_arr, targets)
+        lower = live_arr[np.maximum(i - 1, 0)]
+        upper = live_arr[np.minimum(i, live_arr.size - 1)]
+        row = np.where((i == live_arr.size) | ((i > 0) & (targets - lower <= upper - targets)),
+                       lower, upper)
+    g.set_links(v, row)
+    if live_arr.size == 0:
+        return g
+    k = min(int(rng.poisson(links)), live_arr.size - 1)
+    if k > 0:
+        w = 1.0 / np.abs(live_arr - v).astype(float)
+        requesters = rng.choice(live_arr, size=k, replace=False, p=w / w.sum())
+        ages = g.ages[requesters] if policy is ReplacementPolicy.OLDEST else None
+        slots = replacement_decision(g.sinks[requesters], requesters, v, rng, ages)
+        hit = slots >= 0
+        if hit.any():
+            g.replace_link(requesters[hit], slots[hit], v)
+    return g
 
 
 def parse_dump(dump: str) -> tuple[list[bool], list[list[int]], list[list[int]]]:

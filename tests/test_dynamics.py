@@ -7,11 +7,18 @@ import pytest
 
 from scipy.stats import chisquare
 
-from lineworld.dynamics import ReplacementPolicy, _basin_owners, join, leave, replacement_decision
+from lineworld.dynamics import (
+    ReplacementPolicy,
+    _basin_owners,
+    _requesters,
+    join,
+    leave,
+    replacement_decision,
+)
 from lineworld.linkgen import InversePowerLaw
 from lineworld.overlay import NO_NEIGHBOR, OverlayGraph, build
 from lineworld.routing import Sidedness, greedy_step
-from oracles import immediate_column, nearest_live
+from oracles import immediate_column, nearest_live, reference_join
 
 
 def small_graph(n=32, ell=3, seed=0):
@@ -176,6 +183,96 @@ def test_join_into_empty_and_single():
     imm = immediate_column(g)
     assert imm[6] == [3] and imm[3] == [6]
     assert not g.long_links(6)
+
+
+class CountingRng:
+    """A generator that counts its `random` calls, one per sampling round."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def random(self, size):
+        self.calls += 1
+        return self.rng.random(size)
+
+
+def test_requesters_match_generator_choice():
+    # the module's successive sampler takes the nodes that
+    # Generator.choice(replace=False, p) takes, in its order, and leaves the
+    # generator where choice leaves it; this pins numpy's algorithm
+    rng = np.random.default_rng(30)
+    rounds = []
+    for case in range(600):
+        n = int(rng.integers(3, 300))
+        v = int(rng.integers(n))
+        others = np.delete(np.arange(n), v)
+        m = int(rng.integers(2, others.size + 1)) if case % 3 else 2
+        live = np.sort(rng.choice(others, m, replace=False))
+        if case % 5 == 0:  # two nodes beside v and the rest far: ~1/d piles up
+            live = np.unique(np.concatenate((live[np.abs(live - v) > n // 2],
+                                             [u for u in (v - 1, v + 1) if 0 <= u < n])))
+            if live.size < 2:
+                continue
+        k = live.size - 1 if case % 2 else int(rng.integers(1, live.size))
+        seed = int(rng.integers(2 ** 32))
+        w = 1.0 / np.abs(live - v).astype(float)
+        want_rng = np.random.default_rng(seed)
+        want = want_rng.choice(live, k, replace=False, p=w / w.sum())
+        got_rng = CountingRng(np.random.default_rng(seed))
+        got = _requesters(live, v, k, n, got_rng)
+        assert got.tolist() == want.tolist()
+        assert got_rng.rng.bit_generator.state == want_rng.bit_generator.state
+        rounds.append(got_rng.calls)
+    # the redraw loop ran, more than once in some draws
+    assert max(rounds) >= 3
+
+
+def _join_leave_sequence(n: int, seed: int):
+    """Joins and leaves on an n-position grid: sparse lines of 0-3 live
+    nodes with joiners often at either end, then growth to a full line and
+    rejoins into a line one node short.  Yields ("join" or "leave", v,
+    repair) in order."""
+    pick = np.random.default_rng([seed, n])
+    live: set[int] = set()
+    for _ in range(40):
+        dead = sorted(set(range(n)) - live)
+        if dead and (len(live) < 3 and pick.random() < 0.7 or not live):
+            ends = [v for v in (0, n - 1) if v not in live]
+            v = int(pick.choice(ends if ends and pick.random() < 0.5 else dead))
+            live.add(v)
+            yield "join", v, False
+        else:
+            v = int(pick.choice(sorted(live)))
+            live.discard(v)
+            yield "leave", v, bool(pick.random() < 0.5)
+    for v in pick.permutation(sorted(set(range(n)) - live)).tolist():
+        live.add(v)
+        yield "join", v, False
+    for v in [0, n - 1] + pick.integers(0, n, 4).tolist():
+        yield "leave", v, bool(pick.random() < 0.5)
+        yield "join", v, False
+
+
+@pytest.mark.parametrize("policy", list(ReplacementPolicy))
+@pytest.mark.parametrize("n", [2, 3, 5, 64, 2 ** 11])
+def test_join_matches_reference_join(n, policy):
+    # join writes what the reference join writes and leaves the generator
+    # where it does, after every join of a seeded join/leave sequence
+    links = max(1, n.bit_length() - 1)
+    for seed in range(3 if n < 2 ** 11 else 1):
+        g, ref = OverlayGraph(n), OverlayGraph(n)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for op, v, repair in _join_leave_sequence(n, seed):
+            if op == "leave":
+                leave(g, v, repair, rng)
+                leave(ref, v, repair, ref_rng)
+                continue
+            join(g, v, links, policy, rng)
+            reference_join(ref, v, links, policy, ref_rng)
+            assert np.array_equal(g.sinks, ref.sinks) and np.array_equal(g.ages, ref.ages)
+            assert g._clock == ref._clock
+            assert np.array_equal(g.member, ref.member) and np.array_equal(g.alive, ref.alive)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_join_rejects_live_position():

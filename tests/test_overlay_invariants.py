@@ -2,6 +2,8 @@
 failures, checked against references built from the graph's text dump, and
 routes on those graphs checked against the reference router."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -30,6 +32,7 @@ from oracles import (
     immediate_column,
     nearest_members,
     parse_dump,
+    reference_join,
     reference_neighbors,
     reference_route,
 )
@@ -54,7 +57,15 @@ class OverlayMachine(RuleBasedStateMachine):
     def join(self, i, policy):
         v = self._pick(np.flatnonzero(~self.g.alive), i)
         sinks, ages = self.g.sinks.copy(), self.g.ages.copy()
+        ref, ref_rng = copy.deepcopy(self.g), copy.deepcopy(self.rng)
         join(self.g, v, LINKS, policy, self.rng)
+        # the reference join, from the same graph and generator state, writes
+        # the same graph and leaves the generator where join does
+        reference_join(ref, v, LINKS, policy, ref_rng)
+        for field in ("sinks", "ages", "member", "alive"):
+            assert np.array_equal(getattr(self.g, field), getattr(ref, field))
+        assert self.g._clock == ref._clock
+        assert self.rng.bit_generator.state == ref_rng.bit_generator.state
         # other rows keep their widths; a redirect writes the joiner, freshly
         # stamped, into one real slot of its row (the oldest, under OLDEST)
         others = np.arange(N) != v
