@@ -162,7 +162,8 @@ def main(argv=None) -> int:
         from concurrent.futures import BrokenExecutor
         if not isinstance(exc, (ValueError, OSError, MemoryError, OverflowError, BrokenExecutor)):
             raise
-        print(f"lineworld: error: {exc}", file=sys.stderr)
+        # an exception without a message (a MemoryError()) names its type
+        print(f"lineworld: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -27,11 +27,10 @@ requester order, repairs in row-major slot order).
 from __future__ import annotations
 
 import enum
-from functools import lru_cache
 
 import numpy as np
 
-from .linkgen import NodeId, sample_line_links
+from .linkgen import NodeId, sample_line_links, scratch
 from .overlay import NO_NEIGHBOR, OverlayGraph
 
 
@@ -83,20 +82,13 @@ def _basin_owners(live: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return np.where(targets - lower <= upper - targets, lower, upper)
 
 
-@lru_cache(maxsize=4)
-def _workspace(n: int) -> np.ndarray:
-    """Two float rows that the joins on an n-position grid reuse for their
-    O(live) weights and cdf, so that no join faults in fresh pages."""
-    return np.empty((2, n))
-
-
-def _requesters(live: np.ndarray, v: NodeId, k: int, n: int,
-                rng: np.random.Generator) -> np.ndarray:
+def _requesters(live: np.ndarray, v: NodeId, k: int, rng: np.random.Generator) -> np.ndarray:
     """k distinct nodes of `live` ~1/|u - v|, taken as and with the stream of
     rng.choice(live, k, replace=False, p=w / w.sum()): each round draws a
     uniform per node still missing, zeroes the taken weights, inverts their
-    normalised cumsum and keeps each new node at its first draw."""
-    w, cdf = _workspace(n)[:, :live.size]
+    normalised cumsum and keeps each new node at its first draw.  The O(live)
+    weights and cdf take pool slot 0, so that no join faults in fresh pages."""
+    w, cdf = scratch(0, (2, live.size), float)
     np.subtract(live, v, out=w)
     np.abs(w, out=w)
     np.divide(1.0, w, out=w)
@@ -142,7 +134,7 @@ def join(g: OverlayGraph, v: NodeId, links: int, policy: ReplacementPolicy,
     # distinct requesters ~ 1/distance
     k = min(int(rng.poisson(links)), live_arr.size - 1)
     if k > 0:
-        requesters = _requesters(live_arr, v, k, g.n, rng)
+        requesters = _requesters(live_arr, v, k, rng)
         ages = g.ages[requesters] if policy is ReplacementPolicy.OLDEST else None
         slots = replacement_decision(g.sinks[requesters], requesters, v, rng, ages)
         hit = slots >= 0

@@ -14,6 +14,7 @@ neighbors; the schemes here generate the *long-distance* links:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -125,6 +126,30 @@ def _line_prefix(n: int) -> np.ndarray:
 _GUESS_MIN_DRAWS = 1024
 
 
+# The trial path's large temporaries view a few byte buffers, each kept for
+# the process's life at its slot's largest request, so no trial faults back
+# in pages the last one freed.  Not thread-safe.  A view never leaves the
+# function that took it, nor lives across a callee that takes its slot.
+_POOL = [np.empty(0, dtype=np.uint8)] * 5
+
+
+def scratch(slot: int, shape, dtype=np.int64) -> np.ndarray:
+    """An uninitialised C-ordered array over pool slot `slot`'s bytes, or a
+    fresh one below the _GUESS_MIN_DRAWS scale, where a lookup costs more
+    than the allocation it saves."""
+    size = math.prod(shape) if isinstance(shape, tuple) else shape
+    if size < _GUESS_MIN_DRAWS:
+        return np.empty(shape, dtype)
+    nbytes = size * np.dtype(dtype).itemsize
+    if _POOL[slot].size < nbytes:
+        _POOL[slot] = np.empty(nbytes, dtype=np.uint8)
+    return _POOL[slot][:nbytes].view(dtype).reshape(shape)
+
+
+def _unpooled(*_) -> None:
+    """`scratch` for a join's or a repair's few draws: out=None, fresh results."""
+
+
 # guide-table buckets per line position: about 1/8 of a step per draw
 # beyond the first comparison, against 1/2 at one bucket per position
 _GUIDE_BUCKETS = 4
@@ -145,10 +170,11 @@ def _guide_table(n: int) -> tuple[float, np.ndarray]:
     return scale, guide[:int(h[-1] * scale) + 1]
 
 
-def _harmonic_index(h: np.ndarray, r: np.ndarray) -> np.ndarray:
+def _harmonic_index(h: np.ndarray, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Inverse CDF of the 1/d law: the smallest d >= 1 with h[d] >= r, for
     r in [0, h[-1]] and h the line's harmonic prefix, equal to
-    max(np.searchsorted(h, r, "left"), 1).
+    max(np.searchsorted(h, r, "left"), 1); a large batch's goes to `out`
+    if given.  Takes pool slots 0 and 1.
 
     Large batches start each draw at its guide-table entry, a lower bound
     on d (Chen and Asau's index table; Devroye 1986, III.2.4), and step it
@@ -159,8 +185,11 @@ def _harmonic_index(h: np.ndarray, r: np.ndarray) -> np.ndarray:
         return np.maximum(d, 1, out=d)
     shape, r = r.shape, r.ravel()
     scale, guide = _guide_table(h.size)
-    d = guide[(r * scale).astype(np.int64)]
-    step = h[d] < r
+    # takes with out= and mode "raise" copy out first; every index is in range
+    i = np.multiply(r, scale, out=scratch(0, r.size), casting="unsafe")
+    d = guide.take(i, out=None if out is None else out.reshape(-1), mode="wrap")
+    step = np.less(h.take(d, out=scratch(0, d.size, float), mode="wrap"), r,
+                   out=scratch(1, d.size, bool))
     d += step
     moving = np.flatnonzero(step)
     while moving.size:
@@ -171,19 +200,24 @@ def _harmonic_index(h: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def _grid_draws(us: np.ndarray, n: int, draws: int, h: np.ndarray,
-                rng: np.random.Generator) -> np.ndarray:
+                rng: np.random.Generator, out: np.ndarray | None = None) -> np.ndarray:
     """`draws` sinks per source over the whole line, ~ 1/|u-v|, by inverse
-    CDF against the harmonic prefix h; one row per source.  A draw beyond
-    the left mass goes right: it subtracts that mass and flips d's sign."""
+    CDF against the harmonic prefix h; one row per source, into `out` if
+    given.  A draw beyond the left mass goes right: it subtracts that mass
+    and flips d's sign.  Takes pool slots 0-3."""
     # one source (a join's row) reads h by scalar index, not by fancy index
     u = int(us[0]) if us.size == 1 else us[:, None]
     mass_left = h[u]
-    r = rng.random((us.size, draws))
+    shape = (us.size, draws)
+    pool = scratch if us.size * draws >= _GUESS_MIN_DRAWS else _unpooled
+    r = rng.random(shape, out=pool(2, shape, float))
     r *= mass_left + h[n - 1 - u]
-    right = r >= mass_left
-    r -= right * mass_left
-    sinks = _harmonic_index(h, r)
-    sinks *= 2 * right - 1
+    right = np.greater_equal(r, mass_left, out=pool(3, shape, bool))
+    r -= np.multiply(right, mass_left, out=pool(0, shape, float))
+    sinks = _harmonic_index(h, r, out)
+    sign = np.multiply(right, 2, out=pool(0, shape))
+    sign -= 1
+    sinks *= sign
     sinks += u
     # a left draw (r < h[u]) takes d <= u; only a right draw that rounds up
     # to the whole mass can pass the line's end
@@ -203,7 +237,7 @@ def sample_line_links(sources, n: int, links: int, rng: np.random.Generator,
     size.  One scatter writes every draw of a batch: into its row's next
     free slot if it is accepted and fits, else into a spare trash column.
     Duplicates are returned as drawn; deduplication is the graph
-    layer's concern.
+    layer's concern.  The rejection pass takes pool slots 0-4.
     """
     if links < 1:
         raise ValueError("links must be >= 1")
@@ -221,11 +255,13 @@ def sample_line_links(sources, n: int, links: int, rng: np.random.Generator,
     rows = np.arange(us.size)
     batch = links
     while rows.size:
-        sinks = _grid_draws(us[rows], n, batch, h, rng)
-        ok = present[sinks]
+        shape = (rows.size, batch)
+        pool = scratch if rows.size * batch >= _GUESS_MIN_DRAWS else _unpooled
+        sinks = _grid_draws(us[rows], n, batch, h, rng, out=pool(4, shape))
+        ok = present.take(sinks, out=pool(1, shape, bool), mode="wrap")
         # slot (1-based) each accepted draw would take in its row; a rejected
         # draw's 0 and an overflow's links + 1 both map to the trash column
-        slot = np.cumsum(ok, axis=1)
+        slot = np.cumsum(ok, axis=1, out=pool(0, shape))
         slot += filled[rows, None]
         filled[rows] = np.minimum(slot[:, -1], links)
         np.minimum(slot, links + 1, out=slot)

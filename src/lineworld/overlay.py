@@ -35,6 +35,7 @@ from .linkgen import (
     sample_line_links,
     sample_offsets,
     scheme_distances,
+    scratch,
 )
 
 NO_NEIGHBOR = -1
@@ -60,11 +61,6 @@ class OverlayGraph:
         self._adjacency: dict[bool, tuple[np.ndarray, np.ndarray]] = {}
 
     # -- link bookkeeping ------------------------------------------------
-
-    def long_links(self, u: NodeId) -> list[int]:
-        """u's long-link sinks in slot order."""
-        row = self.sinks[u].tolist()
-        return row[:row.index(NO_NEIGHBOR)] if NO_NEIGHBOR in row else row
 
     def set_links(self, u, sinks) -> None:
         """Make `sinks` u's whole row, in slot order, stamped with the next
@@ -99,13 +95,14 @@ class OverlayGraph:
         dropped slots' ages follow them in theirs: a stable sort of each row
         on ~keep.  One row cumsum gives each slot its new column, kept slots
         counting up from 0 and dropped ones from the row's kept count, and
-        one scatter per table moves every slot there."""
+        one scatter per table moves every slot there, in place.  Takes pool
+        slots 0 and 1."""
         n, width = keep.shape
         if width:
-            kept = np.cumsum(keep, axis=1)
+            kept = np.cumsum(keep, axis=1, out=scratch(0, keep.shape))
             # flat target of dropped slot i: row start + kept count + i - kept up to i
             start = np.arange(0, n * width, width)
-            to = (start + kept[:, -1])[:, None] - kept
+            to = np.subtract((start + kept[:, -1])[:, None], kept, out=scratch(1, keep.shape))
             to += np.arange(width)
             # flat target of kept slot i: row start + kept up to i - 1; a kept
             # slot adds (its target - the dropped one) to `to`, a dropped 0
@@ -113,12 +110,13 @@ class OverlayGraph:
             kept -= to
             kept *= keep
             to += kept
-            sinks = self.sinks - NO_NEIGHBOR
-            sinks *= keep
-            sinks += NO_NEIGHBOR
-            moved = np.empty((2, n * width), dtype=np.int64)
-            moved[0, to], moved[1, to] = sinks, self.ages
-            self.sinks, self.ages = moved.reshape(2, n, width)
+            # puts with mode "raise" copy the whole table first
+            moved = np.subtract(self.sinks, NO_NEIGHBOR, out=scratch(0, keep.shape))
+            moved *= keep
+            moved += NO_NEIGHBOR
+            self.sinks.put(to, moved, mode="wrap")
+            moved[...] = self.ages
+            self.ages.put(to, moved, mode="wrap")
         self._adjacency.clear()
 
     def neighbors(self, u: NodeId, symmetric: bool = False) -> np.ndarray:
@@ -141,29 +139,42 @@ class OverlayGraph:
         return adj
 
     def _build_adjacency(self, symmetric: bool) -> tuple[np.ndarray, np.ndarray]:
+        """The adjacency table of one link mode.  Takes pool slots 0-4."""
         n, width = self.sinks.shape
         # keys src * n + dst in int32 where they fit: sorting half-width keys
         # takes about half the time
         idx = np.int32 if (n + 1) * n <= np.iinfo(np.int32).max else np.int64
-        holders = np.repeat(np.arange(n, dtype=idx), width)
-        sinks = self.sinks.ravel().astype(idx)
-        link = (sinks != NO_NEIGHBOR) & (sinks != holders)
+        holders = np.arange(n, dtype=idx)[:, None]
+        sinks = scratch(1, (n, width), idx)
+        sinks[...] = self.sinks
+        link = np.not_equal(sinks, NO_NEIGHBOR, out=scratch(2, (n, width), bool))
+        link &= np.not_equal(sinks, holders, out=scratch(3, (n, width), bool))
+        m = np.count_nonzero(link)
+        keys = np.multiply(holders, n, out=scratch(0, (n, width), idx))
+        keys += sinks
         # np.compress takes a mask faster than boolean indexing does
-        holders, sinks = np.compress(link, holders), np.compress(link, sinks)
+        key = [np.compress(link.ravel(), keys.ravel(), out=scratch(3, m, idx))]
+        if symmetric:  # each slot's reversed key, in place of its sink
+            sinks *= n
+            sinks += holders
+            key.append(np.compress(link.ravel(), sinks.ravel(), out=scratch(4, m, idx)))
         line = np.flatnonzero(self.member).astype(idx)
-        key = [holders * n + sinks, line[:-1] * n + line[1:], line[1:] * n + line[:-1]]
-        key = np.concatenate(key + [sinks * n + holders] if symmetric else key)
+        key += [line[:-1] * n + line[1:], line[1:] * n + line[:-1]]
+        key = np.concatenate(key, out=scratch(0, sum(k.size for k in key), idx))
         key.sort()
-        fresh = np.ones(key.size, dtype=bool)
-        fresh[1:] = key[1:] != key[:-1]
-        key = np.compress(fresh, key)
+        fresh = scratch(2, key.size, bool)
+        fresh[:1] = True
+        np.not_equal(key[1:], key[:-1], out=fresh[1:])
+        key = np.compress(fresh, key, out=scratch(1, np.count_nonzero(fresh), idx))
         # numpy divides by a scalar far faster than it takes %
-        holder = key // n
+        holder = np.floor_divide(key, n, out=scratch(3, key.size, idx))
         deg = np.bincount(holder, minlength=n)
         # at least one slot, so that every row has a (padded) best candidate
         table = np.full((n, max(int(deg.max(initial=0)), 1)), NO_NEIGHBOR, dtype=np.int64)
+        key -= np.multiply(holder, n, out=holder)
         # keys ascend, so row-major order left-packs each row in sink order
-        table[np.arange(table.shape[1]) < deg[:, None]] = key - holder * n
+        fill = np.less(np.arange(table.shape[1]), deg[:, None], out=scratch(2, table.shape, bool))
+        table[fill] = key
         return table, deg
 
     def in_neighbors(self, u: NodeId) -> np.ndarray:
@@ -219,8 +230,11 @@ def _draw_long_links(g: OverlayGraph, present: np.ndarray, dist: LinkDistributio
     if isinstance(dist, InversePowerLaw):
         # on a full line every draw lands on a present position: skip the
         # rejection pass, which would accept its first batch whole
-        g.set_links(rows, sample_line_links(present, n, dist.links, rng,
-                                            present=None if full else g.alive))
+        sinks = sample_line_links(present, n, dist.links, rng, present=None if full else g.alive)
+        if full:  # a fresh graph's whole table: the draws themselves, stamped in row-major order
+            g.sinks, g.ages, g._clock = sinks, np.arange(sinks.size).reshape(sinks.shape), sinks.size
+        else:
+            g.set_links(rows, sinks)
         return
     if isinstance(dist, BernoulliOffsets):
         deltas = dist.deltas
@@ -283,7 +297,10 @@ def apply_link_failures(g: OverlayGraph, p_present: float, rng: np.random.Genera
     if not 0.0 <= p_present <= 1.0:
         raise ValueError("p_present outside [0,1]")
     if p_present < 1.0:
-        g.retain_links(rng.random(g._clock)[g.ages] < p_present)
+        # pool slots 2 and 3, beside retain_links' 0 and 1; (u < p)[ages] is u[ages] < p
+        u = rng.random(g._clock, out=scratch(2, g._clock, float))
+        keep = np.less(u, p_present, out=scratch(3, g._clock, bool))
+        g.retain_links(keep.take(g.ages, out=scratch(2, g.ages.shape, bool), mode="wrap"))
     return g
 
 

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linkgen import NodeId
+from .linkgen import NodeId, scratch
 from .overlay import OverlayGraph
 
 
@@ -316,8 +316,9 @@ def route_many(g: OverlayGraph, src, dst, sidedness: Sidedness = Sidedness.TWO_S
     table, _ = g.adjacency(symmetric)
     # whether a table entry may be chosen, indexed by the entry: a position,
     # live under the probe rule; the NO_NEIGHBOR pad reads the appended
-    # False, where alive[NO_NEIGHBOR] would read node n - 1
-    usable = np.append(g.alive if probe else np.ones(g.n, dtype=bool), False)
+    # False, where alive[NO_NEIGHBOR] would read node n - 1; pool slot 3
+    usable = scratch(3, g.n + 1, bool)
+    usable[:-1], usable[-1] = g.alive if probe else True, False
     out = Routes(np.zeros(src.size, dtype=bool), *np.zeros((3, src.size), dtype=np.int64),
                  np.zeros(src.size, dtype=bool))
     for start in range(0, src.size, ROUTE_CHUNK):
@@ -355,18 +356,20 @@ def _lockstep(g: OverlayGraph, table: np.ndarray, usable: np.ndarray, src: np.nd
     # back-up pops one, each a hop, so the ring's top is HOPS - 2 * BACKTRACKS:
     # the newest key is at (top - 1) % ring and top % ring is free to write.
     ring = history + 1
-    state = np.zeros((msg.size, TRAIL + ring), dtype=np.int64)
+    state = scratch(0, (msg.size, TRAIL + ring))
+    state[:] = 0
     state[:, MSG], state[:, CUR], state[:, DST] = msg, src[msg], dst[msg]
     # backtrack exclusions: the sorted keys of the moves backed out of
     excluded = np.zeros(0, dtype=np.int64)
-    # every step's candidate rows and their blocked flags, in buffers that
-    # the steps reuse: fresh ones each step leave a sweep's heap fragmented
-    cand_buf = np.empty((msg.size, width), dtype=np.int64)
-    blocked_buf = np.empty((msg.size, width), dtype=bool)
+    # every step's candidate rows and blocked flags, in pool slots 1 and 2.
+    # Takes with out= and mode "raise" copy out first; "wrap" reads the pad
+    # NO_NEIGHBOR as the last entry, as "raise" does
+    cand_buf = scratch(1, (msg.size, width))
+    blocked_buf = scratch(2, (msg.size, width), bool)
     while len(state) > SCALAR_TAIL:
         msg, cur, dst, hops = state[:, MSG], state[:, CUR], state[:, DST], state[:, HOPS]
-        cand = table.take(cur, axis=0, out=cand_buf[:len(state)])
-        blocked = usable.take(cand, out=blocked_buf[:len(state)])
+        cand = table.take(cur, axis=0, out=cand_buf[:len(state)], mode="wrap")
+        blocked = usable.take(cand, out=blocked_buf[:len(state)], mode="wrap")
         np.invert(blocked, out=blocked)  # pads, and dead candidates under the probe rule
         if history:
             moves = (msg * n + cur) * width  # each row's slot-0 move key

@@ -63,6 +63,12 @@ def offset_law(inclusion: dict) -> BernoulliOffsets:
     return BernoulliOffsets(list(inclusion), list(inclusion.values()))
 
 
+def long_links(g: OverlayGraph, u: int) -> list[int]:
+    """u's long-link sinks in slot order."""
+    row = g.sinks[u].tolist()
+    return row[:row.index(NO_NEIGHBOR)] if NO_NEIGHBOR in row else row
+
+
 def draw_offsets(law: BernoulliOffsets, rng) -> np.ndarray:
     """One offset set drawn from `law`, ascending."""
     return law.deltas[sample_offsets(law, rng)]

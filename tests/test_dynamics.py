@@ -18,7 +18,7 @@ from lineworld.dynamics import (
 from lineworld.linkgen import InversePowerLaw
 from lineworld.overlay import NO_NEIGHBOR, OverlayGraph, build
 from lineworld.routing import Sidedness, greedy_step
-from oracles import immediate_column, nearest_live, reference_join
+from oracles import immediate_column, long_links, nearest_live, reference_join
 
 
 def small_graph(n=32, ell=3, seed=0):
@@ -176,13 +176,13 @@ def test_join_into_empty_and_single():
     g = OverlayGraph(8)
     rng = np.random.default_rng(4)
     join(g, 3, 2, ReplacementPolicy.INVERSE_DISTANCE, rng)
-    assert g.alive[3] and not g.long_links(3)
+    assert g.alive[3] and not long_links(g, 3)
     assert immediate_column(g)[3] == []
     # second joiner: immediate link only, no meaningful long links
     join(g, 6, 2, ReplacementPolicy.INVERSE_DISTANCE, rng)
     imm = immediate_column(g)
     assert imm[6] == [3] and imm[3] == [6]
-    assert not g.long_links(6)
+    assert not long_links(g, 6)
 
 
 class CountingRng:
@@ -219,7 +219,7 @@ def test_requesters_match_generator_choice():
         want_rng = np.random.default_rng(seed)
         want = want_rng.choice(live, k, replace=False, p=w / w.sum())
         got_rng = CountingRng(np.random.default_rng(seed))
-        got = _requesters(live, v, k, n, got_rng)
+        got = _requesters(live, v, k, got_rng)
         assert got.tolist() == want.tolist()
         assert got_rng.rng.bit_generator.state == want_rng.bit_generator.state
         rounds.append(got_rng.calls)
@@ -285,11 +285,11 @@ def test_join_conserves_other_degrees():
     g = small_graph(64, 4, seed=5)
     rng = np.random.default_rng(6)
     leave(g, 20, repair=False, rng=rng)
-    before = {u: len(g.long_links(u)) for u in range(64) if u != 20}
+    before = {u: len(long_links(g, u)) for u in range(64) if u != 20}
     join(g, 20, 4, ReplacementPolicy.INVERSE_DISTANCE, rng)
-    after = {u: len(g.long_links(u)) for u in range(64) if u != 20}
+    after = {u: len(long_links(g, u)) for u in range(64) if u != 20}
     assert before == after
-    assert len(g.long_links(20)) == 4
+    assert len(long_links(g, 20)) == 4
 
 
 def test_join_stitches_live_line():
@@ -302,7 +302,7 @@ def test_join_stitches_live_line():
     assert imm[2] == [5] and imm[5] == [2, 9]
     assert imm[9] == [5, 13]
     # links attach only to live nodes
-    for s in g.long_links(5):
+    for s in long_links(g, 5):
         assert g.alive[s]
 
 
@@ -312,7 +312,7 @@ def test_join_replacements_redirect_to_newcomer():
     rng = np.random.default_rng(9)
     leave(g, 100, repair=False, rng=rng)
     join(g, 100, 6, ReplacementPolicy.INVERSE_DISTANCE, rng)
-    holders = [u for u in range(256) if u != 100 and 100 in g.long_links(u)]
+    holders = [u for u in range(256) if u != 100 and 100 in long_links(g, u)]
     assert holders  # Poisson(6) requesters, accept chance well above 0
 
 
@@ -363,7 +363,7 @@ def test_departed_position_dumps_no_immediate_sinks():
     leave(g, 3, repair=False, rng=np.random.default_rng(23))
     imm = immediate_column(g)
     assert imm[3] == [] and imm[2] == [1, 4] and imm[4] == [2, 5]
-    assert g.neighbors(3).tolist() == sorted(set(g.long_links(3)))
+    assert g.neighbors(3).tolist() == sorted(set(long_links(g, 3)))
 
 
 def test_join_next_to_failed_member_links_to_it():
@@ -382,10 +382,10 @@ def test_leave_without_repair_leaves_dangling():
     g = small_graph(128, 4, seed=11)
     rng = np.random.default_rng(12)
     target = next(v for v in range(128)
-                  if any(v in g.long_links(u) for u in range(128) if u != v))
-    holder = next(u for u in range(128) if u != target and target in g.long_links(u))
+                  if any(v in long_links(g, u) for u in range(128) if u != v))
+    holder = next(u for u in range(128) if u != target and target in long_links(g, u))
     leave(g, target, repair=False, rng=rng)
-    assert target in g.long_links(holder)
+    assert target in long_links(g, holder)
     # the dangling link is discovered by a committing greedy step
     g2 = OverlayGraph(32)
     g2.alive[:] = g2.member[:] = True
@@ -402,7 +402,7 @@ def test_leave_with_repair_no_dangling():
     dead = {17, 63, 64, 100}
     for u in range(128):
         if g.alive[u]:
-            assert not dead.intersection(g.long_links(u))
+            assert not dead.intersection(long_links(g, u))
     # the line closes across the departed run 63-64
     imm = immediate_column(g)
     assert imm[62] == [61, 65] and imm[65] == [62, 66]
@@ -413,7 +413,7 @@ def test_leave_with_repair_lone_survivor_keeps_dangling_link():
     rng = np.random.default_rng(0)
     g = leave(build(2, InversePowerLaw(2), rng), 1, True, rng)
     assert g.alive.tolist() == [True, False]
-    assert g.long_links(0) == [1, 1]
+    assert long_links(g, 0) == [1, 1]
     assert immediate_column(g)[0] == []
 
 
@@ -423,8 +423,8 @@ def test_leave_repair_resamples_over_live_nodes_only():
     for v in range(0, 64, 2):
         leave(g, v, repair=True, rng=rng)
     for u in range(1, 64, 2):
-        assert len(g.long_links(u)) == 6
-        assert all(s % 2 == 1 and s != u for s in g.long_links(u))
+        assert len(long_links(g, u)) == 6
+        assert all(s % 2 == 1 and s != u for s in long_links(g, u))
 
 
 def test_leave_then_rejoin_consistent():
@@ -433,9 +433,9 @@ def test_leave_then_rejoin_consistent():
     leave(g, 30, repair=True, rng=rng)
     join(g, 30, 3, ReplacementPolicy.INVERSE_DISTANCE, rng)
     assert g.alive[30]
-    assert len(g.long_links(30)) == 3
+    assert len(long_links(g, 30)) == 3
     assert immediate_column(g)[30] == [29, 31]
-    live_links_ok = all(g.alive[s] for u in range(64) if g.alive[u] for s in g.long_links(u))
+    live_links_ok = all(g.alive[s] for u in range(64) if g.alive[u] for s in long_links(g, u))
     assert live_links_ok
 
 

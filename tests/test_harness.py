@@ -27,6 +27,7 @@ from lineworld.harness import (
     run_experiment,
 )
 from lineworld.routing import Routes, Sidedness, Terminate
+from oracles import long_links
 
 
 USABLE_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -121,6 +122,16 @@ def test_dead_worker_ends_in_one_error_line(capsys, monkeypatch):
     assert captured.err.count("\n") == 1
     assert captured.out == ""
     assert multiprocessing.active_children() == []
+
+
+def test_error_without_a_message_prints_its_type(capsys, monkeypatch):
+    # a MemoryError raised while a sweep allocates carries no message
+    def out_of_memory(config):
+        raise MemoryError()
+
+    monkeypatch.setattr(harness, "run_experiment", out_of_memory)
+    assert main(["experiment", *FAILURES_SMALL]) == 1
+    assert capsys.readouterr().err == "lineworld: error: MemoryError\n"
 
 
 def test_failures_backtracking_beats_terminate():
@@ -337,7 +348,7 @@ def test_failure_sets_nest_in_p(monkeypatch, experiment, model):
     def recording(g, strategy, rng, config):
         # the routing stream is trial_rng(seed, experiment, t, i, k)
         t, i, k = rng.bit_generator.seed_seq.entropy[2:5]
-        links = [(u, v) for u in range(g.n) for v in g.long_links(u)]
+        links = [(u, v) for u in range(g.n) for v in long_links(g, u)]
         seen[t, grid[i], k] = set(np.flatnonzero(~g.alive)), Counter(links)
         return route_batch(g, strategy, rng, config)
 

@@ -22,6 +22,7 @@ from lineworld.overlay import build
 from oracles import (
     deterministic_links,
     draw_offsets,
+    long_links,
     offset_law,
     power_links,
     reference_line_links,
@@ -195,23 +196,23 @@ def test_sample_line_links_full_present_mask_draws_as_none():
     assert a.random() == b.random()
 
 
-def long_links(n, dist, u):
-    return build(n, dist, np.random.default_rng(0)).long_links(u)
+def built_long_links(n, dist, u):
+    return long_links(build(n, dist, np.random.default_rng(0)), u)
 
 
 def test_deterministic_links_examples():
-    assert long_links(8, DeterministicBaseB(2), 0) == [1, 2, 4]
-    assert long_links(9, DeterministicBaseB(3), 4) == [1, 2, 3, 5, 6, 7]
+    assert built_long_links(8, DeterministicBaseB(2), 0) == [1, 2, 4]
+    assert built_long_links(9, DeterministicBaseB(3), 4) == [1, 2, 3, 5, 6, 7]
     # degenerate line: only the immediate neighbor remains
     for b in (2, 3, 7):
-        assert long_links(2, DeterministicBaseB(b), 0) == [1]
-        assert long_links(2, DeterministicBaseB(b), 1) == [0]
+        assert built_long_links(2, DeterministicBaseB(b), 0) == [1]
+        assert built_long_links(2, DeterministicBaseB(b), 1) == [0]
 
 
 def test_power_links_examples():
-    assert long_links(9, PowersOfB(2), 0) == [1, 2, 4, 8]
-    assert long_links(9, PowersOfB(2), 8) == [0, 4, 6, 7]
-    assert long_links(9, PowersOfB(3), 4) == [1, 3, 5, 7]
+    assert built_long_links(9, PowersOfB(2), 0) == [1, 2, 4, 8]
+    assert built_long_links(9, PowersOfB(2), 8) == [0, 4, 6, 7]
+    assert built_long_links(9, PowersOfB(3), 4) == [1, 3, 5, 7]
 
 
 def test_link_sets_stay_on_line():
@@ -221,7 +222,7 @@ def test_link_sets_stay_on_line():
         u = int(rng.integers(n))
         b = int(rng.integers(2, 6))
         for dist in (DeterministicBaseB(b), PowersOfB(b)):
-            assert all(0 <= v < n and v != u for v in long_links(n, dist, u))
+            assert all(0 <= v < n and v != u for v in built_long_links(n, dist, u))
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 9, 10, 81, 100, 1024])

@@ -20,6 +20,7 @@ from lineworld.overlay import (
 from oracles import (
     deterministic_links,
     immediate_column,
+    long_links,
     nearest_members,
     offset_law,
     power_links,
@@ -32,7 +33,7 @@ from oracles import (
 def test_build_degenerate_pair():
     g = build(2, InversePowerLaw(3), np.random.default_rng(0))
     assert immediate_column(g) == [[1], [0]]
-    assert set(g.long_links(0)) == {1} and set(g.long_links(1)) == {0}
+    assert set(long_links(g, 0)) == {1} and set(long_links(g, 1)) == {0}
 
 
 def test_build_rejects_tiny_line():
@@ -44,13 +45,13 @@ def test_build_link_budget_exact():
     # with-replacement draws: every node stores exactly its quota
     n, ell = 2 ** 14, 14
     g = build(n, InversePowerLaw(ell), np.random.default_rng(1))
-    assert sum(len(g.long_links(u)) for u in range(g.n)) == n * ell
-    assert all(len(g.long_links(u)) == ell for u in range(g.n))
+    assert sum(len(long_links(g, u)) for u in range(g.n)) == n * ell
+    assert all(len(long_links(g, u)) == ell for u in range(g.n))
 
 
 def test_build_deterministic_links():
     g = build(8, DeterministicBaseB(2), np.random.default_rng(0))
-    assert set(g.long_links(0)) == {1, 2, 4}
+    assert set(long_links(g, 0)) == {1, 2, 4}
 
 
 @pytest.mark.parametrize("b", [2, 3, 5])
@@ -67,7 +68,7 @@ def test_deterministic_tables_match_per_node_sets(n, b):
                 assert np.count_nonzero(np.random.default_rng(seed).random(n) < p) < 2
         for g in graphs:
             present = set(np.flatnonzero(g.alive).tolist())
-            rows = [g.long_links(u) for u in range(n)]
+            rows = [long_links(g, u) for u in range(n)]
             for u, row in enumerate(rows):
                 assert row == (sorted(oracle(u, n, b) & present) if u in present else [])
             assert g.sinks.shape[1] == max(map(len, rows))
@@ -88,7 +89,7 @@ def test_link_failures_identity_and_wipeout():
     apply_link_failures(g, 1.0, rng)
     assert g.dump_text() == before
     apply_link_failures(g, 0.0, rng)
-    assert all(not g.long_links(u) for u in range(g.n))
+    assert all(not long_links(g, u) for u in range(g.n))
     # immediate adjacency survives in full
     imm = immediate_column(g)
     for u in range(200):
@@ -104,7 +105,7 @@ def test_link_failures_survival_rate():
         total = int(np.count_nonzero(g.sinks != NO_NEIGHBOR))
         assert (total < g.sinks.size) == padded
         apply_link_failures(g, p, rng)
-        survivors = sum(len(g.long_links(u)) for u in range(g.n))
+        survivors = sum(len(long_links(g, u)) for u in range(g.n))
         se = math.sqrt(total * p * (1 - p))
         assert abs(survivors - p * total) < 3 * se
 
@@ -153,7 +154,7 @@ def test_link_failures_preserve_immediate_adjacency():
 def test_binomial_presence_full():
     g = build_binomial_presence(64, 1.0, InversePowerLaw(3), np.random.default_rng(6))
     assert g.alive.all()
-    assert all(len(g.long_links(u)) == 3 for u in range(g.n))
+    assert all(len(long_links(g, u)) == 3 for u in range(g.n))
     imm = immediate_column(g)
     for u in range(1, 63):
         assert imm[u] == [u - 1, u + 1]
@@ -166,7 +167,7 @@ def test_binomial_presence_count_and_sinks():
     se = math.sqrt(n * p * (1 - p))
     assert abs(present - p * n) < 3 * se
     for u in range(n):
-        for v in g.long_links(u):
+        for v in long_links(g, u):
             assert g.alive[v]
     # immediate links point at the nearest present neighbor; absent
     # positions are off the line
@@ -188,12 +189,12 @@ def test_node_failures_identity_and_rate():
     g = build(2 ** 14, InversePowerLaw(3), rng)
     apply_node_failures(g, 0.0, rng)
     assert g.alive.all()
-    links_before = [g.long_links(u) for u in range(g.n)]
+    links_before = [long_links(g, u) for u in range(g.n)]
     apply_node_failures(g, 0.3, rng)
     dead = int((~g.alive).sum())
     se = math.sqrt(2 ** 14 * 0.3 * 0.7)
     assert abs(dead - 0.3 * 2 ** 14) < 3 * se
-    assert [g.long_links(u) for u in range(g.n)] == links_before
+    assert [long_links(g, u) for u in range(g.n)] == links_before
 
 
 def test_build_reproducible():
@@ -230,7 +231,7 @@ def test_symmetric_neighbors_include_in_links():
 def test_ages_track_creation_order():
     g = build(32, InversePowerLaw(5), np.random.default_rng(10))
     for u in range(32):
-        ages = g.ages[u, :len(g.long_links(u))].tolist()
+        ages = g.ages[u, :len(long_links(g, u))].tolist()
         assert ages == sorted(ages)
         assert len(set(ages)) == len(ages)
 
@@ -244,7 +245,7 @@ def test_row_writes_stamp_ages_in_order():
     g.replace_link(np.array([2, 1]), np.array([0, 1]), np.array([7, 7]))
     assert (g.sinks[2, 0], g.ages[2, 0], g.sinks[1, 1], g.ages[1, 1]) == (7, 5, 7, 6)
     g.set_links(2, [1])  # a shorter row clears the slots after it
-    assert g.long_links(2) == [1] and g.ages[2, 0] == 7
+    assert long_links(g, 2) == [1] and g.ages[2, 0] == 7
     g.set_links(np.array([4, 0]), [[3, -1], [2, 6]])  # a padded table, row-major
     assert g.sinks[[4, 0]].tolist() == [[3, -1, -1], [2, 6, -1]]
     assert g.ages[4, :2].tolist() == [8, 9] and g.ages[0, :2].tolist() == [10, 11]
@@ -255,13 +256,13 @@ def test_build_bernoulli_offsets():
     law = offset_law({d: (1.0 if abs(d) < 3 else 0.25) for d in range(-8, 9) if d != 0})
     g = build(n, law, np.random.default_rng(11))
     for u in range(n):
-        for v in g.long_links(u):
+        for v in long_links(g, u):
             assert 0 <= v < n and v != u
             assert abs(u - v) <= 8
         # forced unit offsets always present away from the ends
         if 1 <= u <= n - 2:
-            assert {u - 1, u + 1} <= set(g.long_links(u))
-    interior = [len(g.long_links(u)) for u in range(8, n - 8)]
+            assert {u - 1, u + 1} <= set(long_links(g, u))
+    interior = [len(long_links(g, u)) for u in range(8, n - 8)]
     # expected size: 4 forced + 12 * 0.25 = 7
     assert abs(float(np.mean(interior)) - 7.0) < 0.5
 
@@ -291,14 +292,14 @@ def test_deterministic_rows_ascend_across_chunks(monkeypatch, dist, links_of):
     n = 200
     g = build(n, dist, np.random.default_rng(0))
     for u in range(n):
-        assert g.long_links(u) == sorted(links_of(u, n, dist.base))
+        assert long_links(g, u) == sorted(links_of(u, n, dist.base))
 
 
 def test_symmetric_cache_invalidated_by_link_failures():
     rng = np.random.default_rng(12)
     g = build(200, InversePowerLaw(5), rng)
-    holder = next(u for u in range(200) if any(abs(u - v) > 50 for v in g.long_links(u)))
-    sink = next(v for v in g.long_links(holder) if abs(holder - v) > 50)
+    holder = next(u for u in range(200) if any(abs(u - v) > 50 for v in long_links(g, u)))
+    sink = next(v for v in long_links(g, holder) if abs(holder - v) > 50)
     assert holder in g.neighbors(sink, symmetric=True)
     apply_link_failures(g, 0.0, rng)
     assert holder not in g.neighbors(sink, symmetric=True)
