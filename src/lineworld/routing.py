@@ -286,8 +286,8 @@ ROUTE_CHUNK = 4096
 # messages in flight at or below which a batch finishes with `route`'s
 # scalar step: an array step costs about as much as this many scalar ones
 SCALAR_TAIL = 16
-# the key of a candidate that may not be chosen: above every real key and
-# every progress limit
+# the key of a candidate that may not be chosen, and the position lookup's
+# entry for one: at least 8n, so that it keys above every progress limit
 _FAR = 1 << 60
 
 
@@ -304,6 +304,8 @@ def route_many(g: OverlayGraph, src, dst, sidedness: Sidedness = Sidedness.TWO_S
     SCALAR_TAIL messages are in flight and as `route`'s scalar step per
     message after.  Restart landings are drawn in message order within each
     step, so only a batch of one reproduces `route`'s restart stream."""
+    if any(np.size(a) and np.asarray(a).dtype.kind not in "iu" for a in (src, dst)):
+        raise ValueError("endpoints must be integers")
     src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
     if src.shape != dst.shape or src.ndim != 1:
         raise ValueError("src and dst must be 1-D arrays of one length")
@@ -314,16 +316,11 @@ def route_many(g: OverlayGraph, src, dst, sidedness: Sidedness = Sidedness.TWO_S
     max_hops = _hop_cap(g, strategy, max_hops, rng)
 
     table, _ = g.adjacency(symmetric)
-    # whether a table entry may be chosen, indexed by the entry: a position,
-    # live under the probe rule; the NO_NEIGHBOR pad reads the appended
-    # False, where alive[NO_NEIGHBOR] would read node n - 1; pool slot 3
-    usable = scratch(3, g.n + 1, bool)
-    usable[:-1], usable[-1] = g.alive if probe else True, False
     out = Routes(np.zeros(src.size, dtype=bool), *np.zeros((3, src.size), dtype=np.int64),
                  np.zeros(src.size, dtype=bool))
     for start in range(0, src.size, ROUTE_CHUNK):
         part = slice(start, start + ROUTE_CHUNK)
-        _lockstep(g, table, usable, src[part], dst[part], sidedness, strategy, max_hops, rng,
+        _lockstep(g, table, src[part], dst[part], sidedness, strategy, max_hops, rng,
                   probe, symmetric, Routes(**{name: a[part] for name, a in vars(out).items()}))
     return out
 
@@ -333,8 +330,8 @@ def route_many(g: OverlayGraph, src, dst, sidedness: Sidedness = Sidedness.TWO_S
 MSG, CUR, DST, HOPS, BACKTRACKS, RESTARTS, LENGTH, TRAIL = range(8)
 
 
-def _lockstep(g: OverlayGraph, table: np.ndarray, usable: np.ndarray, src: np.ndarray,
-              dst: np.ndarray, sidedness: Sidedness, strategy: RecoveryStrategy, max_hops: int,
+def _lockstep(g: OverlayGraph, table: np.ndarray, src: np.ndarray, dst: np.ndarray,
+              sidedness: Sidedness, strategy: RecoveryStrategy, max_hops: int,
               rng: np.random.Generator | None, probe: bool, symmetric: bool, out: Routes) -> None:
     """Route one chunk for `route_many`, writing its outcomes into `out`
     (views of the batch's arrays).  Array steps, whose branches follow
@@ -361,16 +358,35 @@ def _lockstep(g: OverlayGraph, table: np.ndarray, usable: np.ndarray, src: np.nd
     state[:, MSG], state[:, CUR], state[:, DST] = msg, src[msg], dst[msg]
     # backtrack exclusions: the sorted keys of the moves backed out of
     excluded = np.zeros(0, dtype=np.int64)
-    # every step's candidate rows and blocked flags, in pool slots 1 and 2.
-    # Takes with out= and mode "raise" copy out first; "wrap" reads the pad
-    # NO_NEIGHBOR as the last entry, as "raise" does
-    cand_buf = scratch(1, (msg.size, width))
-    blocked_buf = scratch(2, (msg.size, width), bool)
+    # the position lookup, by table entry: 4u for a table row's position u
+    # that may be chosen (live under the probe rule, any under commit), else
+    # _FAR, which the NO_NEIGHBOR pad reads last; built for array steps only
+    if len(state) > SCALAR_TAIL:
+        pos = scratch(3, len(table) + 1)
+        pos.fill(_FAR)
+        usable = g.alive[:len(table)] if probe else True
+        np.multiply(np.arange(len(table)), 4, out=pos[:-1], where=usable)
+    # every step's candidate rows and keys, in pool slots 1 and 2.  Takes
+    # with out= and mode "raise" copy out first; "wrap" reads NO_NEIGHBOR last
+    cand_buf, key_buf = scratch(1, (msg.size, width)), scratch(2, (msg.size, width))
     while len(state) > SCALAR_TAIL:
         msg, cur, dst, hops = state[:, MSG], state[:, CUR], state[:, DST], state[:, HOPS]
         cand = table.take(cur, axis=0, out=cand_buf[:len(state)], mode="wrap")
-        blocked = usable.take(cand, out=blocked_buf[:len(state)], mode="wrap")
-        np.invert(blocked, out=blocked)  # pads, and dead candidates under the probe rule
+        # each candidate's key: the least wins, and only a key below the row's
+        # limit 4 |cur - dst| - [two-sided] makes progress.  With s = +-1 the
+        # side of dst that cur is on and c's lookup entry 4c, the key is
+        # s (4c - 4 dst) read unsigned one-sided, so that candidates across dst
+        # wrap to huge, and |4c - (4 dst + s)| two-sided, ranking like
+        # 2 |c - dst| + [c overshoots] without ties, as 4 dst + s is odd
+        key = pos.take(cand, out=key_buf[:len(state)], mode="wrap")
+        side = np.where(cur > dst, 1, -1)
+        key -= (4 * dst + two * side)[:, None]
+        limit = 4 * np.abs(cur - dst) - two
+        if two:
+            np.abs(key, out=key)
+        else:
+            key *= side[:, None]
+            key, limit = key.view(np.uint64), limit.view(np.uint64)
         if history:
             moves = (msg * n + cur) * width  # each row's slot-0 move key
             # a message has exclusions once it has backed up
@@ -379,26 +395,12 @@ def _lockstep(g: OverlayGraph, table: np.ndarray, usable: np.ndarray, src: np.nd
             if here.any():
                 has = has[here]
                 keys = moves[has, None] + np.arange(width)
-                blocked[has] |= excluded[np.minimum(excluded.searchsorted(keys),
-                                                    excluded.size - 1)] == keys
-        # each candidate's key, in place: the least key wins, and only a key
-        # below the row's limit, cur's own, makes progress.  With s the side
-        # of dst that cur is on, the key is 4 s (c - dst) - [two-sided]; read
-        # unsigned one-sided, so that candidates across dst wrap to huge, and
-        # as its absolute value two-sided, ranking like 2 |c - dst| + [c overshoots]
-        sign = np.where(cur > dst, 4, -4)
-        cand *= sign[:, None]
-        cand -= (sign * dst + two)[:, None]
-        limit = sign * (cur - dst) - two
-        if two:
-            key = np.abs(cand, out=cand)
-        else:
-            key, limit = cand.view(np.uint64), limit.view(np.uint64)
-        key[blocked] = _FAR
-        at = np.arange(len(state))
+                hit = excluded[np.minimum(excluded.searchsorted(keys), excluded.size - 1)] == keys
+                key[has] = np.where(hit, _FAR, key[has])
         pick = key.argmin(axis=1)
-        stuck = key.take(at * width + pick) >= limit
-        nxt = table.take(cur * width + pick)
+        chosen = pick + np.arange(0, key.size, width)
+        stuck = key.take(chosen) >= limit
+        nxt = cand.take(chosen)
         if not probe:  # the commit rule: stuck when the choice is dead
             stuck |= ~g.alive.take(nxt, mode="clip")
 
@@ -415,9 +417,10 @@ def _lockstep(g: OverlayGraph, table: np.ndarray, usable: np.ndarray, src: np.nd
         capped = (hops >= max_hops) & (moving | stuck) & ~failed
         moving &= ~capped
         if history:
-            # every row writes its move to the ring's top; a move keeps it
+            # every row writes its move to the ring's top and only a move keeps
+            # it, so a stuck row's pick, whichever slot it is, is never read
             top = hops - 2 * state[:, BACKTRACKS]
-            ring_at = at * state.shape[1] + TRAIL
+            ring_at = np.arange(TRAIL, state.size, state.shape[1])
             state.put(ring_at + top % ring, moves + pick)
             state[:, LENGTH] = np.minimum(state[:, LENGTH] + moving, history)
             backing = stuck & ~failed & ~capped
@@ -436,11 +439,8 @@ def _lockstep(g: OverlayGraph, table: np.ndarray, usable: np.ndarray, src: np.nd
         if done.any():
             ended = state[done]
             ids = ended[:, MSG]
-            out.delivered[ids] = ended[:, CUR] == ended[:, DST]
-            out.capped[ids] = capped[done]
-            out.hops[ids] = ended[:, HOPS]
-            out.backtracks[ids] = ended[:, BACKTRACKS]
-            out.restarts[ids] = ended[:, RESTARTS]
+            out.delivered[ids], out.capped[ids] = ended[:, CUR] == ended[:, DST], capped[done]
+            out.hops[ids], out.backtracks[ids], out.restarts[ids] = ended[:, HOPS:LENGTH].T
             state = state[~done]
 
     # the last few messages, as `route`'s walks: each move key read back as

@@ -5,7 +5,7 @@ graph it builds."""
 
 import copy
 import tracemalloc
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -112,6 +112,25 @@ def test_interleaved_sizes_match_references(monkeypatch, tail):
             assert list(zip(np.where(got.delivered, "delivered", "failed").tolist(),
                             got.hops.tolist(), got.backtracks.tolist(),
                             got.restarts.tolist(), got.capped.tolist())) == want
+
+
+def test_lockstep_buffers_share_no_slot(monkeypatch):
+    # the lockstep state, the candidate rows, their keys and the position
+    # lookup are all live during an array step
+    taken = []
+
+    def recording(slot, shape, dtype=np.int64):
+        taken.append(linkgen.scratch(slot, shape, dtype))
+        return taken[-1]
+
+    monkeypatch.setattr(routing, "scratch", recording)
+    monkeypatch.setattr(routing, "SCALAR_TAIL", 0)
+    rng = np.random.default_rng(34)
+    g = apply_node_failures(build(2 ** 12, InversePowerLaw(12), rng), 0.3, rng)
+    pairs = np.array([rng.choice(g.live_sorted(), 2, replace=False) for _ in range(200)])
+    route_many(g, pairs[:, 0], pairs[:, 1], Sidedness.TWO_SIDED, Backtrack(5), symmetric=True)
+    assert len(taken) == 4 and all(map(pooled, taken))
+    assert not any(np.shares_memory(a, b) for a, b in combinations(taken, 2))
 
 
 # The second trial's traced peak may exceed the graph's own arrays by this

@@ -26,6 +26,7 @@ from oracles import (
     base_digit_sum,
     base_digits_nonzero,
     parse_dump,
+    reference_adjacency,
     reference_neighbors,
     reference_route,
 )
@@ -505,6 +506,61 @@ def test_route_many_without_candidates_fails_at_source():
     assert outcomes(route_many(g, [0, 5], [3, 5])) == [(False, 0, 0, 0, False),
                                                       (True, 0, 0, 0, False)]
     assert outcome(route(g, 0, 3)) == (False, 0, 0, 0, False)
+
+
+@pytest.mark.parametrize("bad", [[1.7], [True], np.array([5.0])], ids=["float", "bool", "array"])
+def test_route_many_refuses_endpoints_that_are_not_integers(bad):
+    # numpy would truncate 1.7 to 1 and route it, where `route` raises; an
+    # empty batch of any dtype routes nothing
+    g = line_graph(8)
+    for src, dst in ((bad, [3]), ([3], bad)):
+        with pytest.raises(ValueError, match="endpoints must be integers"):
+            route_many(g, src, dst)
+    assert outcomes(route_many(g, np.zeros(0), np.zeros(0, dtype=bool))) == []
+
+
+def test_array_step_keys_pads_and_dead_sinks_apart(monkeypatch):
+    """The array step on a 12-position graph whose one wide row pads every
+    other row, with dead sinks on both sides of most targets: every live
+    pair, the line's ends and neighbours included, routes as `route` routes
+    it.  A pad keyed as position -1 wins two-sided toward 0 or 1 over
+    farther sinks, and a dead sink keyed below 4n wins toward n - 1."""
+    g = line_graph(12, [(0, 6), (0, 11), (2, 9), (5, 0), (5, 2), (5, 8), (5, 10), (5, 11),
+                        (9, 1), (9, 3), (11, 4)])
+    g.alive[[3, 7, 10]] = False
+    assert (g.adjacency()[0] == -1).any(axis=1).sum() == 11
+    pairs = [(s, d) for s in g.live_sorted().tolist() for d in g.live_sorted().tolist() if s != d]
+    src, dst = np.array(pairs).T
+    monkeypatch.setattr(routing, "SCALAR_TAIL", 0)
+    for side, probe, symmetric, strategy in product(Sidedness, (True, False), (False, True),
+                                                    (Terminate(), Backtrack(2))):
+        want = [outcome(route(g, s, d, side, strategy, probe=probe, symmetric=symmetric))
+                for s, d in pairs]
+        assert outcomes(route_many(g, src, dst, side, strategy, probe=probe,
+                                   symmetric=symmetric)) == want
+
+
+@pytest.mark.parametrize("p_node", [0.1, 0.5])
+def test_route_many_matches_reference_on_wide_rows(monkeypatch, p_node):
+    """At n = 2^11 with 11 links the symmetric table is 30 to 34 wide, as in
+    the failure sweeps: both step kernels route every mode as the reference
+    router does."""
+    n = 2 ** 11
+    rng = np.random.default_rng(int(p_node * 10))
+    g = apply_node_failures(build(n, InversePowerLaw(11), rng), p_node, rng)
+    assert g.adjacency(True)[0].shape[1] >= 30
+    pairs = np.array([rng.choice(g.live_sorted(), 2, replace=False) for _ in range(200)])
+    indptr, indices = reference_adjacency(g, True)
+    cands = [indices[indptr[u]:indptr[u + 1]].tolist() for u in range(n)]
+    alive = g.alive.tolist()
+    for side, probe, strategy in product(Sidedness, (True, False), (Terminate(), Backtrack(5))):
+        want = [reference_route(alive, cands, s, d, side, strategy, default_max_hops(n), None,
+                                probe)[:5] for s, d in pairs.tolist()]
+        want = [(status == "delivered", *counts) for status, *counts in want]
+        for tail in STEP_KERNELS:
+            monkeypatch.setattr(routing, "SCALAR_TAIL", tail)
+            assert outcomes(route_many(g, pairs[:, 0], pairs[:, 1], side, strategy,
+                                       probe=probe, symmetric=True)) == want
 
 
 @pytest.mark.parametrize("count", [2, 3, 2 ** 11 + 1, 2 ** 31 - 1])
